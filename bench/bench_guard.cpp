@@ -7,13 +7,13 @@
 //               [--json FILE]
 //
 // The guard's checkpoints are a pointer test plus an add at DP layer
-// boundaries, and a span is two steady-clock reads plus a ring store, so the
+// boundaries, and arming the span ring adds one ring store per span, so the
 // target for each is < 2 % overhead (docs/ROBUSTNESS.md,
-// docs/OBSERVABILITY.md).  Attaching any sink also turns on the counter
-// layer's per-prune recording, so a counters-only configuration (sink
-// attached, span ring disarmed) separates that pre-existing cost from the
-// tracer's marginal one: trace_overhead_pct is traced-minus-counters over
-// bare.  Wall clocks on shared CI runners are noisy, so the configurations
+// docs/OBSERVABILITY.md).  Attaching any sink turns on the counter layer's
+// per-prune recording and the span rollup (two steady-clock reads per
+// span), so a counters-only configuration (sink attached, span ring
+// disarmed) carries both; trace_overhead_pct, traced-minus-counters over
+// bare, is therefore the ring store alone.  Wall clocks on shared CI runners are noisy, so the configurations
 // are interleaved within each of R reps (slow drift — thermal, background
 // load — hits every configuration equally instead of whichever block runs
 // last) and the *minimum* wall time per configuration is compared.
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   on.guard.step_budget = std::uint64_t{1} << 40;   // armed, never trips
   on.guard.arena_node_cap = ~std::uint32_t{0};
 
-  ObsSink counter_sink;  // attached but span ring disarmed: counters only
+  ObsSink counter_sink;  // attached, ring disarmed: counters + span rollup
   BatchOptions counted = off;
   counted.obs = &counter_sink;
 

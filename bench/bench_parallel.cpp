@@ -24,17 +24,14 @@
 #include "flow/batch.h"
 #include "flow/circuit.h"
 #include "flow/report.h"
+#include "obs/hist.h"
 #include "obs/json.h"
 
 namespace {
 
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
-}
+/// Histogram value (us) in ms — the percentiles quantize like every other
+/// latency report in the repo (obs/hist.h).
+double us_to_ms(std::uint64_t us) { return static_cast<double>(us) / 1000.0; }
 
 }  // namespace
 
@@ -89,9 +86,9 @@ int main(int argc, char** argv) {
     opts.obs = &sink;
     const BatchResult r = BatchRunner(lib, opts).run(ckt);
 
-    std::vector<double> lat;
-    lat.reserve(r.nets.size());
-    for (const BatchNetResult& n : r.nets) lat.push_back(n.wall_ms);
+    LatencyHistogram lat;  // per-net job wall time, us
+    for (const BatchNetResult& n : r.nets)
+      lat.record(static_cast<std::uint64_t>(n.wall_ms * 1000.0));
 
     if (threads == 1) {
       wall_1t = r.stats.wall_ms;
@@ -105,10 +102,10 @@ int main(int argc, char** argv) {
     table.cell(threads);
     table.cell(r.stats.wall_ms, 1);
     table.cell(wall_1t > 0.0 ? wall_1t / r.stats.wall_ms : 1.0, 2);
-    table.cell(percentile(lat, 0.50), 2);
-    table.cell(percentile(lat, 0.90), 2);
-    table.cell(percentile(lat, 0.99), 2);
-    table.cell(percentile(lat, 1.0), 2);
+    table.cell(us_to_ms(lat.quantile(50)), 2);
+    table.cell(us_to_ms(lat.quantile(90)), 2);
+    table.cell(us_to_ms(lat.quantile(99)), 2);
+    table.cell(us_to_ms(lat.max_value()), 2);
     table.cell(r.stats.steals);
     table.cell(std::string(
         threads == 1 ? "-" : batch_results_identical(baseline, r) ? "yes" : "NO"));

@@ -143,28 +143,26 @@ int main(int argc, char** argv) {
   std::printf("paper averages: II 1.02 area / 1.05 delay / 0.91 time;"
               " III 1.07 area / 0.85 delay / 1.85 time\n");
 
-  if (kObsEnabled) {
-    std::printf("\nDP pruning summary (all circuits, per flow):\n");
-    TextTable p({"flow", "pts_pushed", "pts_pruned", "prune_rate",
-                 "peak_width", "cache_hit_rate", "buffers"});
-    const char* names[] = {"I", "II", "III"};
-    const ObsSink* sinks[] = {&obs1, &obs2, &obs3};
-    for (int f = 0; f < 3; ++f) {
-      const Counters& c = sinks[f]->counters;
-      const std::uint64_t pushed = c.get(Counter::kCurvePointsPushed);
-      const std::uint64_t pruned = c.get(Counter::kCurvePointsPruned);
-      const std::uint64_t hits = c.get(Counter::kGammaCacheHits);
-      const std::uint64_t lookups = hits + c.get(Counter::kGammaCacheMisses);
-      p.begin_row();
-      p.cell(std::string(names[f]));
-      p.cell(pushed);
-      p.cell(pruned);
-      p.cell(pushed > 0 ? static_cast<double>(pruned) / static_cast<double>(pushed) : 0.0, 2);
-      p.cell(sinks[f]->gauges.get(Gauge::kCurvePeakWidth));
-      p.cell(lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups) : 0.0, 2);
-      p.cell(c.get(Counter::kBuffersInserted));
-    }
-    std::printf("%s\n", p.render().c_str());
+  std::printf("\nDP pruning summary (all circuits, per flow):\n");
+  TextTable p({"flow", "pts_pushed", "pts_pruned", "prune_rate",
+               "peak_width", "cache_hit_rate", "buffers"});
+  const char* names[] = {"I", "II", "III"};
+  const ObsSink* sinks[] = {&obs1, &obs2, &obs3};
+  for (int f = 0; f < 3; ++f) {
+    const Counters& c = sinks[f]->counters;
+    const std::uint64_t pushed = c.get(Counter::kCurvePointsPushed);
+    const std::uint64_t pruned = c.get(Counter::kCurvePointsPruned);
+    const std::uint64_t hits = c.get(Counter::kGammaCacheHits);
+    const std::uint64_t lookups = hits + c.get(Counter::kGammaCacheMisses);
+    p.begin_row();
+    p.cell(std::string(names[f]));
+    p.cell(pushed);
+    p.cell(pruned);
+    p.cell(pushed > 0 ? static_cast<double>(pruned) / static_cast<double>(pushed) : 0.0, 2);
+    p.cell(sinks[f]->gauges.get(Gauge::kCurvePeakWidth));
+    p.cell(lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups) : 0.0, 2);
+    p.cell(c.get(Counter::kBuffersInserted));
   }
+  std::printf("%s\n", p.render().c_str());
   return 0;
 }

@@ -370,7 +370,6 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
   if (cfg.inner_prune.obs == nullptr) cfg.inner_prune.obs = cfg.obs;
   if (cfg.group_prune.obs == nullptr) cfg.group_prune.obs = cfg.obs;
   obs_add(cfg.obs, Counter::kBubbleRuns);
-  ScopedTimer obs_timer(cfg.obs, Phase::kBubbleConstruct);
   TraceSpan trace_span(cfg.obs, SpanName::kBubbleConstruct, net.fanout());
   const std::uint64_t arena_alloc_before = arena.stats().nodes_allocated;
   const std::size_t n = net.fanout();
@@ -610,7 +609,7 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
           }
         }
 
-        if (kObsEnabled && cfg.obs != nullptr) {
+        if (cfg.obs != nullptr) {
           std::uint64_t entering = 0;
           for (std::size_t p = 0; p < ws.k; ++p) entering += acc[p].size();
           for (std::size_t p = 0; p < ws.k; ++p) acc[p].prune(cfg.group_prune);

@@ -55,7 +55,6 @@ MerlinResult merlin_optimize(const Net& net, const BufferLibrary& lib,
       res.converged = true;
       break;
     }
-    ScopedTimer obs_timer(cfg.bubble.obs, Phase::kMerlinIteration);
     TraceSpan iter_span(cfg.bubble.obs, SpanName::kMerlinIteration,
                         res.iterations);
     BubbleResult r = bubble_construct(net, lib, pi, cfg.bubble, cache_ptr, &arena);

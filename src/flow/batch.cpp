@@ -208,7 +208,7 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
         ctx != nullptr ? ctx->arenas : local_arenas;
     std::vector<FlushBatch> flushes(jobs.size());
     std::vector<ObsSink> sinks;
-    if (kObsEnabled && opts_.obs != nullptr) {
+    if (opts_.obs != nullptr) {
       sinks.resize(n_threads);
       // Worker sinks hold every trace; the deterministic cap is applied
       // once, after the post-drain sort by net id.  Spans follow the same
@@ -533,7 +533,6 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
     // thread count; traces are gathered, sorted by net id, and capped at
     // the aggregate sink's capacity — also scheduling-independent.
     if (!sinks.empty()) {
-      ScopedTimer reduce_timer(opts_.obs, Phase::kBatchReduce);
       TraceSpan reduce_span(opts_.obs, SpanName::kBatchReduce, sinks.size());
       std::vector<TraceRecord> traces;
       traces.reserve(jobs.size());
@@ -557,12 +556,13 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
       // aggregate ring, so the merged order — and, when worker rings never
       // overflowed, the post-cap content — is scheduling-independent.
       // Scheduling spans (pool idle/steal, net == kNoTraceNet) sort last.
+      // Ring-only append: merge_from already summed the worker rollups.
       std::stable_sort(spans.begin(), spans.end(),
                        [](const SpanRecord& a, const SpanRecord& b) {
                          if (a.net_id != b.net_id) return a.net_id < b.net_id;
                          return a.seq < b.seq;
                        });
-      for (const SpanRecord& r : spans) opts_.obs->record_span(r);
+      for (const SpanRecord& r : spans) opts_.obs->append_span(r);
       obs_add(opts_.obs, Counter::kPoolTasks, jobs.size());
     }
   }

@@ -58,7 +58,6 @@ LTTreeResult lttree_optimize(const Net& net, const Order& order,
   LTTreeConfig cfg = cfg_in;
   if (cfg.prune.obs == nullptr) cfg.prune.obs = cfg.obs;
   obs_add(cfg.obs, Counter::kLttreeRuns);
-  ScopedTimer obs_timer(cfg.obs, Phase::kLttreeGrouping);
   TraceSpan trace_span(cfg.obs, SpanName::kLttreeDp, net.fanout());
   guard_point(cfg.guard, FaultSite::kLttreeLevel);
   const std::size_t n = net.fanout();

@@ -1,5 +1,5 @@
 #pragma once
-// Counter / gauge / phase vocabulary of the observability layer.
+// Counter / gauge vocabulary of the observability layer.
 //
 // Every name here is a *contract*: it appears verbatim as a JSON key in the
 // `--stats-json` export, it is documented (in paper terms) in
@@ -8,9 +8,8 @@
 // their aggregate totals are identical across thread counts and runs, which
 // is what lets EXPERIMENTS.md cite them as measurements rather than
 // anecdotes (tests/test_obs.cpp enforces this).  Gauges are high-water
-// marks (also deterministic).  Phases are wall-clock buckets and therefore
-// explicitly *not* deterministic; they never participate in differential
-// comparisons.
+// marks (also deterministic).  Wall-clock time is the span tracer's job
+// (obs/trace.h), never a counter's.
 
 #include <array>
 #include <cstddef>
@@ -102,20 +101,8 @@ enum class Gauge : std::uint16_t {
   kCount,
 };
 
-/// Wall-clock phase buckets (ScopedTimer keys).  Not deterministic.
-enum class Phase : std::uint16_t {
-  kLttreeGrouping,       ///< LT-Tree fanout grouping DP (flow I phase 1)
-  kPtreeDp,              ///< PTREE fixed-order routing DP
-  kVanginDp,             ///< van Ginneken buffer insertion DP
-  kBubbleConstruct,      ///< one BUBBLE_CONSTRUCT (table build + extraction)
-  kMerlinIteration,      ///< one outer MERLIN loop body (incl. compaction)
-  kBatchReduce,          ///< serial deterministic reduction of a batch run
-  kCount,
-};
-
 inline constexpr std::size_t kCounterCount = static_cast<std::size_t>(Counter::kCount);
 inline constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCount);
-inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);
 
 /// Canonical snake_case name (JSON key / docs anchor) of each counter.
 [[nodiscard]] constexpr const char* counter_name(Counter c) {
@@ -178,19 +165,6 @@ inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCoun
     case Gauge::kCount: break;
   }
   return "unknown_gauge";
-}
-
-[[nodiscard]] constexpr const char* phase_name(Phase p) {
-  switch (p) {
-    case Phase::kLttreeGrouping: return "lttree_grouping";
-    case Phase::kPtreeDp: return "ptree_dp";
-    case Phase::kVanginDp: return "vangin_dp";
-    case Phase::kBubbleConstruct: return "bubble_construct";
-    case Phase::kMerlinIteration: return "merlin_iteration";
-    case Phase::kBatchReduce: return "batch_reduce";
-    case Phase::kCount: break;
-  }
-  return "unknown_phase";
 }
 
 /// The monotonic counter bank.

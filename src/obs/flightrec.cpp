@@ -36,11 +36,6 @@ void set_error(std::string* error, const std::string& what) {
 
 bool FlightRecorder::open(const std::string& path, std::uint32_t capacity,
                           std::string* error) {
-  if constexpr (!kObsEnabled) {
-    (void)path; (void)capacity;
-    set_error(error, "flight recorder disabled (built with MERLIN_OBS=OFF)");
-    return false;
-  }
   close();
   if (capacity == 0) capacity = kDefaultCapacity;
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
@@ -76,10 +71,6 @@ bool FlightRecorder::open(const std::string& path, std::uint32_t capacity,
 
 void FlightRecorder::record(FlightEvent e, std::uint64_t job_id,
                             std::uint64_t arg) {
-  if constexpr (!kObsEnabled) {
-    (void)e; (void)job_id; (void)arg;
-    return;
-  }
   if (base_ == nullptr) return;
   const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   auto* h = static_cast<FlightHeader*>(base_);

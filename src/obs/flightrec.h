@@ -15,11 +15,6 @@
 // plain stores, then the file header's next_seq is advanced with a
 // CAS-max — so a reader of a crashed ring sees at worst a torn final
 // record, which load() detects (event byte out of range) and drops.
-//
-// Under -DMERLIN_OBS=OFF open() refuses to arm (and record() is a no-op),
-// so the recorder compiles out of the hot path like the rest of the obs
-// layer.  load() always works: post-mortem parsing is independent of how
-// the *reading* binary was configured.
 
 #include <array>
 #include <atomic>
@@ -89,7 +84,7 @@ class FlightRecorder {
 
   /// Create (truncating any previous ring — each daemon boot starts a
   /// fresh black box) and map the ring file.  Returns false with *error
-  /// set on failure, and always under -DMERLIN_OBS=OFF.
+  /// set on failure.
   bool open(const std::string& path, std::uint32_t capacity = kDefaultCapacity,
             std::string* error = nullptr);
 

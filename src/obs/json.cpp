@@ -132,18 +132,6 @@ std::string stats_to_json(const ObsSink& sink, const RuntimeInfo& rt,
   }
   w.end_obj();
 
-  w.key("phases");
-  w.begin_obj();
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    auto p = static_cast<Phase>(i);
-    w.key(phase_name(p));
-    w.begin_obj();
-    w.key("calls"); w.num(sink.phase_calls(p));
-    w.key("total_ns"); w.num(sink.phase_ns(p));
-    w.end_obj();
-  }
-  w.end_obj();
-
   w.key("layers");
   w.begin_arr();
   for (std::size_t l = 0; l < sink.layers().size(); ++l) {
@@ -229,9 +217,9 @@ std::string stats_to_json(const ObsSink& sink, const RuntimeInfo& rt,
   w.end_obj();
 
   // v6: the daemon's process-lifetime registry.  Always emitted; one-shot
-  // runs (and obs-off builds) emit the zero section with enabled 0.  The
-  // stage/phase histograms are wall-clock facts; net_buffers and
-  // net_curve_width are deterministic (docs/OBSERVABILITY.md).
+  // runs emit the zero section with enabled 0.  The stage and per-span
+  // histograms are wall-clock facts; net_buffers and net_curve_width are
+  // deterministic (docs/OBSERVABILITY.md).
   w.key("lifetime");
   w.begin_obj();
   if (lifetime == nullptr || lifetime->enabled == 0) {
@@ -263,12 +251,12 @@ std::string stats_to_json(const ObsSink& sink, const RuntimeInfo& rt,
       write_hist(w, lt.hist[i]);
     }
     w.end_obj();
-    w.key("phases");
+    w.key("spans");
     w.begin_obj();
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      if (lt.phase_us[i].count() == 0) continue;  // keep the section compact
-      w.key(phase_name(static_cast<Phase>(i)));
-      write_hist(w, lt.phase_us[i]);
+    for (std::size_t i = 0; i < kSpanNameCount; ++i) {
+      if (lt.span_us[i].count() == 0) continue;  // keep the section compact
+      w.key(span_name(static_cast<SpanName>(i)));
+      write_hist(w, lt.span_us[i]);
     }
     w.end_obj();
     w.key("window_s"); w.num(static_cast<std::uint64_t>(lt.window_s));
@@ -296,9 +284,10 @@ std::string stats_to_json(const ObsSink& sink, const RuntimeInfo& rt,
   for (std::uint64_t t : rt.worker_tasks) w.num(t);
   w.end_arr();
   // Span rollups live here — not in their own top-level section — because
-  // their totals are wall times: scheduling facts, never diffable.  The
-  // span *structure* determinism contract is tested on the ring itself,
-  // not through this export.
+  // their totals are wall times: scheduling facts, never diffable.  They
+  // come from the sink's rollup, so they are complete whether or not the
+  // ring was armed or overwrote.  The span *structure* determinism
+  // contract is tested on the ring itself, not through this export.
   w.key("spans");
   w.begin_arr();
   for (const SpanSummary& s : summarize_spans(sink)) {
@@ -556,12 +545,12 @@ std::string stats_to_prometheus(const LifetimeSnapshot& lifetime,
         std::string("{name=\"") + gauge_name(g) + "\"}";
     prom_line(out, "merlin_gauge", labels.c_str(), lifetime.gauges.get(g));
   }
-  out += "# TYPE merlin_phase_ns_total counter\n";
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+  out += "# TYPE merlin_span_ns_total counter\n";
+  for (std::size_t i = 0; i < kSpanNameCount; ++i) {
     const std::string labels =
-        std::string("{phase=\"") + phase_name(static_cast<Phase>(i)) + "\"}";
-    prom_line(out, "merlin_phase_ns_total", labels.c_str(),
-              lifetime.phase_ns[i]);
+        std::string("{span=\"") + span_name(static_cast<SpanName>(i)) + "\"}";
+    prom_line(out, "merlin_span_ns_total", labels.c_str(),
+              lifetime.spans[i].total_ns);
   }
   out += "# TYPE merlin_lifetime_hist summary\n";
   for (std::size_t i = 0; i < kLifetimeHistCount; ++i) {

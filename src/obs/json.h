@@ -15,45 +15,12 @@
 
 namespace merlin {
 
-/// Schema identity of the export.  Bump kStatsSchemaVersion on any breaking
-/// change to the JSON layout and document the migration in
-/// docs/OBSERVABILITY.md.
-///
-/// v2: the `runtime` section gained span-tracer rollups (`spans`,
-/// `span_count`, `spans_dropped`) — quarantined there because span wall
-/// times are scheduling facts, like everything else in `runtime`.
-///
-/// v3: new top-level `cache` section (a deterministic rollup of the
-/// sub-problem cache counters/gauges: lookups, hit/shared-hit/miss counts,
-/// publish totals and shared-store size), plus the new cache_* names in
-/// `counters`/`gauges` themselves.
-///
-/// v4: new top-level `request` section identifying which request produced
-/// the document — always present; one-shot CLI runs emit the zero request
-/// with source "cli", merlin_d stamps the job id, the submitting client and
-/// the admission-queue wait (docs/SERVING.md).  v3 consumers that never
-/// look at unknown keys parse v4 documents unchanged.
-///
-/// v5: new top-level `serve` section — the daemon's survivability rollup
-/// (admission/rejection totals, overload state, deadline expiries, snapshot
-/// saves/loads; docs/SERVING.md).  Always present; one-shot CLI runs emit
-/// the zero section with enabled 0.  Like `runtime` and `request`, its
-/// values are wall-clock/serving facts and never join any identity
-/// comparison.  Plus the serve_* names in `counters`.  v4 readers that
-/// ignore unknown top-level keys parse v5 documents unchanged.
-///
-/// v6: `latency_us` gained `p999` and a compact `hist` bucket array
-/// (run-length pairs `[count, run]` over LatencyHistogram slots; see
-/// docs/OBSERVABILITY.md §"Lifetime telemetry"), and its percentiles are
-/// now histogram-bucket lower bounds rather than exact order statistics
-/// (quantization error <= 1/32 per magnitude).  New always-present
-/// top-level `lifetime` section — merlin_d's process-lifetime registry
-/// (jobs, lifetime counters/gauges, stage and per-phase histograms,
-/// window ring); one-shot CLI runs emit `{"enabled": 0}`.  v5 readers
-/// that ignore unknown keys and treat percentiles as approximations
-/// parse v6 documents unchanged.
+/// Schema identity of the export.  The schema grows additively: a new key
+/// or section never bumps kStatsSchemaVersion; removing or renaming a key
+/// does.  Readers ignore keys they do not know.  Every bump's migration
+/// note lives in docs/OBSERVABILITY.md §7 ("JSON export").
 inline constexpr const char* kStatsSchemaName = "merlin.stats";
-inline constexpr int kStatsSchemaVersion = 6;
+inline constexpr int kStatsSchemaVersion = 7;
 
 /// Scheduling-dependent run facts.  Kept in a separate "runtime" JSON
 /// section so the deterministic sections (counters/gauges/layers/nets) can
@@ -97,10 +64,10 @@ struct ServeInfo {
 };
 
 /// Render the sink (plus optional runtime/request/serve/lifetime facts)
-/// as a JSON document: schema/version, request, counters, gauges, phases,
-/// layers, nets (trace rows), latency_us percentiles over the trace wall
-/// times, cache, serve, lifetime, runtime.  `lifetime` may be null (the
-/// one-shot shape: `"lifetime": {"enabled": 0}`).
+/// as a JSON document: schema/version, request, counters, gauges, layers,
+/// nets (trace rows), latency_us percentiles over the trace wall times,
+/// cache, serve, lifetime, runtime (with the per-name span rollups).
+/// `lifetime` may be null (the one-shot shape: `"lifetime": {"enabled": 0}`).
 [[nodiscard]] std::string stats_to_json(const ObsSink& sink,
                                         const RuntimeInfo& rt = {},
                                         const RequestInfo& req = {},

@@ -13,20 +13,16 @@ std::uint64_t to_us(double ms) {
 void MetricsRegistry::note_job(const ObsSink& sink, double queue_ms,
                                double run_ms, double e2e_ms,
                                std::uint64_t queue_depth) {
-  if constexpr (!kObsEnabled) {
-    (void)sink; (void)queue_ms; (void)run_ms; (void)e2e_ms; (void)queue_depth;
-    return;
-  }
   std::lock_guard<std::mutex> lk(mu_);
   ++jobs_;
   counters_.merge(sink.counters);
   gauges_.merge(sink.gauges);
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    const auto p = static_cast<Phase>(i);
-    phase_ns_[i] += sink.phase_ns(p);
-    phase_calls_[i] += sink.phase_calls(p);
-    // One sample per job and phase: the job's total time in that phase.
-    if (sink.phase_calls(p) != 0) phase_us_[i].record(sink.phase_ns(p) / 1000);
+  for (std::size_t i = 0; i < kSpanNameCount; ++i) {
+    const SpanTotal& t = sink.span_totals()[i];
+    spans_[i].count += t.count;
+    spans_[i].total_ns += t.total_ns;
+    // One sample per job and name: the job's total time under that name.
+    if (t.count != 0) span_us_[i].record(t.total_ns / 1000);
   }
   using H = LifetimeHist;
   hist_[static_cast<std::size_t>(H::kQueueUs)].record(to_us(queue_ms));
@@ -43,7 +39,6 @@ void MetricsRegistry::note_job(const ObsSink& sink, double queue_ms,
 }
 
 void MetricsRegistry::note_shed() {
-  if constexpr (!kObsEnabled) return;
   std::lock_guard<std::mutex> lk(mu_);
   ++win_shed_;
 }
@@ -75,16 +70,14 @@ void MetricsRegistry::roll_locked(std::uint64_t now_ns,
 
 LifetimeSnapshot MetricsRegistry::snapshot() const {
   LifetimeSnapshot out;
-  if constexpr (!kObsEnabled) return out;
   std::lock_guard<std::mutex> lk(mu_);
   out.enabled = 1;
   out.jobs = jobs_;
   out.counters = counters_;
   out.gauges = gauges_;
-  out.phase_ns = phase_ns_;
-  out.phase_calls = phase_calls_;
+  out.spans = spans_;
   out.hist = hist_;
-  out.phase_us = phase_us_;
+  out.span_us = span_us_;
   out.window_s = window_s_;
   out.windows = windows_;
   return out;

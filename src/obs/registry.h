@@ -5,12 +5,12 @@
 // job.  The registry is the daemon-scoped accumulator behind it — after
 // each job's per-worker sinks are merged (the existing deterministic-merge
 // discipline), the scheduler folds the job's aggregate sink in here, so
-// counters sum, gauges maximize and phase totals add across the daemon's
+// counters sum, gauges maximize and span rollups add across the daemon's
 // whole lifetime exactly as they do across workers within one job.
 //
 // On top of the banks it keeps two families of LatencyHistogram:
 //   - wall-clock stage histograms (queue wait, guard-budgeted run,
-//     end-to-end) and per-Phase timer histograms — serving facts,
+//     end-to-end) and per-span-name histograms — serving facts,
 //     quarantined from identity comparisons like the `runtime` section;
 //   - deterministic per-net histograms fed from TraceRecord fields that
 //     are scheduling-independent (buffers per net, peak curve width per
@@ -29,8 +29,7 @@
 // note_shed() by connection threads; snapshot() by any thread.  All state
 // is guarded by one mutex — the hot path locks once per *job* (not per
 // recorded value; the per-value hot path is LatencyHistogram::record,
-// which is lock-free single-writer).  Under -DMERLIN_OBS=OFF every method
-// is a no-op and snapshot() reports enabled 0.
+// which is lock-free single-writer).
 
 #include <array>
 #include <cstdint>
@@ -86,17 +85,17 @@ struct WindowSample {
 };
 
 /// A point-in-time copy of the registry (what the exposition layer
-/// renders).  enabled is 0 under -DMERLIN_OBS=OFF or for one-shot runs.
+/// renders).  enabled is 0 for one-shot runs, which have no registry.
 struct LifetimeSnapshot {
   std::uint8_t enabled = 0;
   std::uint64_t jobs = 0;  ///< jobs folded in via note_job()
   Counters counters;
   Gauges gauges;
-  std::array<std::uint64_t, kPhaseCount> phase_ns{};
-  std::array<std::uint64_t, kPhaseCount> phase_calls{};
+  SpanRollup spans{};  ///< summed span rollups of every job
   std::array<LatencyHistogram, kLifetimeHistCount> hist;
-  /// Per-Phase timer histograms: each job's per-phase total, in us.
-  std::array<LatencyHistogram, kPhaseCount> phase_us;
+  /// Per-span-name histograms: each job's total time under that name, in
+  /// us (one sample per job that closed such a span).
+  std::array<LatencyHistogram, kSpanNameCount> span_us;
   std::uint32_t window_s = 0;
   std::vector<WindowSample> windows;  ///< oldest first, at most the ring cap
 };
@@ -113,7 +112,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Fold one completed job in: its merged sink (counters/gauges/phases,
+  /// Fold one completed job in: its merged sink (counters/gauges/spans,
   /// deterministic per-net histograms from the trace rows) plus its stage
   /// wall times.  Deadline-expired jobs pass run_ms 0.
   void note_job(const ObsSink& sink, double queue_ms, double run_ms,
@@ -133,10 +132,9 @@ class MetricsRegistry {
   std::uint64_t jobs_ = 0;
   Counters counters_;
   Gauges gauges_;
-  std::array<std::uint64_t, kPhaseCount> phase_ns_{};
-  std::array<std::uint64_t, kPhaseCount> phase_calls_{};
+  SpanRollup spans_{};
   std::array<LatencyHistogram, kLifetimeHistCount> hist_;
-  std::array<LatencyHistogram, kPhaseCount> phase_us_;
+  std::array<LatencyHistogram, kSpanNameCount> span_us_;
   // Open window + closed ring.
   std::uint64_t window_start_ns_ = 0;
   std::uint64_t win_jobs_ = 0;

@@ -5,9 +5,9 @@ namespace merlin {
 void ObsSink::merge_from(const ObsSink& o) {
   counters.merge(o.counters);
   gauges.merge(o.gauges);
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    phase_ns_[i] += o.phase_ns_[i];
-    phase_calls_[i] += o.phase_calls_[i];
+  for (std::size_t i = 0; i < kSpanNameCount; ++i) {
+    span_totals_[i].count += o.span_totals_[i].count;
+    span_totals_[i].total_ns += o.span_totals_[i].total_ns;
   }
   if (o.layers_.size() > layers_.size()) layers_.resize(o.layers_.size());
   for (std::size_t i = 0; i < o.layers_.size(); ++i) {
@@ -20,18 +20,17 @@ void ObsSink::merge_from(const ObsSink& o) {
     if (traces_.size() >= trace_capacity_) break;
     traces_.push_back(t);
   }
-  // Spans append in the other ring's push order; once this ring is full the
-  // oldest records roll off.  BatchRunner pre-sorts across workers instead
-  // of merging rings directly, so aggregate span order never depends on the
-  // worker merge order.
+  // Ring records append in the other ring's push order (the rollup above
+  // already counts them); once this ring is full the oldest roll off.
+  // BatchRunner pre-sorts across workers instead of merging rings directly,
+  // so aggregate span order never depends on the worker merge order.
   for (const SpanRecord& r : o.spans_.snapshot()) spans_.push(r);
 }
 
 void ObsSink::clear() {
   counters = Counters{};
   gauges = Gauges{};
-  phase_ns_.fill(0);
-  phase_calls_.fill(0);
+  span_totals_ = {};
   layers_.clear();
   traces_.clear();
   net_peak_curve_width_ = 0;

@@ -9,9 +9,8 @@
 // the aggregate deterministic.
 //
 // Every recording entry point is null-safe (`obs_add(nullptr, ...)` is a
-// no-op), and when the library is configured with -DMERLIN_OBS=OFF the
-// inline helpers compile to nothing (kObsEnabled == false), so engine code
-// carries no #ifdefs and no disabled-mode overhead.
+// no-op): with no sink attached a site costs one pointer test, so engine
+// code carries no #ifdefs.
 
 #include <chrono>
 #include <cstdint>
@@ -22,12 +21,6 @@
 #include "runtime/guard.h"
 
 namespace merlin {
-
-#if defined(MERLIN_OBS_DISABLED)
-inline constexpr bool kObsEnabled = false;
-#else
-inline constexpr bool kObsEnabled = true;
-#endif
 
 /// One per-net observation row, collected by BatchRunner.
 /// All fields except wall_us are deterministic (scheduling-independent);
@@ -58,8 +51,9 @@ class ObsSink {
   /// per-sink recording stops at capacity).
   static constexpr std::size_t kDefaultTraceCapacity = 65536;
   /// Span-ring capacity a caller who wants a timeline typically arms
-  /// (merlin_cli --trace-out uses it).  The default capacity is 0: tracing
-  /// is opt-in per sink, so stats-only runs never touch the clock.
+  /// (merlin_cli --trace-out uses it).  The default capacity is 0: the
+  /// timeline is opt-in per sink, while the per-name span rollup is always
+  /// kept.
   static constexpr std::size_t kDefaultSpanCapacity = std::size_t{1} << 20;
 
   Counters counters;
@@ -85,18 +79,6 @@ class ObsSink {
   }
   [[nodiscard]] const std::vector<LayerStats>& layers() const { return layers_; }
 
-  // -- phase timers ---------------------------------------------------------
-  void add_phase(Phase p, std::uint64_t ns) {
-    phase_ns_[static_cast<std::size_t>(p)] += ns;
-    ++phase_calls_[static_cast<std::size_t>(p)];
-  }
-  [[nodiscard]] std::uint64_t phase_ns(Phase p) const {
-    return phase_ns_[static_cast<std::size_t>(p)];
-  }
-  [[nodiscard]] std::uint64_t phase_calls(Phase p) const {
-    return phase_calls_[static_cast<std::size_t>(p)];
-  }
-
   // -- per-net traces -------------------------------------------------------
   /// Reset the net-scoped window (peak-width gauge, span attribution and
   /// sequence) before routing a net.  The id attributes subsequent spans;
@@ -119,24 +101,40 @@ class ObsSink {
   void set_trace_capacity(std::size_t cap) { trace_capacity_ = cap; }
   [[nodiscard]] std::size_t trace_capacity() const { return trace_capacity_; }
 
-  // -- spans (timeline tracing) ---------------------------------------------
-  /// Arms (cap > 0) or disarms (cap == 0, the default) span recording.
-  /// Resizing clears the ring.
+  // -- spans: per-name rollup + timeline ring -------------------------------
+  /// Arms (cap > 0) or disarms (cap == 0, the default) the timeline ring.
+  /// Resizing clears the ring; the rollup is unaffected.
   void set_span_capacity(std::size_t cap) { spans_.set_capacity(cap); }
   [[nodiscard]] std::size_t span_capacity() const { return spans_.capacity(); }
-  /// TraceSpan's gate: when false, span guards never touch the clock.
+  /// Whether closed spans are also kept as timeline records.
   [[nodiscard]] bool spans_armed() const { return spans_.armed(); }
   [[nodiscard]] const SpanRing& spans() const { return spans_; }
+  /// Empties the ring only; the rollup keeps every span ever closed.
   void clear_spans() { spans_.clear(); }
+  /// Per-name count and total wall time of every span closed into this
+  /// sink, indexed by SpanName — complete even when the ring overwrote.
+  [[nodiscard]] const SpanRollup& span_totals() const { return span_totals_; }
+  [[nodiscard]] const SpanTotal& span_total(SpanName n) const {
+    return span_totals_[static_cast<std::size_t>(n)];
+  }
 
   /// Worker identity stamped on every recorded span (one Perfetto track per
   /// worker).  The batch engine sets it when it deals out per-worker sinks.
   void set_worker(std::uint32_t w) { worker_ = w; }
   [[nodiscard]] std::uint32_t worker() const { return worker_; }
 
-  /// Raw append — the merge path and the pool's scheduling callbacks use
-  /// this; the record arrives fully formed (no net/seq attribution).
-  void record_span(const SpanRecord& r) { spans_.push(r); }
+  /// A span closed outside a TraceSpan guard (the pool's scheduling
+  /// callbacks, the daemon's queue/request spans), fully formed: adds to
+  /// the rollup and, when armed, to the ring.
+  void record_span(const SpanRecord& r) {
+    SpanTotal& t = span_totals_[static_cast<std::size_t>(r.name)];
+    ++t.count;
+    t.total_ns += r.end_ns - r.begin_ns;
+    spans_.push(r);
+  }
+  /// Ring-only append for a record whose rollup another sink already
+  /// carries (the batch engine's sorted re-push after merge_from).
+  void append_span(const SpanRecord& r) { spans_.push(r); }
 
   /// TraceSpan protocol: open returns the guard's nesting depth; close
   /// stamps net attribution, per-net sequence and worker id, then records.
@@ -154,16 +152,17 @@ class ObsSink {
     r.worker = worker_;
     r.depth = depth;
     r.name = name;
-    spans_.push(r);
+    record_span(r);
   }
 
   // -- lifecycle ------------------------------------------------------------
-  /// Fold another sink into this one: counters sum, gauges max, phases sum,
-  /// layers add elementwise, traces and spans append (capacity-capped).
+  /// Fold another sink into this one: counters sum, gauges max, span
+  /// rollups sum, layers add elementwise, traces and ring records append
+  /// (capacity-capped).
   /// Serial use only — the caller sequences merges (BatchRunner merges
   /// worker sinks in worker order after wait_idle()).
   ///
-  /// Order independence: counters, gauges, phase totals and layer sums
+  /// Order independence: counters, gauges, span rollups and layer sums
   /// commute, so merging any permutation of worker sinks yields identical
   /// aggregates (tests/test_obs.cpp permutes to prove it).  The appended
   /// trace/span sequences are order-sensitive, which is why BatchRunner
@@ -172,8 +171,7 @@ class ObsSink {
   void clear();
 
  private:
-  std::array<std::uint64_t, kPhaseCount> phase_ns_{};
-  std::array<std::uint64_t, kPhaseCount> phase_calls_{};
+  SpanRollup span_totals_{};
   std::vector<LayerStats> layers_;
   std::vector<TraceRecord> traces_;
   std::size_t trace_capacity_ = kDefaultTraceCapacity;
@@ -188,57 +186,17 @@ class ObsSink {
 // -- null-safe recording helpers (the only API engine code uses) ------------
 
 inline void obs_add(ObsSink* s, Counter c, std::uint64_t n = 1) {
-  if constexpr (kObsEnabled) {
-    if (s) s->add(c, n);
-  } else {
-    (void)s; (void)c; (void)n;
-  }
+  if (s) s->add(c, n);
 }
 
 inline void obs_gauge(ObsSink* s, Gauge g, std::uint64_t x) {
-  if constexpr (kObsEnabled) {
-    if (s) s->maximize(g, x);
-  } else {
-    (void)s; (void)g; (void)x;
-  }
+  if (s) s->maximize(g, x);
 }
 
 inline void obs_layer(ObsSink* s, std::size_t layer, std::uint64_t pushed,
                       std::uint64_t pruned, std::uint64_t kept) {
-  if constexpr (kObsEnabled) {
-    if (s) s->record_layer(layer, pushed, pruned, kept);
-  } else {
-    (void)s; (void)layer; (void)pushed; (void)pruned; (void)kept;
-  }
+  if (s) s->record_layer(layer, pushed, pruned, kept);
 }
-
-/// RAII phase timer: charges the enclosed scope's wall time to one Phase
-/// bucket of the sink.  Null sink (or obs-off build) → does nothing.
-class ScopedTimer {
- public:
-  ScopedTimer(ObsSink* sink, Phase phase) : sink_(sink), phase_(phase) {
-    if constexpr (kObsEnabled) {
-      if (sink_) start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() {
-    if constexpr (kObsEnabled) {
-      if (sink_) {
-        auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count();
-        sink_->add_phase(phase_, static_cast<std::uint64_t>(ns));
-      }
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  ObsSink* sink_;
-  Phase phase_;
-  std::chrono::steady_clock::time_point start_{};
-};
 
 /// Steady-clock nanoseconds; the common epoch of every span timestamp
 /// (including the pool's scheduling callbacks, which use the same clock).
@@ -249,32 +207,25 @@ inline std::uint64_t obs_now_ns() {
           .count());
 }
 
-/// RAII span guard: opens a timeline span on construction, closes and
-/// records it on destruction.  Engages only when the sink is non-null AND
-/// its span ring is armed (capacity > 0) — a disarmed sink costs one branch
-/// and no clock reads — and compiles to nothing under -DMERLIN_OBS=OFF,
-/// exactly like ScopedTimer.  `arg` carries the name-specific detail
-/// (DP layer L, iteration index, net fanout; see SpanName).
+/// RAII span guard — the layer's only timer: opens a span on construction,
+/// closes it on destruction into the sink's per-name rollup and, when the
+/// ring is armed, its timeline.  A null sink costs one branch and no clock
+/// reads.  `arg` carries the name-specific detail (DP layer L, iteration
+/// index, net fanout; see SpanName).
 class TraceSpan {
  public:
   explicit TraceSpan(ObsSink* sink, SpanName name, std::uint64_t arg = 0) {
-    if constexpr (kObsEnabled) {
-      if (sink != nullptr && sink->spans_armed()) {
-        sink_ = sink;
-        name_ = name;
-        arg_ = arg;
-        depth_ = sink->span_open();
-        begin_ns_ = obs_now_ns();
-      }
-    } else {
-      (void)sink; (void)name; (void)arg;
+    if (sink != nullptr) {
+      sink_ = sink;
+      name_ = name;
+      arg_ = arg;
+      depth_ = sink->span_open();
+      begin_ns_ = obs_now_ns();
     }
   }
   ~TraceSpan() {
-    if constexpr (kObsEnabled) {
-      if (sink_ != nullptr)
-        sink_->span_close(name_, depth_, arg_, begin_ns_, obs_now_ns());
-    }
+    if (sink_ != nullptr)
+      sink_->span_close(name_, depth_, arg_, begin_ns_, obs_now_ns());
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;

@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 
 #include "obs/sink.h"
@@ -18,17 +17,11 @@ std::vector<SpanRecord> SpanRing::snapshot() const {
 }
 
 std::vector<SpanSummary> summarize_spans(const ObsSink& sink) {
-  std::array<SpanSummary, kSpanNameCount> acc{};
-  for (const SpanRecord& r : sink.spans().snapshot()) {
-    SpanSummary& s = acc[static_cast<std::size_t>(r.name)];
-    ++s.count;
-    s.total_ns += r.end_ns - r.begin_ns;
-  }
   std::vector<SpanSummary> out;
   for (std::size_t i = 0; i < kSpanNameCount; ++i) {
-    if (acc[i].count == 0) continue;
-    acc[i].name = static_cast<SpanName>(i);
-    out.push_back(acc[i]);
+    const SpanTotal& t = sink.span_totals()[i];
+    if (t.count != 0)
+      out.push_back({static_cast<SpanName>(i), t.count, t.total_ns});
   }
   return out;
 }

@@ -17,6 +17,12 @@
 // scheduling spans (net_id == kNoTraceNet: pool idle/steal, batch reduce)
 // are excluded from structural comparisons by construction.
 //
+// Every closed span also adds to its sink's fixed per-name rollup
+// (SpanTotal: count and total wall time), armed ring or not, so the stats
+// export's per-name span totals exist for every run with a sink attached
+// and survive ring overwrites.  The ring itself — the timeline — records
+// only when armed.
+//
 // Storage is a fixed-capacity ring: when full, the OLDEST span is
 // overwritten (and `dropped()` counts it).  Within one net the drop order is
 // deterministic — spans close in DP order — but which nets share a worker's
@@ -24,6 +30,7 @@
 // aggregate capacity and callers who want loss-free traces size the
 // capacity to the workload (docs/OBSERVABILITY.md, "Tracing").
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -102,10 +109,10 @@ struct SpanRecord {
   [[nodiscard]] bool scheduling() const { return net_id == kNoTraceNet; }
 };
 
-/// Fixed-capacity span storage.  Capacity 0 (the default) means tracing is
-/// disarmed and push() is a no-op — TraceSpan checks this before touching
-/// the clock, so an armed stats run without --trace-out pays nothing.  At
-/// capacity the oldest record is overwritten, tallied by dropped().
+/// Fixed-capacity span storage.  Capacity 0 (the default) means the
+/// timeline is disarmed and push() is a no-op; the sink's per-name rollup
+/// still counts every span.  At capacity the oldest record is overwritten,
+/// tallied by dropped().
 class SpanRing {
  public:
   [[nodiscard]] std::size_t capacity() const { return cap_; }
@@ -146,9 +153,18 @@ class SpanRing {
   std::uint64_t dropped_ = 0;
 };
 
-/// Per-name rollup of a sink's span ring, for the stats JSON `runtime`
-/// section (wall times: non-deterministic by nature).  Ascending enum
-/// order, names with zero spans omitted.
+/// One span name's running total: spans closed and their summed wall time.
+/// A sink keeps one per SpanName; merge_from adds them.
+struct SpanTotal {
+  std::uint64_t count = 0;
+  std::uint64_t total_ns = 0;
+  friend bool operator==(const SpanTotal&, const SpanTotal&) = default;
+};
+using SpanRollup = std::array<SpanTotal, kSpanNameCount>;
+
+/// A sink's span rollup as rows, for the stats JSON `runtime` section (wall
+/// times: non-deterministic by nature).  Ascending enum order, names with
+/// zero spans omitted.
 struct SpanSummary {
   SpanName name = SpanName::kBatchNet;
   std::uint64_t count = 0;

@@ -40,7 +40,6 @@ PTreeResult ptree_route(const Net& net, const Order& order,
     cfg.prune.ref_res = net.driver.delay.drive_res();
   if (cfg.prune.obs == nullptr) cfg.prune.obs = cfg.obs;
   obs_add(cfg.obs, Counter::kPtreeRuns);
-  ScopedTimer obs_timer(cfg.obs, Phase::kPtreeDp);
   TraceSpan trace_span(cfg.obs, SpanName::kPtreeDp, net.fanout());
   guard_point(cfg.guard, FaultSite::kPtreeRange);
   const std::size_t n = net.fanout();

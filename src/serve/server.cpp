@@ -63,9 +63,8 @@ ServerCore::ServerCore(ServeOptions opts)
   }
   if (!opts_.flightrec_path.empty()) {
     // Arm the crash black box before the scheduler can dispatch anything,
-    // so the very first admit is on the ring.  Failure (or an obs-off
-    // build) is a printable note, never fatal: telemetry must not take the
-    // daemon down.
+    // so the very first admit is on the ring.  Failure is a printable
+    // note, never fatal: telemetry must not take the daemon down.
     std::string err;
     if (!flightrec_.open(opts_.flightrec_path, opts_.flightrec_events, &err))
       flightrec_note_ = err;
@@ -442,23 +441,20 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
     out.digest = batch_result_digest(r);
     out.wall_ms = ns_to_ms(now_ns() - t0);
 
-    if (kObsEnabled && sink.spans_armed()) {
-      // The request's own timeline: queue wait (admission → dispatch) and
-      // the run itself.  Scheduling spans by nature (net == kNoTraceNet),
-      // tagged with the job id so a Perfetto track reads per-request.
-      SpanRecord q;
-      q.begin_ns = static_cast<std::uint64_t>(admit_ns);
-      q.end_ns = static_cast<std::uint64_t>(t0);
-      q.arg = job.job_id;
-      q.name = SpanName::kServeQueue;
-      sink.record_span(q);
-      SpanRecord s;
-      s.begin_ns = static_cast<std::uint64_t>(t0);
-      s.end_ns = static_cast<std::uint64_t>(now_ns());
-      s.arg = job.job_id;
-      s.name = SpanName::kServeRequest;
-      sink.record_span(s);
-    }
+    // The request's own spans: queue wait (admission → dispatch) and the
+    // run itself.  Scheduling spans by nature (net == kNoTraceNet), tagged
+    // with the job id so a Perfetto track reads per-request.
+    SpanRecord queue_span;
+    queue_span.begin_ns = static_cast<std::uint64_t>(admit_ns);
+    queue_span.end_ns = static_cast<std::uint64_t>(t0);
+    queue_span.arg = job.job_id;
+    queue_span.name = SpanName::kServeQueue;
+    sink.record_span(queue_span);
+    SpanRecord run_span = queue_span;
+    run_span.begin_ns = queue_span.end_ns;
+    run_span.end_ns = static_cast<std::uint64_t>(now_ns());
+    run_span.name = SpanName::kServeRequest;
+    sink.record_span(run_span);
 
     RuntimeInfo rt;
     rt.threads = r.stats.threads_used;
@@ -480,7 +476,7 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
     out.wall_ms = ns_to_ms(now_ns() - t0);
   }
   // Lifetime accounting happens for every job that dispatched, failed or
-  // not: the registry folds the merged sink in (counters/gauges/phases,
+  // not: the registry folds the merged sink in (counters/gauges/spans,
   // deterministic per-net histograms) plus the three wall-clock stages.
   registry_.note_job(sink, queue_ms, out.wall_ms, queue_ms + out.wall_ms,
                      queue_.size());

@@ -86,8 +86,7 @@ struct ServeOptions {
 
   /// Flight-recorder ring file ("" disables).  A crash-surviving black box
   /// of the last flightrec_events structured events (obs/flightrec.h);
-  /// merlin_d arms SIGSEGV/SIGABRT sync handlers when this is set.  Inert
-  /// under -DMERLIN_OBS=OFF (the daemon prints a note and serves on).
+  /// merlin_d arms SIGSEGV/SIGABRT sync handlers when this is set.
   std::string flightrec_path;
   std::uint32_t flightrec_events = FlightRecorder::kDefaultCapacity;
   /// Lifetime-metrics JSON dump path ("" disables): the req.metrics

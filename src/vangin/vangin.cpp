@@ -49,7 +49,6 @@ VanGinnekenResult vangin_insert(const Net& net, const RoutingTree& unbuffered,
     cfg.prune.ref_res = net.driver.delay.drive_res();
   if (cfg.prune.obs == nullptr) cfg.prune.obs = cfg.obs;
   obs_add(cfg.obs, Counter::kVanginRuns);
-  ScopedTimer obs_timer(cfg.obs, Phase::kVanginDp);
   TraceSpan trace_span(cfg.obs, SpanName::kVanginDp, unbuffered.size());
   guard_point(cfg.guard, FaultSite::kVanginNode);
   if (unbuffered.empty()) throw std::invalid_argument("vangin_insert: empty tree");

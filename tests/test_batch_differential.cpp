@@ -78,8 +78,7 @@ TEST(BatchDifferential, SerialVsParallelBitIdenticalAcrossFlows) {
 TEST(BatchDifferential, ArmedTracerPreservesBitIdentity) {
   // Tracing is purely observational: a run with an ObsSink attached and the
   // span ring armed must be bit-identical to the bare run, serial and
-  // parallel alike.  (The MERLIN_OBS=OFF CI job re-runs this with the spans
-  // compiled out.)
+  // parallel alike.
   const BufferLibrary lib = make_standard_library();
   for (std::size_t i = 0; i < 3; ++i) {
     const Circuit ckt = random_circuit(i, lib);
@@ -98,7 +97,7 @@ TEST(BatchDifferential, ArmedTracerPreservesBitIdentity) {
       EXPECT_TRUE(batch_results_identical(bare, traced))
           << "circuit " << i << " flow " << static_cast<int>(flow) << " at "
           << threads << " threads changed under an armed tracer";
-      if (kObsEnabled) EXPECT_GT(sink.spans().size(), 0u);
+      EXPECT_GT(sink.spans().size(), 0u);
     }
   }
 }

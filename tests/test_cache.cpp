@@ -377,8 +377,7 @@ TEST(CacheDeterminism, WarmRerunHitsSharedStoreWithIdenticalStructure) {
   const BatchResult warm = run_cached(ckt, &shared, 2, &sink);
   // The warm run recomputes less (strictly more hits)...
   EXPECT_GT(warm.stats.det.cache_hits, cold.stats.det.cache_hits);
-  if (kObsEnabled)
-    EXPECT_GT(sink.counters.get(Counter::kCacheSharedHits), 0u);
+  EXPECT_GT(sink.counters.get(Counter::kCacheSharedHits), 0u);
   // ...but produces the exact same trees, evals and circuit outcome.
   EXPECT_TRUE(batch_results_equivalent(cold, warm));
 }

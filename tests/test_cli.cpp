@@ -128,9 +128,7 @@ TEST(Cli, TraceOutWritesChromeTraceEventJson) {
                    std::istreambuf_iterator<char>());
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
-  // With the obs layer compiled out the document is a valid empty timeline.
-  if (kObsEnabled)
-    EXPECT_NE(json.find("batch.net"), std::string::npos);
+  EXPECT_NE(json.find("batch.net"), std::string::npos);
   std::remove(path.c_str());
 }
 

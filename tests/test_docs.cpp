@@ -99,10 +99,6 @@ TEST(Docs, EveryObservableNameIsDocumented) {
     EXPECT_NE(doc.find(gauge_name(static_cast<Gauge>(i))), std::string::npos)
         << "gauge `" << gauge_name(static_cast<Gauge>(i))
         << "` missing from docs/OBSERVABILITY.md";
-  for (std::size_t i = 0; i < kPhaseCount; ++i)
-    EXPECT_NE(doc.find(phase_name(static_cast<Phase>(i))), std::string::npos)
-        << "phase `" << phase_name(static_cast<Phase>(i))
-        << "` missing from docs/OBSERVABILITY.md";
   for (std::size_t i = 0; i < kSpanNameCount; ++i)
     EXPECT_NE(doc.find(span_name(static_cast<SpanName>(i))), std::string::npos)
         << "span `" << span_name(static_cast<SpanName>(i))

@@ -2,8 +2,8 @@
 // recording is purely additive (attaching a sink never changes results);
 // batch aggregation is scheduling-independent (counters, gauges, and trace
 // rows — minus wall times — identical across thread counts); the JSON
-// export round-trips through the bundled parser; and with MERLIN_OBS=OFF
-// the recording helpers compile to nothing.
+// export round-trips through the bundled parser; and the span rollup counts
+// every closed span, armed ring or not.
 
 #include <gtest/gtest.h>
 
@@ -95,8 +95,6 @@ TEST(Names, EveryEnumeratorHasAUniqueSnakeCaseName) {
     seen.emplace_back(counter_name(static_cast<Counter>(i)));
   for (std::size_t i = 0; i < kGaugeCount; ++i)
     seen.emplace_back(gauge_name(static_cast<Gauge>(i)));
-  for (std::size_t i = 0; i < kPhaseCount; ++i)
-    seen.emplace_back(phase_name(static_cast<Phase>(i)));
   for (const std::string& n : seen) {
     EXPECT_FALSE(n.empty());
     for (char c : n)
@@ -119,9 +117,8 @@ TEST(NullSink, HelpersAcceptNullAndFlowsRunWithoutASink) {
 }
 
 TEST(NullSink, AttachingASinkDoesNotChangeResults) {
-  // Observability is read-only: the obs-on and obs-off runs of the same net
-  // must be bit-identical (the MERLIN_OBS=OFF build extends this to the
-  // compiled-out case — CI runs this whole suite both ways).
+  // Observability is read-only: the runs of the same net with and without
+  // a sink attached must be bit-identical.
   const BufferLibrary lib = make_standard_library();
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const Net net = test_net(6 + seed, seed);
@@ -142,7 +139,6 @@ TEST(NullSink, AttachingASinkDoesNotChangeResults) {
 }
 
 TEST(Recording, CountersAreMonotoneAcrossRuns) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const BufferLibrary lib = make_standard_library();
   ObsSink sink;
   FlowConfig cfg = fast_cfg();
@@ -158,11 +154,10 @@ TEST(Recording, CountersAreMonotoneAcrossRuns) {
   }
   EXPECT_GT(sink.counters.get(Counter::kCurvePointsPushed), 0u);
   EXPECT_GT(sink.counters.get(Counter::kBubbleRuns), 0u);
-  EXPECT_GT(sink.phase_calls(Phase::kBubbleConstruct), 0u);
+  EXPECT_GT(sink.span_total(SpanName::kBubbleConstruct).count, 0u);
 }
 
 TEST(Recording, CurveAccountingBalances) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const BufferLibrary lib = make_standard_library();
   ObsSink sink;
   FlowConfig cfg = fast_cfg();
@@ -175,40 +170,76 @@ TEST(Recording, CurveAccountingBalances) {
   EXPECT_GE(sink.gauges.get(Gauge::kCurvePeakWidth), 1u);
 }
 
+/// Span names whose count depends on scheduling, not on the workload.
+bool scheduling_span(SpanName n) {
+  return n == SpanName::kPoolIdle || n == SpanName::kPoolSteal ||
+         n == SpanName::kBatchReduce || n == SpanName::kServeQueue ||
+         n == SpanName::kServeRequest;
+}
+
 TEST(Batch, AggregateObsIsThreadCountInvariant) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const BufferLibrary lib = make_standard_library();
   const Circuit ckt = test_circuit(42);
-  ObsSink s1, s4, s8;
-  const BatchResult r1 = run_batch(ckt, lib, 1, &s1);
-  const BatchResult r4 = run_batch(ckt, lib, 4, &s4);
-  const BatchResult r8 = run_batch(ckt, lib, 8, &s8);
-  EXPECT_TRUE(batch_results_identical(r1, r4));
-  EXPECT_TRUE(batch_results_identical(r1, r8));
-  EXPECT_TRUE(s1.counters == s4.counters);
-  EXPECT_TRUE(s1.counters == s8.counters);
-  EXPECT_TRUE(s1.gauges == s4.gauges);
-  EXPECT_TRUE(s1.gauges == s8.gauges);
-  EXPECT_EQ(s1.layers().size(), s8.layers().size());
-  for (std::size_t i = 0; i < s1.layers().size(); ++i)
-    EXPECT_TRUE(s1.layers()[i] == s8.layers()[i]) << "layer " << i;
-  // Trace rows: same nets in the same (net-id) order; only wall_us may vary.
-  ASSERT_EQ(s1.traces().size(), s8.traces().size());
-  for (std::size_t i = 0; i < s1.traces().size(); ++i) {
-    const TraceRecord &a = s1.traces()[i], &b = s8.traces()[i];
-    EXPECT_EQ(a.net_id, b.net_id);
-    EXPECT_EQ(a.sinks, b.sinks);
-    EXPECT_EQ(a.peak_curve_width, b.peak_curve_width);
-    EXPECT_EQ(a.merlin_loops, b.merlin_loops);
-    EXPECT_EQ(a.buffers, b.buffers);
-    if (i > 0) EXPECT_LT(s1.traces()[i - 1].net_id, a.net_id);
+  // Ring disarmed (rollup only), then armed (rollup + timeline): the
+  // rollup's net-attributed counts may depend on neither.
+  std::vector<std::uint64_t> first_counts;
+  for (const bool armed : {false, true}) {
+    ObsSink s1, s4, s8;
+    for (ObsSink* s : {&s1, &s4, &s8})
+      if (armed) s->set_span_capacity(ObsSink::kDefaultSpanCapacity);
+    const BatchResult r1 = run_batch(ckt, lib, 1, &s1);
+    const BatchResult r4 = run_batch(ckt, lib, 4, &s4);
+    const BatchResult r8 = run_batch(ckt, lib, 8, &s8);
+    EXPECT_TRUE(batch_results_identical(r1, r4));
+    EXPECT_TRUE(batch_results_identical(r1, r8));
+    EXPECT_TRUE(s1.counters == s4.counters);
+    EXPECT_TRUE(s1.counters == s8.counters);
+    EXPECT_TRUE(s1.gauges == s4.gauges);
+    EXPECT_TRUE(s1.gauges == s8.gauges);
+    EXPECT_EQ(s1.layers().size(), s8.layers().size());
+    for (std::size_t i = 0; i < s1.layers().size(); ++i)
+      EXPECT_TRUE(s1.layers()[i] == s8.layers()[i]) << "layer " << i;
+    // Trace rows: same nets in the same (net-id) order; only wall_us may
+    // vary.
+    ASSERT_EQ(s1.traces().size(), s8.traces().size());
+    for (std::size_t i = 0; i < s1.traces().size(); ++i) {
+      const TraceRecord &a = s1.traces()[i], &b = s8.traces()[i];
+      EXPECT_EQ(a.net_id, b.net_id);
+      EXPECT_EQ(a.sinks, b.sinks);
+      EXPECT_EQ(a.peak_curve_width, b.peak_curve_width);
+      EXPECT_EQ(a.merlin_loops, b.merlin_loops);
+      EXPECT_EQ(a.buffers, b.buffers);
+      if (i > 0) {
+        EXPECT_LT(s1.traces()[i - 1].net_id, a.net_id);
+      }
+    }
+    EXPECT_EQ(s1.traces().size(),
+              s1.counters.get(Counter::kNetsProcessed));
+
+    std::vector<std::uint64_t> counts;
+    for (std::size_t i = 0; i < kSpanNameCount; ++i) {
+      const auto n = static_cast<SpanName>(i);
+      if (scheduling_span(n)) continue;
+      counts.push_back(s1.span_total(n).count);
+      EXPECT_EQ(s4.span_total(n).count, counts.back()) << span_name(n);
+      EXPECT_EQ(s8.span_total(n).count, counts.back()) << span_name(n);
+    }
+    if (first_counts.empty()) first_counts = counts;
+    EXPECT_EQ(counts, first_counts) << "armed ring changed the rollup";
+    // Each rollup count is the number of times its engine ran.
+    const auto spans = [&](SpanName n) { return s8.span_total(n).count; };
+    const Counters& c = s8.counters;
+    EXPECT_GT(spans(SpanName::kBubbleConstruct), 0u);
+    EXPECT_EQ(spans(SpanName::kBubbleConstruct), c.get(Counter::kBubbleRuns));
+    EXPECT_EQ(spans(SpanName::kMerlinIteration),
+              c.get(Counter::kMerlinIterations));
+    EXPECT_EQ(spans(SpanName::kMerlinCompact),
+              c.get(Counter::kArenaCompactions));
+    EXPECT_EQ(spans(SpanName::kBatchNet), c.get(Counter::kNetsProcessed));
   }
-  EXPECT_EQ(s1.traces().size(),
-            s1.counters.get(Counter::kNetsProcessed));
 }
 
 TEST(Batch, TraceCapacityCapsDeterministically) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const BufferLibrary lib = make_standard_library();
   const Circuit ckt = test_circuit(43);
   ObsSink full, capped;
@@ -231,7 +262,10 @@ TEST(Json, ExportRoundTripsThroughTheParser) {
   sink.add(Counter::kCurvePointsPruned, 45);
   sink.add(Counter::kGammaCacheHits, 7);
   sink.maximize(Gauge::kCurvePeakWidth, 33);
-  sink.add_phase(Phase::kBubbleConstruct, 1500);
+  SpanRecord bubble;
+  bubble.name = SpanName::kBubbleConstruct;
+  bubble.end_ns = 1500;
+  sink.record_span(bubble);
   sink.record_layer(2, 100, 40, 60);
   sink.record_trace(TraceRecord{4, 9, 250, 33, 2, 3});
   sink.record_trace(TraceRecord{7, 5, 90, 12, 1, 1});
@@ -255,7 +289,12 @@ TEST(Json, ExportRoundTripsThroughTheParser) {
               static_cast<double>(sink.counters.get(c)));
   }
   EXPECT_EQ(doc.at("gauges").at("curve_peak_width").number, 33.0);
-  EXPECT_EQ(doc.at("phases").at("bubble_construct").at("total_ns").number, 1500.0);
+  EXPECT_FALSE(doc.has("phases"));  // v7: span rollups replaced phases
+  const JsonValue& spans = doc.at("runtime").at("spans");
+  ASSERT_EQ(spans.array.size(), 1u);
+  EXPECT_EQ(spans.array[0].at("name").string, "bubble.construct");
+  EXPECT_EQ(spans.array[0].at("count").number, 1.0);
+  EXPECT_EQ(spans.array[0].at("total_ns").number, 1500.0);
   ASSERT_EQ(doc.at("nets").array.size(), 2u);
   EXPECT_EQ(doc.at("nets").array[0].at("net_id").number, 4.0);
   EXPECT_EQ(doc.at("nets").array[1].at("wall_us").number, 90.0);
@@ -312,13 +351,13 @@ TEST(Json, LifetimeSectionHasDisabledAndEnabledShapes) {
   EXPECT_EQ(bare.at("lifetime").at("enabled").number, 0.0);
   EXPECT_FALSE(bare.at("lifetime").has("jobs"));
 
-  // Daemon shape: a snapshot fills jobs/counters/hists/phases/windows.
+  // Daemon shape: a snapshot fills jobs/counters/hists/spans/windows.
   LifetimeSnapshot snap;
   snap.enabled = 1;
   snap.jobs = 3;
   snap.counters.add(Counter::kBuffersInserted, 7);
   snap.hist[static_cast<std::size_t>(LifetimeHist::kE2eUs)].record(1500);
-  snap.phase_us[static_cast<std::size_t>(Phase::kBubbleConstruct)].record(40);
+  snap.span_us[static_cast<std::size_t>(SpanName::kBubbleConstruct)].record(40);
   snap.window_s = 10;
   snap.windows.push_back(WindowSample{3, 1, 2, 0.3});
 
@@ -332,9 +371,10 @@ TEST(Json, LifetimeSectionHasDisabledAndEnabledShapes) {
     ASSERT_TRUE(lt.at("hists").has(
         lifetime_hist_name(static_cast<LifetimeHist>(i))));
   EXPECT_EQ(lt.at("hists").at("e2e_us").at("count").number, 1.0);
-  // Zero-count phase histograms are elided to keep the section compact.
-  EXPECT_TRUE(lt.at("phases").has("bubble_construct"));
-  EXPECT_EQ(lt.at("phases").object.size(), 1u);
+  // Zero-count span histograms are elided to keep the section compact.
+  EXPECT_FALSE(lt.has("phases"));
+  EXPECT_TRUE(lt.at("spans").has("bubble.construct"));
+  EXPECT_EQ(lt.at("spans").object.size(), 1u);
   ASSERT_EQ(lt.at("windows").array.size(), 1u);
   EXPECT_EQ(lt.at("windows").array[0].at("req_s").number, 0.3);
 }
@@ -353,22 +393,30 @@ TEST(Json, ParserHandlesEscapesNestingAndErrors) {
   EXPECT_THROW(json_parse("nope"), std::invalid_argument);
 }
 
-TEST(Sink, MergeFromSumsCountersAndPhasesAndKeepsGaugeMaxima) {
+/// A closed ptree.dp span of `ns` nanoseconds.
+SpanRecord ptree_span(std::uint64_t ns) {
+  SpanRecord r;
+  r.name = SpanName::kPtreeDp;
+  r.end_ns = ns;
+  return r;
+}
+
+TEST(Sink, MergeFromSumsCountersAndSpansAndKeepsGaugeMaxima) {
   ObsSink a, b;
   a.add(Counter::kBuffersInserted, 2);
   a.maximize(Gauge::kCurvePeakWidth, 5);
-  a.add_phase(Phase::kPtreeDp, 100);
+  a.record_span(ptree_span(100));
   a.record_layer(2, 10, 4, 6);
   b.add(Counter::kBuffersInserted, 3);
   b.maximize(Gauge::kCurvePeakWidth, 9);
-  b.add_phase(Phase::kPtreeDp, 50);
+  b.record_span(ptree_span(50));
   b.record_layer(2, 20, 8, 12);
   b.record_layer(3, 5, 1, 4);
   a.merge_from(b);
   EXPECT_EQ(a.counters.get(Counter::kBuffersInserted), 5u);
   EXPECT_EQ(a.gauges.get(Gauge::kCurvePeakWidth), 9u);
-  EXPECT_EQ(a.phase_ns(Phase::kPtreeDp), 150u);
-  EXPECT_EQ(a.phase_calls(Phase::kPtreeDp), 2u);
+  EXPECT_EQ(a.span_total(SpanName::kPtreeDp).total_ns, 150u);
+  EXPECT_EQ(a.span_total(SpanName::kPtreeDp).count, 2u);
   ASSERT_GE(a.layers().size(), 4u);
   EXPECT_EQ(a.layers()[2].pushed, 30u);
   EXPECT_EQ(a.layers()[3].kept, 4u);
@@ -376,15 +424,15 @@ TEST(Sink, MergeFromSumsCountersAndPhasesAndKeepsGaugeMaxima) {
 
 TEST(Sink, MergeFromIsOrderIndependent) {
   // The batch engine merges one sink per worker after the pool drains, and
-  // nothing about the merge may depend on worker order: counters and phases
-  // are sums, gauges maxima, layer stats elementwise sums — all commutative.
+  // nothing about the merge may depend on worker order: counters and span
+  // rollups are sums, gauges maxima, layer stats elementwise sums — all commutative.
   // Build three distinct worker sinks and merge them in every permutation.
   const auto make_worker = [](std::uint64_t salt) {
     ObsSink s;
     s.add(Counter::kBuffersInserted, 1 + salt);
     s.add(Counter::kCurvePointsPushed, 10 * salt);
     s.maximize(Gauge::kCurvePeakWidth, 3 * salt + 1);
-    s.add_phase(Phase::kPtreeDp, 100 + salt);
+    s.record_span(ptree_span(100 + salt));
     s.record_layer(2 + salt % 2, 10 + salt, 4, 6 + salt);
     return s;
   };
@@ -399,12 +447,7 @@ TEST(Sink, MergeFromIsOrderIndependent) {
     ASSERT_EQ(agg.layers().size(), reference.layers().size());
     for (std::size_t l = 0; l < agg.layers().size(); ++l)
       EXPECT_TRUE(agg.layers()[l] == reference.layers()[l]) << "layer " << l;
-    for (std::size_t p = 0; p < kPhaseCount; ++p) {
-      EXPECT_EQ(agg.phase_ns(static_cast<Phase>(p)),
-                reference.phase_ns(static_cast<Phase>(p)));
-      EXPECT_EQ(agg.phase_calls(static_cast<Phase>(p)),
-                reference.phase_calls(static_cast<Phase>(p)));
-    }
+    EXPECT_TRUE(agg.span_totals() == reference.span_totals());
   } while (std::next_permutation(order.begin(), order.end()));
 }
 
@@ -433,15 +476,15 @@ TEST(SpanRing, AtCapacityTheOldestRecordIsDroppedDeterministically) {
   EXPECT_EQ(ring.dropped(), 0u);
 }
 
-TEST(Sink, ScopedTimerChargesItsPhase) {
-  ObsSink sink;
-  { ScopedTimer t(&sink, Phase::kBatchReduce); }
-  if (kObsEnabled) {
-    EXPECT_EQ(sink.phase_calls(Phase::kBatchReduce), 1u);
-  } else {
-    EXPECT_EQ(sink.phase_calls(Phase::kBatchReduce), 0u);
+TEST(Sink, DisarmedTraceSpanChargesTheRollup) {
+  ObsSink sink;  // span ring disarmed: the default
+  {
+    TraceSpan outer(&sink, SpanName::kBatchReduce);
+    TraceSpan inner(&sink, SpanName::kBatchReduce);
   }
-  { ScopedTimer t(nullptr, Phase::kBatchReduce); }  // null sink: no-op
+  EXPECT_EQ(sink.span_total(SpanName::kBatchReduce).count, 2u);
+  EXPECT_EQ(sink.spans().size(), 0u);  // no timeline without a ring
+  { TraceSpan t(nullptr, SpanName::kBatchReduce); }  // null sink: no-op
 }
 
 }  // namespace

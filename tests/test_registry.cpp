@@ -146,14 +146,16 @@ ObsSink job_sink(std::uint64_t seed) {
   ObsSink s;
   s.add(Counter::kBuffersInserted, 3 + seed);
   s.maximize(Gauge::kCurvePeakWidth, 10 * seed);
-  s.add_phase(Phase::kBubbleConstruct, 5000 * seed);
+  SpanRecord bubble;
+  bubble.name = SpanName::kBubbleConstruct;
+  bubble.end_ns = 5000 * seed;
+  s.record_span(bubble);
   s.record_trace(TraceRecord{static_cast<std::size_t>(seed), 4, 100 * seed,
                              7 + seed, 1, static_cast<std::size_t>(2 + seed)});
   return s;
 }
 
-TEST(Registry, AccumulatesJobsCountersHistogramsAndPhases) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
+TEST(Registry, AccumulatesJobsCountersHistogramsAndSpans) {
   MetricsRegistry reg;
   reg.note_job(job_sink(1), /*queue_ms=*/1.0, /*run_ms=*/2.0, /*e2e_ms=*/3.0,
                /*queue_depth=*/0);
@@ -164,10 +166,11 @@ TEST(Registry, AccumulatesJobsCountersHistogramsAndPhases) {
   EXPECT_EQ(snap.jobs, 2u);
   EXPECT_EQ(snap.counters.get(Counter::kBuffersInserted), 9u);  // 4 + 5
   EXPECT_EQ(snap.gauges.get(Gauge::kCurvePeakWidth), 20u);      // high water
-  const auto bc = static_cast<std::size_t>(Phase::kBubbleConstruct);
-  EXPECT_EQ(snap.phase_ns[bc], 15000u);
-  EXPECT_EQ(snap.phase_calls[bc], 2u);
-  EXPECT_EQ(snap.phase_us[bc].count(), 2u);  // one sample per job
+  const auto bc = static_cast<std::size_t>(SpanName::kBubbleConstruct);
+  EXPECT_EQ(snap.spans[bc].total_ns, 15000u);
+  EXPECT_EQ(snap.spans[bc].count, 2u);
+  EXPECT_EQ(snap.span_us[bc].count(), 2u);  // one sample per job
+  EXPECT_EQ(snap.span_us[bc].sum(), 15u);   // 5 us + 10 us
 
   using H = LifetimeHist;
   EXPECT_EQ(snap.hist[static_cast<std::size_t>(H::kQueueUs)].count(), 2u);
@@ -180,7 +183,6 @@ TEST(Registry, AccumulatesJobsCountersHistogramsAndPhases) {
 }
 
 TEST(Registry, SurvivesAcrossSequentialDaemonRequests) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   constexpr int kJobs = 5;
   ServeOptions so;
   so.threads = 2;
@@ -207,7 +209,6 @@ TEST(Registry, SurvivesAcrossSequentialDaemonRequests) {
 }
 
 TEST(Registry, DeterministicHistogramsAreThreadCountInvariant) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const auto run = [](std::size_t threads) {
     ServeOptions so;
     so.threads = threads;
@@ -259,12 +260,14 @@ TEST(Registry, MetricsJsonParsesAndPrometheusIsWellFormed) {
   EXPECT_EQ(doc.at("schema_version").number, kStatsSchemaVersion);
   EXPECT_EQ(doc.at("request").at("source").string, "serve");
   EXPECT_EQ(doc.at("serve").at("jobs_admitted").number, 1.0);
-  if (kObsEnabled) {
-    EXPECT_EQ(doc.at("lifetime").at("enabled").number, 1.0);
-    EXPECT_EQ(doc.at("lifetime").at("jobs").number, 1.0);
-  } else {
-    EXPECT_EQ(doc.at("lifetime").at("enabled").number, 0.0);
-  }
+  EXPECT_EQ(doc.at("lifetime").at("enabled").number, 1.0);
+  EXPECT_EQ(doc.at("lifetime").at("jobs").number, 1.0);
+  // Per-span-name histograms, one sample per job: the engine's spans and
+  // the daemon's own request span.
+  const JsonValue& spans = doc.at("lifetime").at("spans");
+  EXPECT_FALSE(doc.at("lifetime").has("phases"));
+  EXPECT_EQ(spans.at("bubble.construct").at("count").number, 1.0);
+  EXPECT_EQ(spans.at("serve.request").at("count").number, 1.0);
 
   // Prometheus text format: every non-comment line is `name[{labels}] value`.
   const std::string prom = core.metrics_prometheus();
@@ -272,6 +275,9 @@ TEST(Registry, MetricsJsonParsesAndPrometheusIsWellFormed) {
   EXPECT_NE(prom.find("merlin_serve_jobs_admitted_total 1"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE merlin_lifetime_hist summary"),
             std::string::npos);
+  EXPECT_NE(prom.find("merlin_span_ns_total{span=\"bubble.construct\"} "),
+            std::string::npos);
+  EXPECT_EQ(prom.find("merlin_phase_ns_total"), std::string::npos);
   std::istringstream lines(prom);
   std::string line;
   while (std::getline(lines, line)) {
@@ -307,7 +313,6 @@ std::string flight_dir() {
 }
 
 TEST(Flight, RecorderRoundTripsThroughItsFileIncludingWrapAround) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const std::string dir = flight_dir();
   const std::string ring = dir + "/flight.ring";
   {
@@ -357,7 +362,7 @@ TEST(Flight, RecorderRoundTripsThroughItsFileIncludingWrapAround) {
   std::remove(dir.c_str());
 }
 
-TEST(Flight, LoadRejectsGarbageAndOpenReportsObsOff) {
+TEST(Flight, LoadRejectsGarbageAndUnarmedRecordIsANoOp) {
   const std::string dir = flight_dir();
   FlightDump dump;
   std::string err;
@@ -370,13 +375,9 @@ TEST(Flight, LoadRejectsGarbageAndOpenReportsObsOff) {
   EXPECT_FALSE(FlightRecorder::load(garbage, &dump, &err));
   std::remove(garbage.c_str());
 
-  if (!kObsEnabled) {
-    FlightRecorder rec;
-    EXPECT_FALSE(rec.open(dir + "/ring", 8, &err));
-    EXPECT_FALSE(rec.armed());
-    EXPECT_FALSE(err.empty());
-    rec.record(FlightEvent::kAdmit, 1, 1);  // unarmed: a safe no-op
-  }
+  FlightRecorder rec;  // never opened
+  EXPECT_FALSE(rec.armed());
+  rec.record(FlightEvent::kAdmit, 1, 1);  // unarmed: a safe no-op
   std::remove(dir.c_str());
 }
 

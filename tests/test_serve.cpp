@@ -584,11 +584,8 @@ TEST(ServeSurvivability, WarmRestartFromSnapshotIsDigestIdenticalAndWarm) {
     // Bit-identical answer from the restored store...
     EXPECT_EQ(oc->digest, first_digest);
     // ...and it genuinely ran warm: the restored entries were adopted.
-    // (The adoption counter records through obs_add, so it stays zero in
-    // a -DMERLIN_OBS=OFF build; the digest check above still bites.)
     const JsonValue doc = json_parse(oc->stats_json);
-    if constexpr (kObsEnabled)
-      EXPECT_GT(doc.at("counters").at("cache_shared_hits").number, 0.0);
+    EXPECT_GT(doc.at("counters").at("cache_shared_hits").number, 0.0);
     EXPECT_EQ(doc.at("serve").at("snapshot_loads").number, 1.0);
     EXPECT_NE(core.snapshot_note().find("loaded"), std::string::npos)
         << core.snapshot_note();
@@ -746,17 +743,13 @@ TEST(ServeSocket, MetricsFrameReportsLifetimeTelemetryOverTheWire) {
   EXPECT_EQ(doc.at("schema_version").number, kStatsSchemaVersion);
   EXPECT_EQ(doc.at("request").at("source").string, "serve");
   const JsonValue& lt = doc.at("lifetime");
-  if (kObsEnabled) {
-    EXPECT_EQ(lt.at("enabled").number, 1.0);
-    EXPECT_EQ(lt.at("jobs").number, 2.0);
-    EXPECT_EQ(lt.at("hists").at("e2e_us").at("count").number, 2.0);
-    // The wire histograms reconstruct to the exporter's exact quantiles.
-    const LatencyHistogram h = hist_from_json(lt.at("hists").at("e2e_us"));
-    EXPECT_EQ(static_cast<double>(h.quantile(99)),
-              lt.at("hists").at("e2e_us").at("p99").number);
-  } else {
-    EXPECT_EQ(lt.at("enabled").number, 0.0);
-  }
+  EXPECT_EQ(lt.at("enabled").number, 1.0);
+  EXPECT_EQ(lt.at("jobs").number, 2.0);
+  EXPECT_EQ(lt.at("hists").at("e2e_us").at("count").number, 2.0);
+  // The wire histograms reconstruct to the exporter's exact quantiles.
+  const LatencyHistogram h = hist_from_json(lt.at("hists").at("e2e_us"));
+  EXPECT_EQ(static_cast<double>(h.quantile(99)),
+            lt.at("hists").at("e2e_us").at("p99").number);
   EXPECT_NE(m.prometheus.find("merlin_jobs_total"), std::string::npos);
   EXPECT_NE(m.prometheus.find("merlin_serve_jobs_admitted_total 2"),
             std::string::npos);

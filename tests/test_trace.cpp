@@ -9,8 +9,9 @@
 //     BUBBLE_CONSTRUCT, which encloses its DP layers;
 //   * the Perfetto export is valid Chrome trace-event JSON (validated with
 //     the bundled parser) with one thread track per pool worker;
-//   * a disarmed ring (the default) records nothing, and the MERLIN_OBS=OFF
-//     build compiles TraceSpan out entirely.
+//   * a disarmed ring (the default) keeps no timeline, while the per-name
+//     rollup counts every closed span — also the ones a full ring
+//     overwrote.
 
 #include <gtest/gtest.h>
 
@@ -83,7 +84,6 @@ std::vector<SpanShape> net_span_shapes(const ObsSink& sink) {
 }
 
 TEST(Trace, NetSpanStructureIsThreadCountInvariantAndRepeatable) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const BufferLibrary lib = make_standard_library();
   const Circuit ckt = test_circuit(42);
   ObsSink s1, s4, s8, s4again;
@@ -112,7 +112,6 @@ TEST(Trace, NetSpanStructureIsThreadCountInvariantAndRepeatable) {
 }
 
 TEST(Trace, NestingMirrorsTheEngineStack) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const BufferLibrary lib = make_standard_library();
   NetSpec spec;
   spec.n_sinks = 7;
@@ -158,7 +157,6 @@ TEST(Trace, NestingMirrorsTheEngineStack) {
 }
 
 TEST(Trace, ExportIsParserValidChromeTraceJsonWithOneTrackPerWorker) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   const BufferLibrary lib = make_standard_library();
   const Circuit ckt = test_circuit(7);
   ObsSink sink;
@@ -233,27 +231,23 @@ TEST(Trace, SummariesRollUpPerName) {
 }
 
 TEST(Trace, DisarmedSinkAndNullSinkRecordNothing) {
-  ObsSink disarmed;  // span capacity 0: tracing off even with obs on
+  ObsSink disarmed;  // span capacity 0: no timeline records
   {
     TraceSpan outer(&disarmed, SpanName::kPtreeDp);
     TraceSpan inner(&disarmed, SpanName::kBubbleLayer, 2);
   }
-  EXPECT_EQ(disarmed.spans().size(), 0u);
+  EXPECT_EQ(disarmed.spans().size(), 0u);  // (the rollup still counts both)
   { TraceSpan t(nullptr, SpanName::kPtreeDp); }  // null sink: no-op
 
   ObsSink armed;
   armed.set_span_capacity(8);
   { TraceSpan t(&armed, SpanName::kPtreeDp, 5); }
-  if (kObsEnabled) {
-    ASSERT_EQ(armed.spans().size(), 1u);
-    const SpanRecord rec = armed.spans().snapshot()[0];
-    EXPECT_EQ(rec.name, SpanName::kPtreeDp);
-    EXPECT_EQ(rec.arg, 5u);
-    EXPECT_EQ(rec.depth, 0u);
-    EXPECT_LE(rec.begin_ns, rec.end_ns);
-  } else {
-    EXPECT_EQ(armed.spans().size(), 0u);  // compiled out under MERLIN_OBS=OFF
-  }
+  ASSERT_EQ(armed.spans().size(), 1u);
+  const SpanRecord rec = armed.spans().snapshot()[0];
+  EXPECT_EQ(rec.name, SpanName::kPtreeDp);
+  EXPECT_EQ(rec.arg, 5u);
+  EXPECT_EQ(rec.depth, 0u);
+  EXPECT_LE(rec.begin_ns, rec.end_ns);
 }
 
 TEST(Trace, EverySpanNameIsUniqueAndDotted) {
@@ -270,7 +264,6 @@ TEST(Trace, EverySpanNameIsUniqueAndDotted) {
 }
 
 TEST(Trace, StatsJsonQuarantinesSpanRollupsInRuntime) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   ObsSink sink;
   sink.set_span_capacity(4);
   SpanRecord r;
@@ -287,7 +280,24 @@ TEST(Trace, StatsJsonQuarantinesSpanRollupsInRuntime) {
   EXPECT_EQ(rt.at("spans_dropped").number, 2.0);
   ASSERT_EQ(rt.at("spans").array.size(), 1u);
   EXPECT_EQ(rt.at("spans").array[0].at("name").string, "ptree.dp");
-  EXPECT_EQ(rt.at("spans").array[0].at("count").number, 4.0);
+  // The rollup counts all six, not just the four the ring still holds.
+  EXPECT_EQ(rt.at("spans").array[0].at("count").number, 6.0);
+  EXPECT_EQ(rt.at("spans").array[0].at("total_ns").number, 120.0);
+}
+
+TEST(Trace, SpanTotalsSurviveRingWrap) {
+  // Spans the ring overwrote at capacity still count in runtime.spans: the
+  // rollup, not the ring, feeds count/total_ns.
+  ObsSink sink;
+  sink.set_span_capacity(4);
+  for (int i = 0; i < 10; ++i) TraceSpan t(&sink, SpanName::kBubbleLayer, 2);
+
+  const JsonValue rt = json_parse(stats_to_json(sink)).at("runtime");
+  ASSERT_EQ(rt.at("spans").array.size(), 1u);
+  EXPECT_EQ(rt.at("spans").array[0].at("name").string, "bubble.layer");
+  EXPECT_EQ(rt.at("spans").array[0].at("count").number, 10.0);
+  EXPECT_EQ(rt.at("span_count").number, 4.0);
+  EXPECT_EQ(rt.at("spans_dropped").number, 6.0);
 }
 
 }  // namespace

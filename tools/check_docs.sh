@@ -6,9 +6,10 @@
 #   2. Every snake_case name rendered as a `| `name`` table row in
 #      docs/OBSERVABILITY.md must exist verbatim in src/obs/counters.h,
 #      src/obs/registry.h, or src/obs/flightrec.h — stale counter/gauge/
-#      phase/lifetime-histogram/flight-event names in the doc fail the
-#      build.  (The reverse direction — every name in those headers is
-#      documented — is enforced by tests/test_docs.cpp.)
+#      lifetime-histogram/flight-event names in the doc fail the build.
+#      (Dotted span names are gate 4's.  The reverse direction — every
+#      name in those headers is documented — is enforced by
+#      tests/test_docs.cpp.)
 #   3. The injection site registry in docs/ROBUSTNESS.md and the
 #      fault_site_name() list in src/runtime/faultinject.h must agree in
 #      BOTH directions — a renamed/added/removed site fails the build until
@@ -273,7 +274,7 @@ if [ -f "$doc" ] && [ -f "$reghdr" ] && [ -f "$flthdr" ]; then
               sed -E 's/return "([a-z0-9_]+)"/\1/' |
               grep -v '^unknown_' | sort -u)"
   # Names in the doc: `| `name`` rows between the lifetime-telemetry
-  # markers (the markers scope the match — the counter/gauge/phase tables
+  # markers (the markers scope the match — the counter/gauge tables
   # above them belong to gate 2 and tests/test_docs.cpp).
   doc_life="$(awk '/<!-- lifetime-telemetry:begin -->/{f=1;next}
                    /<!-- lifetime-telemetry:end -->/{f=0} f' "$doc" |

@@ -393,7 +393,7 @@ int main(int argc, char** argv) {
 
     if (!stats_json_path.empty()) {
       // Single-net runs get one trace row; the flow's own recording already
-      // filled the counters/gauges/phases while it ran.
+      // filled the counters/gauges/spans while it ran.
       sink.add(Counter::kNetsProcessed);
       TraceRecord t;
       t.sinks = net.fanout();

@@ -47,7 +47,7 @@ constexpr int kExitUsage = 2;
 using merlin::JsonValue;
 
 /// Safe JSON access: zero / empty for anything missing, so a v5 daemon (or
-/// an obs-off build reporting enabled 0) renders as zeros, not a crash.
+/// a document reporting enabled 0) renders as zeros, not a crash.
 double num_at(const JsonValue& v, const std::string& key) {
   return v.has(key) && v.at(key).is_number() ? v.at(key).number : 0.0;
 }
@@ -88,14 +88,14 @@ int render_tables(const std::string& json) {
               num_at(sv, "ewma_ms"),
               static_cast<unsigned long long>(num_at(sv, "overloaded")));
   if (num_at(lt, "enabled") == 0.0) {
-    std::printf("(lifetime telemetry disabled: obs-off build or v5 daemon)\n");
+    std::printf("(lifetime telemetry disabled: per-job document or v5 daemon)\n");
     return kExitOk;
   }
   merlin::TextTable hists({"hist", "count", "p50", "p90", "p99", "p999", "max"});
   if (lt.has("hists"))
     for (const auto& [name, h] : lt.at("hists").object) hist_row(hists, name, h);
-  if (lt.has("phases"))
-    for (const auto& [name, h] : lt.at("phases").object) hist_row(hists, name, h);
+  if (lt.has("spans"))
+    for (const auto& [name, h] : lt.at("spans").object) hist_row(hists, name, h);
   std::printf("%s", hists.render().c_str());
   if (lt.has("windows") && !lt.at("windows").array.empty()) {
     merlin::TextTable wins({"window", "jobs", "req_s", "queue", "shed"});
