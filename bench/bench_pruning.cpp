@@ -40,9 +40,9 @@ struct Tuple {
   double req_time, load, area, wirelen;
 };
 
-// The pre-kernel reference: materialize every candidate, sort into the
-// canonical order, quadratic scan against the kept set.  This is what
-// pareto_prune did before the bucketed kernel (and what the oracle in
+// The naive reference: materialize every candidate, sort into the
+// canonical order, quadratic scan against the kept set.  This is what the
+// library's prune did before the bucketed kernel (and what the oracle in
 // tests/test_prune_differential.cpp still does).
 std::vector<Tuple> naive_prune(std::vector<Tuple> v) {
   std::sort(v.begin(), v.end(), [](const Tuple& a, const Tuple& b) {

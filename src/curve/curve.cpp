@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "curve/kernel.h"
 
@@ -11,14 +10,56 @@ namespace merlin {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared pruning pieces.  The exact (non-quantized) path runs on the
-// bucketed/SoA kernel in curve/kernel.h; quantized configs keep the
-// pre-kernel reference path, whose bin-rounding semantics the kernel's
-// equivalence argument does not cover.  Both paths end in the same
-// engineering cap, and dominance everywhere goes through the shared
-// `dominates` helper so the epsilon cannot drift between push-time tests
+// The one pruner.  Every prune — SolutionCurve::prune and the batch ops
+// below — feeds candidates into a BucketScratch and ends in sweep_and_cap:
+// the bucketed/SoA dominance sweep of curve/kernel.h, then the optional
+// quantization filter, then the engineering cap.  Dominance everywhere goes
+// through the shared `dominates` rule (kernel.h's FrontierSoA evaluates it
+// lane-wise) so the epsilon cannot drift between push-time tests
 // (Solution::dominated_by) and prune-time sweeps.
 // ---------------------------------------------------------------------------
+
+// Quantization (PruneConfig::load_quantum / area_quantum — the paper's
+// pseudo-polynomial assumption, which bounds Lemma 10's q).  Of the exact
+// survivors, keeps per (load bin, area bin) the point with the best
+// required time, ties toward less wire, then toward the canonical order.
+// It runs on the sweep's output, so the kernel's equivalence argument never
+// sees a bin, the winners stay a non-inferior set in canonical order, and
+// every stored metric is the realized structure's exact value.
+void apply_bins(std::vector<CurveCand>& v, const PruneConfig& cfg) {
+  if (cfg.load_quantum <= 0.0 && cfg.area_quantum <= 0.0) return;
+  const auto bin = [](double x, double q) {
+    return q > 0.0 ? std::floor(x / q) : x;
+  };
+  struct Binned {
+    double load_bin, area_bin;
+    std::uint32_t i;
+  };
+  thread_local std::vector<Binned> keyed;
+  keyed.clear();
+  for (std::uint32_t i = 0; i < v.size(); ++i)
+    keyed.push_back(Binned{bin(v[i].load, cfg.load_quantum),
+                           bin(v[i].area, cfg.area_quantum), i});
+  std::sort(keyed.begin(), keyed.end(), [&](const Binned& a, const Binned& b) {
+    if (a.load_bin != b.load_bin) return a.load_bin < b.load_bin;
+    if (a.area_bin != b.area_bin) return a.area_bin < b.area_bin;
+    const CurveCand& x = v[a.i];
+    const CurveCand& y = v[b.i];
+    if (x.req_time != y.req_time) return x.req_time > y.req_time;
+    if (x.wirelen != y.wirelen) return x.wirelen < y.wirelen;
+    return a.i < b.i;
+  });
+  thread_local std::vector<char> keep;
+  keep.assign(v.size(), 0);
+  for (std::size_t k = 0; k < keyed.size(); ++k)
+    if (k == 0 || keyed[k].load_bin != keyed[k - 1].load_bin ||
+        keyed[k].area_bin != keyed[k - 1].area_bin)
+      keep[keyed[k].i] = 1;
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < v.size(); ++i)
+    if (keep[i]) v[w++] = v[i];
+  v.resize(w);
+}
 
 // Engineering cap.  All survivors are non-inferior, so the cap is purely
 // about which part of the frontier to keep.  We always keep the three
@@ -27,10 +68,9 @@ namespace {
 // solution stays useful after more upstream wire, so spreading over it
 // preserves downstream feasibility far better than spreading over area
 // (which is frequently constant across a young curve).
-template <typename T>
-void apply_curve_cap(std::vector<T>& v, const PruneConfig& cfg) {
+void apply_curve_cap(std::vector<CurveCand>& v, const PruneConfig& cfg) {
   if (cfg.max_solutions == 0 || v.size() <= cfg.max_solutions) return;
-  std::sort(v.begin(), v.end(), [](const T& a, const T& b) {
+  std::sort(v.begin(), v.end(), [](const CurveCand& a, const CurveCand& b) {
     if (a.load != b.load) return a.load < b.load;
     return a.area < b.area;
   });
@@ -45,14 +85,15 @@ void apply_curve_cap(std::vector<T>& v, const PruneConfig& cfg) {
             v[best_scalar].req_time - cfg.ref_res * v[best_scalar].load)
       best_scalar = i;
   }
-  std::size_t must[4] = {0, best_rt, min_area, 0};
-  std::size_t n_must = 3;
-  if (cfg.ref_res > 0.0) must[n_must++] = best_scalar;
-  std::sort(must, must + n_must);
-  n_must = static_cast<std::size_t>(std::unique(must, must + n_must) - must);
+  thread_local std::vector<std::size_t> must;
+  must.assign({0, best_rt, min_area});
+  if (cfg.ref_res > 0.0) must.push_back(best_scalar);
+  std::sort(must.begin(), must.end());
+  must.erase(std::unique(must.begin(), must.end()), must.end());
+  const std::size_t n_must = must.size();
 
   thread_local std::vector<std::size_t> pick;
-  pick.assign(must, must + n_must);
+  pick.assign(must.begin(), must.end());
   for (std::size_t j = 0; j < m && pick.size() < m + n_must; ++j)
     pick.push_back(m == 1 ? best_rt : j * (n - 1) / (m - 1));
   std::sort(pick.begin(), pick.end());
@@ -60,7 +101,7 @@ void apply_curve_cap(std::vector<T>& v, const PruneConfig& cfg) {
   // Trim middle samples (never the must-keeps) down to the cap.
   for (std::size_t j = 1; pick.size() > std::max(m, n_must);) {
     if (j + 1 >= pick.size()) break;
-    if (!std::binary_search(must, must + n_must, pick[j]))
+    if (!std::binary_search(must.begin(), must.end(), pick[j]))
       pick.erase(pick.begin() + static_cast<std::ptrdiff_t>(j));
     else
       ++j;
@@ -72,137 +113,14 @@ void apply_curve_cap(std::vector<T>& v, const PruneConfig& cfg) {
   v.resize(pick.size());
 }
 
-// Exact Pareto prune of already-materialized tuples via the kernel: sort an
-// index array into the canonical order (the original position is the
-// sequence tie-break, so the order is total and which duplicate survives is
-// pinned), sweep through a SoA frontier, and gather the survivors.  `T`
-// must expose req_time/load/area/wirelen; used both for stored Solutions
-// and for not-yet-allocated candidates.
-template <typename T>
-void exact_prune(std::vector<T>& v) {
-  thread_local std::vector<std::uint32_t> order;
-  order.resize(v.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const T& x = v[a];
-    const T& y = v[b];
-    if (x.load != y.load) return x.load < y.load;
-    if (x.area != y.area) return x.area < y.area;
-    if (x.req_time != y.req_time) return x.req_time > y.req_time;
-    if (x.wirelen != y.wirelen) return x.wirelen < y.wirelen;
-    return a < b;
-  });
-
-  thread_local FrontierSoA frontier;
-  frontier.clear();
-  for (const std::uint32_t i : order) {
-    frontier.accept(
-        CurveCand{v[i].req_time, v[i].load, v[i].area, v[i].wirelen, i});
-  }
-  if (frontier.size() == v.size()) {
-    // Everything survived: just reorder in place via the sorted index.
-    thread_local std::vector<T> tmp;
-    tmp.clear();
-    for (const std::uint32_t i : order) tmp.push_back(std::move(v[i]));
-    v.swap(tmp);
-    tmp.clear();
-    return;
-  }
-  thread_local std::vector<T> tmp;
-  tmp.clear();
-  for (std::size_t k = 0; k < frontier.size(); ++k)
-    tmp.push_back(std::move(v[static_cast<std::size_t>(frontier[k].seq)]));
-  v.swap(tmp);
-  tmp.clear();
-}
-
-// Pre-kernel reference path, retained for quantized configs: snap load/area
-// into bins, keep the best required time per bin (ties toward less wire) —
-// this bounds the paper's q — then run the classic sort + backward-scan
-// exact sweep over the bin winners.
-template <typename T>
-void quantized_prune(std::vector<T>& v, const PruneConfig& cfg) {
-  auto bin = [](double x, double q) {
-    return q > 0.0 ? std::floor(x / q) : x;
-  };
-  std::sort(v.begin(), v.end(), [&](const T& a, const T& b) {
-    const double la = bin(a.load, cfg.load_quantum);
-    const double lb = bin(b.load, cfg.load_quantum);
-    if (la != lb) return la < lb;
-    const double aa = bin(a.area, cfg.area_quantum);
-    const double ab = bin(b.area, cfg.area_quantum);
-    if (aa != ab) return aa < ab;
-    if (a.req_time != b.req_time) return a.req_time > b.req_time;
-    return a.wirelen < b.wirelen;
-  });
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const bool same_bin =
-        w > 0 &&
-        bin(v[w - 1].load, cfg.load_quantum) == bin(v[i].load, cfg.load_quantum) &&
-        bin(v[w - 1].area, cfg.area_quantum) == bin(v[i].area, cfg.area_quantum);
-    if (!same_bin) {
-      if (w != i) v[w] = std::move(v[i]);
-      ++w;
-    }
-  }
-  v.resize(w);
-
-  // Exact 3-D Pareto sweep (Def. 6) over the bin winners.  After sorting by
-  // load, any dominator of v[i] appears before it, so one backward scan over
-  // the kept set works.
-  std::sort(v.begin(), v.end(), [](const T& a, const T& b) {
-    if (a.load != b.load) return a.load < b.load;
-    if (a.area != b.area) return a.area < b.area;
-    if (a.req_time != b.req_time) return a.req_time > b.req_time;
-    return a.wirelen < b.wirelen;
-  });
-  w = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    bool is_dominated = false;
-    for (std::size_t k = 0; k < w; ++k) {
-      if (dominates(v[k], v[i])) {
-        is_dominated = true;
-        break;
-      }
-    }
-    if (!is_dominated) {
-      if (w != i) v[w] = std::move(v[i]);
-      ++w;
-    }
-  }
-  v.resize(w);
-}
-
-// Shared pruning core: kernel for exact semantics, reference path when the
-// config asks for quantization, one cap for both.
-template <typename T>
-void pareto_prune(std::vector<T>& v, const PruneConfig& cfg) {
-  if (v.empty()) return;
-  const std::size_t entering = v.size();
-  obs_gauge(cfg.obs, Gauge::kCurvePeakWidth, entering);
-
-  if (cfg.load_quantum > 0.0 || cfg.area_quantum > 0.0)
-    quantized_prune(v, cfg);
-  else
-    exact_prune(v);
-  apply_curve_cap(v, cfg);
-
-  obs_add(cfg.obs, Counter::kCurvePointsPushed, entering);
-  obs_add(cfg.obs, Counter::kCurvePointsPruned, entering - v.size());
-  obs_add(cfg.obs, Counter::kCurvePointsKept, v.size());
-}
-
-// ---------------------------------------------------------------------------
-// Bucketed candidate generation for the batch ops.  Candidates are pushed
-// bucket by bucket; each push carries the global generation sequence number
-// (identical to the index the candidate would have had in the
-// materialize-everything reference path, so the canonical order's tie-break
-// agrees between the two).  The per-bucket prefilter kills most dominated
-// candidates in O(1) before they are stored; the rare bucket whose computed
-// keys come out of order (floating-point collapse of distinct source loads)
-// is sorted before the k-way sweep.
-// ---------------------------------------------------------------------------
+// Bucketed candidate generation.  Candidates are pushed bucket by bucket;
+// each push carries its generation sequence number — in the batch ops the
+// index the candidate has in a materialize-every-candidate enumeration, so
+// they prune exactly like SolutionCurve::prune over that enumeration.  The
+// per-bucket prefilter kills most dominated candidates in O(1) before they
+// are stored; a bucket whose keys come out of order (an unsorted curve, or
+// floating-point collapse of distinct source loads) is sorted before the
+// k-way sweep.
 class BucketScratch {
  public:
   void clear() {
@@ -249,10 +167,11 @@ class BucketScratch {
   CurveCand last_;
 };
 
-// Sweeps the buckets, applies the cap, and returns the final survivor
+// The end of every prune: sweeps the buckets, applies quantization and the
+// cap, records the curve_points_* counters, and returns the final survivor
 // tuples in output order.  `generated` is the pre-prefilter candidate count
-// (what the reference path would have materialized); obs accounting uses it
-// so kernel and reference runs record identical counters.
+// (every candidate the prune was offered), so the counters do not depend on
+// how many candidates the prefilter rejected before they were stored.
 const std::vector<CurveCand>& sweep_and_cap(const BucketScratch& scratch,
                                             std::size_t generated,
                                             const PruneConfig& cfg) {
@@ -264,6 +183,7 @@ const std::vector<CurveCand>& sweep_and_cap(const BucketScratch& scratch,
   survivors.clear();
   for (std::size_t k = 0; k < frontier.size(); ++k)
     survivors.push_back(frontier[k]);
+  apply_bins(survivors, cfg);
   apply_curve_cap(survivors, cfg);
 
   obs_gauge(cfg.obs, Gauge::kCurvePeakWidth, generated);
@@ -273,21 +193,30 @@ const std::vector<CurveCand>& sweep_and_cap(const BucketScratch& scratch,
   return survivors;
 }
 
-[[nodiscard]] bool wants_quantized(const PruneConfig& cfg) {
-  return cfg.load_quantum > 0.0 || cfg.area_quantum > 0.0;
-}
-
-// Candidate tuple used by the quantized-fallback merge path: provenance by
-// parent pointers, node allocation deferred until after pruning.
-struct MergeCand {
-  double req_time, load, area, wirelen;
-  const Solution* l;
-  const Solution* r;
-};
-
 }  // namespace
 
-void SolutionCurve::prune(const PruneConfig& cfg) { pareto_prune(sols_, cfg); }
+// One bucket in input order (sequence number = position, so which duplicate
+// survives is pinned); the scratch sorts it when the input was not already
+// canonical, and its prefilter drops a point dominated slack-free by the one
+// pushed before it — safe in any input order, since that point's smaller
+// position still puts it first in the canonical scan (kernel.h).
+void SolutionCurve::prune(const PruneConfig& cfg) {
+  if (sols_.empty()) return;
+  thread_local BucketScratch scratch;
+  scratch.clear();
+  for (std::size_t i = 0; i < sols_.size(); ++i) {
+    const Solution& s = sols_[i];
+    scratch.push(CurveCand{s.req_time, s.load, s.area, s.wirelen, i});
+  }
+  scratch.end_bucket();
+  const std::vector<CurveCand>& survivors =
+      sweep_and_cap(scratch, sols_.size(), cfg);
+  thread_local std::vector<Solution> kept;
+  kept.clear();
+  for (const CurveCand& c : survivors)
+    kept.push_back(sols_[static_cast<std::size_t>(c.seq)]);
+  sols_.swap(kept);
+}
 
 void SolutionCurve::collect_roots(std::vector<SolNodeId>& out) const {
   for (const Solution& s : sols_)
@@ -402,35 +331,7 @@ void push_buffered_options(SolutionArena& arena, const SolutionCurve& src,
 
 void push_merged_options(SolutionArena& arena, std::span<const MergeJob> jobs,
                          Point at, const PruneConfig& cfg, SolutionCurve& dst) {
-  if (wants_quantized(cfg)) {
-    // Reference path: quantized semantics are outside the kernel's
-    // equivalence argument, so materialize every pair and prune post hoc.
-    thread_local std::vector<MergeCand> cands;
-    cands.clear();
-    for (const MergeJob& job : jobs) {
-      for (const Solution& a : *job.left) {
-        for (const Solution& b : *job.right) {
-          cands.push_back(MergeCand{std::min(a.req_time, b.req_time),
-                                    a.load + b.load, a.area + b.area,
-                                    a.wirelen + b.wirelen, &a, &b});
-        }
-      }
-    }
-    obs_add(cfg.obs, Counter::kMergeCandidates, cands.size());
-    pareto_prune(cands, cfg);
-    for (const MergeCand& c : cands) {
-      Solution s;
-      s.req_time = c.req_time;
-      s.load = c.load;
-      s.area = c.area;
-      s.wirelen = c.wirelen;
-      s.node = arena.make_merge(at, c.l->node, c.r->node);
-      dst.push(std::move(s));
-    }
-    return;
-  }
-
-  // Bucketed kernel path: one bucket per (job, left solution).  A pruned
+  // One bucket per (job, left solution).  A pruned
   // right curve arrives in canonical order, so the bucket's computed keys
   // are already sorted except when rounding collapses distinct loads — the
   // scratch detects and repairs that case.
@@ -484,47 +385,7 @@ void push_extended_options(SolutionArena& arena,
   static constexpr double kDefaultWidth[] = {1.0};
   if (widths.empty()) widths = kDefaultWidth;
 
-  if (wants_quantized(cfg)) {
-    // Reference path (see push_merged_options).
-    struct Cand {
-      double req_time, load, area, wirelen, width;
-      const Solution* src;
-      bool zero_len;
-    };
-    thread_local std::vector<Cand> cands;
-    cands.clear();
-    for (std::size_t i = 0; i < srcs.size(); ++i) {
-      if (srcs[i] == nullptr) continue;
-      const double len = static_cast<double>(manhattan(src_pts[i], to));
-      if (len == 0.0) {
-        for (const Solution& s : *srcs[i])
-          cands.push_back(Cand{s.req_time, s.load, s.area, s.wirelen, 1.0, &s, true});
-        continue;
-      }
-      for (const double width : widths) {
-        const WireModel w = scaled_width(wire, width);
-        for (const Solution& s : *srcs[i]) {
-          cands.push_back(Cand{s.req_time - w.elmore_delay(len, s.load),
-                               s.load + w.wire_cap(len), s.area,
-                               s.wirelen + len, width, &s, false});
-        }
-      }
-    }
-    obs_add(cfg.obs, Counter::kExtendCandidates, cands.size());
-    pareto_prune(cands, cfg);
-    for (const Cand& c : cands) {
-      Solution s;
-      s.req_time = c.req_time;
-      s.load = c.load;
-      s.area = c.area;
-      s.wirelen = c.wirelen;
-      s.node = c.zero_len ? c.src->node : arena.make_wire(to, c.src->node, c.width);
-      dst.push(std::move(s));
-    }
-    return;
-  }
-
-  // Bucketed kernel path: one bucket per (source curve, wire width) — a
+  // One bucket per (source curve, wire width) — a
   // zero-length source contributes a single identity bucket, whose
   // survivors reuse the child provenance node unchanged.
   struct Bucket {

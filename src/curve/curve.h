@@ -20,7 +20,9 @@ namespace merlin {
 /// pseudo-polynomial assumption that "capacitive values are polynomially
 /// bounded integers or can be mapped to such with sufficient precision"
 /// (they bound q), and `max_solutions` is an engineering cap that trades
-/// optimality for speed.
+/// optimality for speed.  Every prune applies them in one order: the exact
+/// kernel sweep (curve/kernel.h), then the quantization bins over its
+/// survivors, then the cap.
 struct PruneConfig {
   double load_quantum = 0.0;  ///< fF bin; 0 disables load quantization
   double area_quantum = 0.0;  ///< area bin; 0 disables area quantization
@@ -64,8 +66,10 @@ class SolutionCurve {
 
   void clear() { sols_.clear(); }
 
-  /// Removes every inferior solution (Def. 6), applies quantization, and
-  /// enforces the solution cap (keeping the area-spread of the frontier).
+  /// Removes every inferior solution (Def. 6) through the kernel sweep,
+  /// then keeps the best required time per quantization bin (ties toward
+  /// less wire), then enforces the solution cap (keeping the load-spread of
+  /// the frontier).  Survivors are left in canonical order (kernel.h).
   void prune(const PruneConfig& cfg = {});
 
   /// Appends every non-null provenance handle to `out` — the curve's

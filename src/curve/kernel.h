@@ -22,9 +22,8 @@
 //
 // ## Canonical candidate order
 //
-// The kernel processes candidates in one total order, shared with the
-// reference path in curve.cpp and with the oracle in
-// tests/test_prune_differential.cpp:
+// The kernel processes candidates in one total order, shared by every
+// prune in curve.cpp and by the oracle in tests/test_prune_differential.cpp:
 //
 //   load ascending, then area ascending, then req_time DESCENDING, then
 //   wirelen ascending, then generation sequence number ascending.
@@ -51,10 +50,10 @@
 // dropped by some kept e (e eps-dominates d), then e eps-dominates c too,
 // since each eps bound on d transfers to c through the slack-free
 // inequality.  Eps-dominance alone is not transitive — which is exactly why
-// the prefilter must not use the eps form.  Quantized configs
-// (PruneConfig::load_quantum / area_quantum) have bin-rounding semantics
-// this argument does not cover; those calls fall back to the pre-kernel
-// path (see curve.cpp).
+// the prefilter must not use the eps form.  Quantization
+// (PruneConfig::load_quantum / area_quantum) is a filter over the sweep's
+// survivors (curve.cpp apply_bins), never an input to it, so this argument
+// covers quantized configs unchanged.
 //
 // Layering: this header sits below curve.h and depends only on
 // curve/solution.h.  The bucket *types* (merge pairs, buffered variants,

@@ -78,12 +78,10 @@ enum class Counter : std::uint16_t {
   kFaultsInjected,       ///< injected faults that fired (chaos harness)
 
   // Daemon survivability (serve/server.h; see docs/SERVING.md).  Stamped
-  // into a job's own sink, so they are per-request facts: whether THIS
-  // job's deadline died in the admission queue, whether THIS job ran under
-  // overload-tightened budgets.  Wall-clock-driven, hence (like
+  // into a job's own sink, so it is a per-request fact: whether THIS job's
+  // deadline died in the admission queue.  Wall-clock-driven, hence (like
   // deadline_trips) excluded from differential comparisons.
   kServeDeadlineExpired, ///< request rejected at dispatch: deadline spent queued
-  kServeShedTightened,   ///< request ran with preemptively tightened budgets
 
   kCount,
 };
@@ -146,7 +144,6 @@ inline constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCoun
     case Counter::kGuardSteps: return "guard_steps";
     case Counter::kFaultsInjected: return "faults_injected";
     case Counter::kServeDeadlineExpired: return "serve_deadline_expired";
-    case Counter::kServeShedTightened: return "serve_shed_tightened";
     case Counter::kCount: break;
   }
   return "unknown_counter";

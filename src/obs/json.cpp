@@ -207,7 +207,6 @@ std::string stats_to_json(const ObsSink& sink, const RuntimeInfo& rt,
   w.key("jobs_rejected"); w.num(serve.jobs_rejected);
   w.key("overload_rejections"); w.num(serve.overload_rejections);
   w.key("deadline_expired"); w.num(serve.deadline_expired);
-  w.key("shed_tightened"); w.num(serve.shed_tightened);
   w.key("reply_failures"); w.num(serve.reply_failures);
   w.key("snapshot_saves"); w.num(serve.snapshot_saves);
   w.key("snapshot_loads"); w.num(serve.snapshot_loads);

@@ -20,7 +20,7 @@ namespace merlin {
 /// does.  Readers ignore keys they do not know.  Every bump's migration
 /// note lives in docs/OBSERVABILITY.md §7 ("JSON export").
 inline constexpr const char* kStatsSchemaName = "merlin.stats";
-inline constexpr int kStatsSchemaVersion = 7;
+inline constexpr int kStatsSchemaVersion = 8;
 
 /// Scheduling-dependent run facts.  Kept in a separate "runtime" JSON
 /// section so the deterministic sections (counters/gauges/layers/nets) can
@@ -54,13 +54,12 @@ struct ServeInfo {
   std::uint64_t jobs_rejected = 0;       ///< queue_full + draining + overloaded
   std::uint64_t overload_rejections = 0; ///< the err.overloaded subset
   std::uint64_t deadline_expired = 0;    ///< jobs whose deadline died in queue
-  std::uint64_t shed_tightened = 0;      ///< jobs run with shed-tightened budgets
   std::uint64_t reply_failures = 0;      ///< reply sends that failed (EPIPE &c)
   std::uint64_t snapshot_saves = 0;
   std::uint64_t snapshot_loads = 0;      ///< successful warm restores (0 or 1)
   std::uint64_t queue_depth = 0;         ///< at this job's dispatch
   double ewma_ms = 0.0;                  ///< recent mean job wall time
-  std::uint8_t overloaded = 0;           ///< shedding thresholds crossed
+  std::uint8_t overloaded = 0;           ///< shedding threshold crossed
 };
 
 /// Render the sink (plus optional runtime/request/serve/lifetime facts)

@@ -108,7 +108,7 @@ SubmitOutcome ServerCore::submit(std::uint64_t client, JobSpec spec) {
     std::lock_guard<std::mutex> lk(jobs_mu_);
     ewma = wall_ewma_ms_;
   }
-  const bool overloaded = overloaded_now(ewma);
+  const bool overloaded = overloaded_now();
   if (overloaded && opts_.shed_lane_cap > 0 &&
       queue_.lane_depth(client) >= opts_.shed_lane_cap) {
     // Under load, a client with a full lane of its own work queued gets
@@ -160,13 +160,9 @@ SubmitOutcome ServerCore::submit(std::uint64_t client, JobSpec spec) {
   return out;
 }
 
-bool ServerCore::overloaded_now(double ewma_ms) const {
-  // Both triggers default off (thresholds 0); either one crossing arms the
-  // shedding ladder.  Queue depth catches bursts, the EWMA catches a
-  // workload whose jobs got slow without the queue (yet) backing up.
-  if (opts_.shed_queue_depth > 0 && queue_.size() >= opts_.shed_queue_depth)
-    return true;
-  return opts_.shed_ewma_ms > 0.0 && ewma_ms > opts_.shed_ewma_ms;
+bool ServerCore::overloaded_now() const {
+  // Off by default (threshold 0); a backlog at the threshold arms shedding.
+  return opts_.shed_queue_depth > 0 && queue_.size() >= opts_.shed_queue_depth;
 }
 
 std::uint32_t ServerCore::retry_hint(double ewma_ms, double scale) const {
@@ -184,7 +180,6 @@ ServeInfo ServerCore::serve_info() const {
   s.jobs_rejected = jobs_rejected_.load();
   s.overload_rejections = overload_rejections_.load();
   s.deadline_expired = deadline_expired_.load();
-  s.shed_tightened = shed_tightened_.load();
   s.reply_failures = reply_failures_.load();
   s.snapshot_saves = snapshot_saves_.load();
   s.snapshot_loads = snapshot_loads_.load();
@@ -193,7 +188,7 @@ ServeInfo ServerCore::serve_info() const {
     std::lock_guard<std::mutex> lk(jobs_mu_);
     s.ewma_ms = wall_ewma_ms_;
   }
-  s.overloaded = overloaded_now(s.ewma_ms) ? 1 : 0;
+  s.overloaded = overloaded_now() ? 1 : 0;
   return s;
 }
 
@@ -395,24 +390,6 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
       bo.guard.deadline_ms = bo.guard.deadline_ms > 0
                                  ? std::min(bo.guard.deadline_ms, remaining)
                                  : remaining;
-    }
-    if (opts_.shed_step_budget > 0) {
-      double ewma = 0.0;
-      {
-        std::lock_guard<std::mutex> lk(jobs_mu_);
-        ewma = wall_ewma_ms_;
-      }
-      if (overloaded_now(ewma)) {
-        // Preemptive rung-down: under overload every job starts on a
-        // tighter step budget, trading per-net quality (via the existing
-        // degradation ladder) for queue drain rate.
-        bo.guard.step_budget =
-            bo.guard.step_budget > 0
-                ? std::min(bo.guard.step_budget, opts_.shed_step_budget)
-                : opts_.shed_step_budget;
-        sink.counters.add(Counter::kServeShedTightened);
-        shed_tightened_.fetch_add(1);
-      }
     }
     const BatchRunner runner(lib_, bo);
 

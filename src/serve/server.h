@@ -72,17 +72,12 @@ struct ServeOptions {
   std::uint32_t io_timeout_ms = 30000;
 
   /// Overload shedding (docs/SERVING.md, "Overload shedding").  Shedding
-  /// arms when EITHER trigger fires: queued jobs >= shed_queue_depth
-  /// (0 = trigger off) or the wall-time EWMA > shed_ewma_ms (0 = off).
-  /// While armed: retry-after hints double, per-client lanes are capped at
+  /// arms while queued jobs >= shed_queue_depth (0 = off).  While armed,
+  /// retry-after hints double and per-client lanes are capped at
   /// shed_lane_cap queued jobs (0 = no cap; beyond it submits earn
-  /// err.overloaded), and jobs dispatch with their per-net step budget
-  /// tightened to shed_step_budget (0 = no tightening) so they degrade
-  /// down the ladder preemptively instead of holding the scheduler.
+  /// err.overloaded).
   std::size_t shed_queue_depth = 0;
-  double shed_ewma_ms = 0.0;
   std::size_t shed_lane_cap = 0;
-  std::uint64_t shed_step_budget = 0;
 
   /// Flight-recorder ring file ("" disables).  A crash-surviving black box
   /// of the last flightrec_events structured events (obs/flightrec.h);
@@ -219,9 +214,8 @@ class ServerCore {
   void scheduler_loop();
   [[nodiscard]] JobOutcome run_one(const QueuedJob& job, double queue_ms,
                                    std::int64_t admit_ns);
-  /// Shedding predicate: either configured trigger crossed?  `ewma_ms` is
-  /// the caller's already-read copy of wall_ewma_ms_ (avoids re-locking).
-  [[nodiscard]] bool overloaded_now(double ewma_ms) const;
+  /// Shedding predicate: the queue-depth trigger crossed?
+  [[nodiscard]] bool overloaded_now() const;
   /// Backoff hint: recent mean job wall time scaled by the backlog, times
   /// `scale` (2.0 under overload), clamped to [1 ms, 60 s].
   [[nodiscard]] std::uint32_t retry_hint(double ewma_ms, double scale) const;
@@ -249,7 +243,6 @@ class ServerCore {
   std::atomic<std::uint64_t> jobs_rejected_{0};
   std::atomic<std::uint64_t> overload_rejections_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> shed_tightened_{0};
   std::atomic<std::uint64_t> reply_failures_{0};
   std::atomic<std::uint64_t> snapshot_saves_{0};
   std::atomic<std::uint64_t> snapshot_loads_{0};

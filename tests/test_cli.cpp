@@ -54,6 +54,16 @@ TEST(Cli, UsageErrorsExitTwo) {
   EXPECT_EQ(run_cli("--definitely-not-a-flag").exit_code, 2);
   EXPECT_EQ(run_cli("--flow").exit_code, 2);    // missing argument
   EXPECT_EQ(run_cli("--inject").exit_code, 2);  // missing argument
+  // Malformed numeric operands: trailing junk, no digits, a sign on a
+  // count, overflow, a non-finite real.
+  for (const char* bad :
+       {"--circuit 10 1 --threads 4x", "--circuit 10 1 --threads abc",
+        "--circuit 10 1 --threads -1", "--circuit 10 1 --threads +4",
+        "--circuit 10 1 --cache-mb 99999999999999999999",
+        "--circuit 10x 1", "--random 5 42 --flow 1.5",
+        "--random 5 42 --area-limit 3e", "--random 5 42 --req-target nan",
+        "--circuit 10 1 --net-deadline-ms inf"})
+    EXPECT_EQ(run_cli(bad).exit_code, 2) << bad;
 }
 
 TEST(Cli, MissingInputFileExitsThreeWithOneLine) {

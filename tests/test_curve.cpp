@@ -113,6 +113,27 @@ TEST(Prune, QuantizationBoundsBins) {
   EXPECT_DOUBLE_EQ(c[0].req_time, 1000.0);  // best required time per bin
 }
 
+// Bins act on the exact survivors only.  e dominates p, and d wins e's
+// (load 0, area 0) bin; binning *before* the sweep would let d evict e and
+// leave p with no dominator, keeping {p, d}.
+TEST(Prune, QuantizationBinsTheExactSurvivors) {
+  const Solution e = sol(10, 0.1, 0.1);
+  const Solution d = sol(11, 0.9, 0.9);
+  const Solution p = sol(9, 0.5, 1.5);
+  SolutionCurve c;
+  c.push(e);
+  c.push(d);
+  c.push(p);
+  PruneConfig cfg;
+  cfg.load_quantum = 1.0;
+  cfg.area_quantum = 1.0;
+  c.prune(cfg);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].req_time, d.req_time);
+  EXPECT_EQ(c[0].load, d.load);
+  EXPECT_EQ(c[0].area, d.area);
+}
+
 TEST(Prune, CapKeepsExtremePoints) {
   SolutionCurve c;
   // A genuine 40-point frontier: rt rises with load, area falls with load.

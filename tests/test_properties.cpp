@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "buflib/library.h"
@@ -195,7 +196,7 @@ std::vector<PruneConfig> swept_configs() {
   std::vector<PruneConfig> cfgs;
   cfgs.push_back({});                              // exact, uncapped
   cfgs.push_back({0.0, 0.0, 6});                   // exact + cap
-  cfgs.push_back({0.5, 0.25, 0});                  // quantized fallback
+  cfgs.push_back({0.5, 0.25, 0});                  // quantized
   cfgs.push_back({0.5, 0.25, 4, 2.0});             // quant + cap + ref_res
   return cfgs;
 }
@@ -272,6 +273,70 @@ TEST_P(PruneLaw, NoSurvivorDominatesAnother) {
       if (&a != &b) {
         EXPECT_FALSE(dominates(a, b));
       }
+}
+
+// A dense frontier (required time and load rise, area falls) spaced finer
+// than the swept quanta, so many exact survivors share a bin.
+std::vector<Solution> dense_frontier(Rng& rng, std::size_t n) {
+  std::vector<Solution> v;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    v.push_back(psol(10.0 * x + rng.uniform(0, 5), 1.0 + 0.1 * x,
+                     20.0 - 0.05 * x + rng.uniform(0, 0.01),
+                     rng.uniform(0, 8)));
+  }
+  return v;
+}
+
+// Reference quantization, written independently of curve.cpp: of `v`, keep
+// per (load bin, area bin) the best required time, ties toward less wire,
+// then toward the earlier point; winners stay in input order.
+std::vector<Solution> bins_of(const SolutionCurve& v, const PruneConfig& cfg) {
+  const auto bin = [](double x, double q) {
+    return q > 0.0 ? std::floor(x / q) : x;
+  };
+  std::vector<Solution> out;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    bool beaten = false;
+    for (std::size_t j = 0; j < v.size() && !beaten; ++j) {
+      if (j == i ||
+          bin(v[j].load, cfg.load_quantum) != bin(v[i].load, cfg.load_quantum) ||
+          bin(v[j].area, cfg.area_quantum) != bin(v[i].area, cfg.area_quantum))
+        continue;
+      beaten = v[j].req_time > v[i].req_time ||
+               (v[j].req_time == v[i].req_time &&
+                (v[j].wirelen < v[i].wirelen ||
+                 (v[j].wirelen == v[i].wirelen && j < i)));
+    }
+    if (!beaten) out.push_back(v[i]);
+  }
+  return out;
+}
+
+// Quantization is a filter over the exact prune: a quantized prune equals
+// the bins of the exact survivors, then the same config's cap.
+TEST_P(PruneLaw, QuantizedPruneBinsTheExactPrune) {
+  Rng rng(0x9A04 + GetParam());
+  for (const PruneConfig& cfg : swept_configs()) {
+    if (cfg.load_quantum <= 0.0 && cfg.area_quantum <= 0.0) continue;
+    PruneConfig cap_only = cfg;
+    cap_only.load_quantum = 0.0;
+    cap_only.area_quantum = 0.0;
+    for (int shape = 0; shape < 3; ++shape) {
+      const std::vector<Solution> input =
+          shape == 0   ? adversarial_batch(rng, 80)
+          : shape == 1 ? coarse_batch(rng, 80)
+                       : dense_frontier(rng, 80);
+      SolutionCurve exact = curve_of(input);
+      exact.prune();
+      SolutionCurve want = curve_of(bins_of(exact, cfg));
+      if (shape == 2) EXPECT_LT(want.size(), exact.size() / 2);
+      want.prune(cap_only);
+      SolutionCurve got = curve_of(input);
+      got.prune(cfg);
+      EXPECT_TRUE(curves_bitwise_equal(want, got)) << "shape " << shape;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PruneLaw,

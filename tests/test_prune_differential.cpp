@@ -159,8 +159,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PruneDifferential,
 // -- algebra-op differentials -----------------------------------------------
 // The batch ops prune *candidates* (before provenance allocation) through
 // the bucketed kernel; the reference materializes every candidate in the
-// op's enumeration order and runs the oracle.  This pins the bucketed
+// op's enumeration order and runs the oracle (exact configs) or
+// SolutionCurve::prune (quantized configs).  This pins the bucketed
 // generation + prefilter + k-way sweep against the flat reference.
+
+// Quantized configs, uncapped and capped: the batch ops must prune them
+// exactly like SolutionCurve::prune over the materialized candidates.
+std::vector<PruneConfig> quantized_configs() {
+  return {PruneConfig{5.0, 2.0, 0}, PruneConfig{5.0, 2.0, 4, 1.0}};
+}
+
+std::vector<Solution> pruned_flat(const std::vector<Solution>& flat,
+                                  const PruneConfig& cfg) {
+  SolutionCurve c;
+  for (const Solution& s : flat) c.push(s);
+  c.prune(cfg);
+  return {c.begin(), c.end()};
+}
 
 std::vector<Solution> attach_sinks(SolutionArena& arena,
                                    std::vector<Solution> v) {
@@ -193,6 +208,12 @@ TEST_P(PruneDifferential, MergedOptionsMatchFlatOracle) {
   SolutionCurve dst;
   push_merged_options(arena, jobs, {0, 0}, {}, dst);
   expect_identical(dst, oracle_prune(flat), "merge");
+
+  for (const PruneConfig& cfg : quantized_configs()) {
+    SolutionCurve q;
+    push_merged_options(arena, jobs, {0, 0}, cfg, q);
+    expect_identical(q, pruned_flat(flat, cfg), "merge, quantized");
+  }
 }
 
 TEST_P(PruneDifferential, ExtendedOptionsMatchFlatOracle) {
@@ -231,6 +252,12 @@ TEST_P(PruneDifferential, ExtendedOptionsMatchFlatOracle) {
   SolutionCurve dst;
   push_extended_options(arena, srcs, pts, to, wire, {}, dst, widths);
   expect_identical(dst, oracle_prune(flat), "extend");
+
+  for (const PruneConfig& cfg : quantized_configs()) {
+    SolutionCurve q;
+    push_extended_options(arena, srcs, pts, to, wire, cfg, q, widths);
+    expect_identical(q, pruned_flat(flat, cfg), "extend, quantized");
+  }
 }
 
 TEST_P(PruneDifferential, BufferedOptionsMatchFlatOracle) {

@@ -1025,6 +1025,31 @@ TEST(ServeDaemon, SecondDaemonOnALiveSocketExitsSix) {
   rmdir(dir);
 }
 
+TEST(ServeDaemon, MalformedNumericFlagsExitTwo) {
+  // Each bad operand must fail argument parsing (exit 2) before the daemon
+  // touches its socket path.
+  struct Bad {
+    const char* flag;
+    const char* value;
+  };
+  for (const Bad& bad : {Bad{"--threads", "4x"}, Bad{"--threads", "abc"},
+                         Bad{"--queue-depth", "-1"}, Bad{"--threads", "+4"},
+                         Bad{"--cache-mb", "99999999999999999999"},
+                         Bad{"--io-timeout-ms", "4294967296"}}) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      execl(MERLIN_D_PATH, "merlin_d", "--socket", "/no/such/dir/d.sock",
+            bad.flag, bad.value, (char*)nullptr);
+      _exit(127);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad.flag << " " << bad.value;
+  }
+}
+
 TEST(ServeDaemon, SocketFailureExitsSix) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);

@@ -35,7 +35,7 @@
 // Exit codes (each failure prints one line to stderr):
 //   0  success
 //   1  internal error (unexpected exception)
-//   2  usage error (bad flags / missing arguments)
+//   2  usage error (bad flags or numeric operands / missing arguments)
 //   3  input or output file error
 //   4  invalid configuration (bad --inject spec, bad --fail-policy, ...)
 //   5  guard abort: a net tripped its budget/deadline under --fail-policy abort
@@ -50,6 +50,7 @@
 
 #include "buflib/library.h"
 #include "cache/shard.h"
+#include "flags.h"
 #include "flow/batch.h"
 #include "flow/circuit.h"
 #include "flow/flows.h"
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
 
   std::string net_path;
-  int flow = 3;
+  unsigned flow = 3;
   std::size_t alpha = 4;
   double area_limit = -1.0, req_target = -1e300;
   std::size_t max_candidates = 0;
@@ -164,40 +165,39 @@ int main(int argc, char** argv) {
     auto need = [&](int more) {
       if (i + more >= argc) usage();
     };
+    auto count = [&](auto& out) {
+      need(1);
+      if (!flags::parse_count(argv[++i], out)) usage();
+    };
+    auto real = [&](double& out) {
+      need(1);
+      if (!flags::parse_real(argv[++i], out)) usage();
+    };
     if (a == "--flow") {
-      need(1);
-      flow = std::atoi(argv[++i]);
+      count(flow);
     } else if (a == "--alpha") {
-      need(1);
-      alpha = std::strtoul(argv[++i], nullptr, 10);
+      count(alpha);
     } else if (a == "--area-limit") {
-      need(1);
-      area_limit = std::atof(argv[++i]);
+      real(area_limit);
     } else if (a == "--req-target") {
-      need(1);
-      req_target = std::atof(argv[++i]);
+      real(req_target);
     } else if (a == "--candidates") {
-      need(1);
-      max_candidates = std::strtoul(argv[++i], nullptr, 10);
+      count(max_candidates);
     } else if (a == "--svg") {
       need(1);
       svg_path = argv[++i];
     } else if (a == "--print-tree") {
       print_tree = true;
     } else if (a == "--random") {
-      need(2);
-      random_n = std::strtoul(argv[++i], nullptr, 10);
-      random_seed = std::strtoull(argv[++i], nullptr, 10);
+      count(random_n);
+      count(random_seed);
     } else if (a == "--circuit") {
-      need(2);
-      circuit_gates = std::strtoul(argv[++i], nullptr, 10);
-      circuit_seed = std::strtoull(argv[++i], nullptr, 10);
+      count(circuit_gates);
+      count(circuit_seed);
     } else if (a == "--threads") {
-      need(1);
-      threads = std::strtoul(argv[++i], nullptr, 10);
+      count(threads);
     } else if (a == "--cache-mb") {
-      need(1);
-      cache_mb = std::strtoul(argv[++i], nullptr, 10);
+      count(cache_mb);
     } else if (a == "--cache") {
       need(1);
       cache_mode = argv[++i];
@@ -212,11 +212,9 @@ int main(int argc, char** argv) {
     } else if (a == "--progress") {
       show_progress = true;
     } else if (a == "--net-step-budget") {
-      need(1);
-      net_step_budget = std::strtoull(argv[++i], nullptr, 10);
+      count(net_step_budget);
     } else if (a == "--net-deadline-ms") {
-      need(1);
-      net_deadline_ms = std::atof(argv[++i]);
+      real(net_deadline_ms);
     } else if (a == "--fail-policy") {
       need(1);
       fail_policy = argv[++i];
@@ -306,7 +304,7 @@ int main(int argc, char** argv) {
         };
       }
       const BatchResult r = BatchRunner(lib, opts).run(ckt);
-      std::printf("circuit=%s gates=%zu flow=%d  delay=%.1fps area=%.1f "
+      std::printf("circuit=%s gates=%zu flow=%u  delay=%.1fps area=%.1f "
                   "construct=%.0fms\n",
                   ckt.name.c_str(), ckt.gates.size(), flow, r.circuit.delay_ps,
                   r.circuit.area, r.circuit.runtime_ms);
@@ -384,7 +382,7 @@ int main(int argc, char** argv) {
     }
 
     std::printf(
-        "net=%s sinks=%zu flow=%d  driver_req=%.1fps delay=%.1fps "
+        "net=%s sinks=%zu flow=%u  driver_req=%.1fps delay=%.1fps "
         "buffer_area=%.1f buffers=%zu wirelength=%.0fum runtime=%.0fms%s\n",
         net.name.c_str(), net.fanout(), flow, r.eval.driver_req_time,
         r.eval.table_delay(net), r.eval.buffer_area, r.eval.buffer_count,

@@ -28,14 +28,9 @@
 //                         peer pins a connection thread mid-frame
 //     --shed-queue-depth N  arm overload shedding when the queue holds >= N
 //                         jobs (0 = off)
-//     --shed-ewma-ms X    arm shedding when the job wall-time EWMA tops X
-//                         ms (0 = off)
 //     --shed-lane-cap N   while shedding: cap each client's queued jobs at
 //                         N; beyond it submits earn err.overloaded (0 = no
 //                         cap)
-//     --shed-step-budget N  while shedding: dispatch jobs with their
-//                         per-net step budget tightened to N so they
-//                         degrade down the ladder preemptively (0 = off)
 //     --metrics-out PATH  write the lifetime-telemetry JSON (the
 //                         req.metrics document) atomically to PATH on the
 //                         --snapshot-every cadence and at drain
@@ -58,7 +53,7 @@
 // Exit codes (the merlin_cli taxonomy plus the server class):
 //   0  clean drain (shutdown request or signal)
 //   1  internal error (unexpected exception)
-//   2  usage error (bad flags / missing --socket)
+//   2  usage error (bad flags or numeric operands / missing --socket)
 //   4  invalid configuration (bad --fail-policy, ...)
 //   6  server error (socket create/bind/listen failure)
 
@@ -69,6 +64,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "flags.h"
 #include "serve/server.h"
 
 namespace {
@@ -85,8 +81,7 @@ constexpr int kExitServer = 6;
                "[--cache on|off] [--queue-depth N] [--net-step-budget N] "
                "[--fail-policy abort|skip|degrade] [--trace-spans] "
                "[--snapshot PATH] [--snapshot-every SECONDS] "
-               "[--io-timeout-ms N] [--shed-queue-depth N] [--shed-ewma-ms X] "
-               "[--shed-lane-cap N] [--shed-step-budget N] "
+               "[--io-timeout-ms N] [--shed-queue-depth N] [--shed-lane-cap N] "
                "[--metrics-out PATH] [--flightrec PATH] "
                "[--flightrec-events N]\n");
   std::exit(kExitUsage);
@@ -126,9 +121,7 @@ int main(int argc, char** argv) {
   std::uint32_t snapshot_every_s = 0;
   std::uint32_t io_timeout_ms = 30000;
   std::size_t shed_queue_depth = 0;
-  double shed_ewma_ms = 0.0;
   std::size_t shed_lane_cap = 0;
-  std::uint64_t shed_step_budget = 0;
   std::string metrics_out;
   std::string flightrec_path;
   std::uint32_t flightrec_events = 1024;
@@ -138,24 +131,24 @@ int main(int argc, char** argv) {
     auto need = [&](int more) {
       if (i + more >= argc) usage();
     };
+    auto count = [&](auto& out) {
+      need(1);
+      if (!flags::parse_count(argv[++i], out)) usage();
+    };
     if (a == "--socket") {
       need(1);
       socket_path = argv[++i];
     } else if (a == "--threads") {
-      need(1);
-      threads = std::strtoul(argv[++i], nullptr, 10);
+      count(threads);
     } else if (a == "--cache-mb") {
-      need(1);
-      cache_mb = std::strtoul(argv[++i], nullptr, 10);
+      count(cache_mb);
     } else if (a == "--cache") {
       need(1);
       cache_mode = argv[++i];
     } else if (a == "--queue-depth") {
-      need(1);
-      queue_depth = std::strtoul(argv[++i], nullptr, 10);
+      count(queue_depth);
     } else if (a == "--net-step-budget") {
-      need(1);
-      net_step_budget = std::strtoull(argv[++i], nullptr, 10);
+      count(net_step_budget);
     } else if (a == "--fail-policy") {
       need(1);
       fail_policy = argv[++i];
@@ -165,25 +158,13 @@ int main(int argc, char** argv) {
       need(1);
       snapshot_path = argv[++i];
     } else if (a == "--snapshot-every") {
-      need(1);
-      snapshot_every_s =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      count(snapshot_every_s);
     } else if (a == "--io-timeout-ms") {
-      need(1);
-      io_timeout_ms =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      count(io_timeout_ms);
     } else if (a == "--shed-queue-depth") {
-      need(1);
-      shed_queue_depth = std::strtoul(argv[++i], nullptr, 10);
-    } else if (a == "--shed-ewma-ms") {
-      need(1);
-      shed_ewma_ms = std::strtod(argv[++i], nullptr);
+      count(shed_queue_depth);
     } else if (a == "--shed-lane-cap") {
-      need(1);
-      shed_lane_cap = std::strtoul(argv[++i], nullptr, 10);
-    } else if (a == "--shed-step-budget") {
-      need(1);
-      shed_step_budget = std::strtoull(argv[++i], nullptr, 10);
+      count(shed_lane_cap);
     } else if (a == "--metrics-out") {
       need(1);
       metrics_out = argv[++i];
@@ -191,9 +172,7 @@ int main(int argc, char** argv) {
       need(1);
       flightrec_path = argv[++i];
     } else if (a == "--flightrec-events") {
-      need(1);
-      flightrec_events =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      count(flightrec_events);
     } else {
       usage();
     }
@@ -211,9 +190,7 @@ int main(int argc, char** argv) {
     opts.snapshot_every_s = snapshot_every_s;
     opts.io_timeout_ms = io_timeout_ms;
     opts.shed_queue_depth = shed_queue_depth;
-    opts.shed_ewma_ms = shed_ewma_ms;
     opts.shed_lane_cap = shed_lane_cap;
-    opts.shed_step_budget = shed_step_budget;
     opts.metrics_out = metrics_out;
     opts.flightrec_path = flightrec_path;
     opts.flightrec_events = flightrec_events;

@@ -25,6 +25,7 @@
 #include <exception>
 #include <string>
 
+#include "flags.h"
 #include "flow/report.h"
 #include "obs/flightrec.h"
 #include "obs/json.h"
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
   std::size_t last = 0;
   bool raw_json = false;
   bool raw_prom = false;
-  int watch_s = 0;
+  unsigned watch_s = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -164,17 +165,18 @@ int main(int argc, char** argv) {
       flightrec_path = argv[++i];
     } else if (a == "--last") {
       need(1);
-      last = std::strtoul(argv[++i], nullptr, 10);
+      if (!merlin::flags::parse_count(argv[++i], last)) usage();
     } else if (a == "--json") {
       raw_json = true;
     } else if (a == "--prom") {
       raw_prom = true;
     } else if (a == "--watch") {
       watch_s = 2;
-      // Optional numeric operand.
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        watch_s = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-      if (watch_s <= 0) watch_s = 2;
+      // Optional numeric operand (0 keeps the default).
+      if (i + 1 < argc && argv[i + 1][0] != '-' &&
+          !merlin::flags::parse_count(argv[++i], watch_s))
+        usage();
+      if (watch_s == 0) watch_s = 2;
     } else {
       usage();
     }
@@ -206,7 +208,7 @@ int main(int argc, char** argv) {
     if (rc != kExitOk) return rc;
     if (watch_s > 0) {
       std::fflush(stdout);
-      ::sleep(static_cast<unsigned>(watch_s));
+      ::sleep(watch_s);
     }
   } while (watch_s > 0);
   return kExitOk;
