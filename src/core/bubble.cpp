@@ -70,9 +70,17 @@ class GammaTable {
 struct Terminal {
   bool is_child = false;
   std::uint8_t child_slot = 0;  ///< which inner group, when is_child
-  std::uint32_t sink = 0;   ///< original sink index when !is_child
+  /// Identity of the terminal's base curves within one construction: the
+  /// original sink index for a direct sink, n + the Gamma state index of
+  /// (l, e, r) for a child (see child_terminal_id).  RangeMemo keys on it.
+  std::uint32_t id = 0;
   std::size_t pos = 0;      ///< order position (kNoPos for the child/displaced)
 };
+
+std::uint32_t child_terminal_id(const GroupSpan& g, std::size_t n) {
+  return static_cast<std::uint32_t>(
+      n + ((g.len - 1) * 4 + static_cast<std::size_t>(g.e)) * n + g.right);
+}
 
 inline constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
@@ -93,10 +101,100 @@ class LayerTable {
   SolutionCurve& at(std::size_t i, std::size_t j, std::size_t p) {
     return cells_[(i * w_ - i * (i - 1) / 2 + (j - i)) * k_ + p];
   }
+  /// The k curves of range (i, j), contiguous over p.
+  std::span<SolutionCurve> row(std::size_t i, std::size_t j) {
+    return {&at(i, j, 0), k_};
+  }
 
  private:
   std::size_t w_ = 0, k_ = 0;
   std::vector<SolutionCurve> cells_;
+};
+
+// The *PTREE range memo: Lemma 7's sub-problem sharing one level below the
+// Gamma groups.  Within one construction a range (i, j) of a layer's terminal
+// sequence yields curves that depend only on its ordered terminal identities:
+// child rows are final before any parent layer reads them, sink base curves
+// are fixed, and the kernel's tie-break sequence numbers restart per batch
+// op.  So every layer call that meets an already computed run of terminals
+// (another child choice, a within-layer swap variant, another parent group)
+// copies its k curves instead of recomputing them — metric-identical, with
+// the same tie-breaks, and sharing the first computation's provenance
+// sub-DAGs in the arena.  Storage is flat: keys in one id pool, curves in one
+// solution pool with k offsets per entry, and an open-addressed index.
+class RangeMemo {
+ public:
+  static constexpr std::uint32_t kMissing = static_cast<std::uint32_t>(-1);
+
+  explicit RangeMemo(std::size_t k) : k_(k), offs_(1, 0) {}
+
+  /// Entry holding the run `ids`, or kMissing.
+  [[nodiscard]] std::uint32_t find(std::span<const std::uint32_t> ids) const {
+    if (slots_.empty()) return kMissing;
+    const std::uint64_t h = hash(ids);
+    for (std::size_t s = h & (slots_.size() - 1);; s = (s + 1) & (slots_.size() - 1)) {
+      if (slots_[s] == 0) return kMissing;
+      const Entry& e = entries_[slots_[s] - 1];
+      if (e.hash == h && e.key_len == ids.size() &&
+          std::equal(ids.begin(), ids.end(), key_pool_.begin() + e.key_off))
+        return slots_[s] - 1;
+    }
+  }
+
+  /// Curve p of entry `e`.
+  [[nodiscard]] std::span<const Solution> curve(std::uint32_t e, std::size_t p) const {
+    const std::size_t at = e * k_ + p;
+    return {sol_pool_.data() + offs_[at], offs_[at + 1] - offs_[at]};
+  }
+
+  /// Stores `curves` (one per candidate) as the run `ids`, which must be
+  /// absent.
+  void insert(std::span<const std::uint32_t> ids,
+              std::span<const SolutionCurve> curves) {
+    if (2 * (entries_.size() + 1) > slots_.size()) grow();
+    entries_.push_back(Entry{hash(ids), static_cast<std::uint32_t>(key_pool_.size()),
+                             static_cast<std::uint32_t>(ids.size())});
+    key_pool_.insert(key_pool_.end(), ids.begin(), ids.end());
+    for (const SolutionCurve& c : curves) {
+      sol_pool_.insert(sol_pool_.end(), c.begin(), c.end());
+      offs_.push_back(sol_pool_.size());
+    }
+    place(static_cast<std::uint32_t>(entries_.size() - 1));
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t hash;
+    std::uint32_t key_off, key_len;
+  };
+
+  static std::uint64_t hash(std::span<const std::uint32_t> ids) {
+    std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ ids.size();
+    for (const std::uint32_t id : ids) {
+      h ^= id;
+      h *= 0xBF58476D1CE4E5B9ULL;
+      h ^= h >> 29;
+    }
+    return h;
+  }
+
+  void place(std::uint32_t idx) {
+    std::size_t s = entries_[idx].hash & (slots_.size() - 1);
+    while (slots_[s] != 0) s = (s + 1) & (slots_.size() - 1);
+    slots_[s] = idx + 1;
+  }
+
+  void grow() {
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
+    for (std::uint32_t i = 0; i < entries_.size(); ++i) place(i);
+  }
+
+  std::size_t k_;
+  std::vector<std::size_t> offs_;     ///< entry e, curve p: [e*k+p, e*k+p+1)
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> key_pool_;
+  std::vector<Solution> sol_pool_;
+  std::vector<std::uint32_t> slots_;  ///< entry index + 1; 0 = empty
 };
 
 inline constexpr double kDefaultWidth[] = {1.0};
@@ -124,6 +222,8 @@ struct Workspace {
   std::vector<SolutionCurve> routed_scratch;  // layer_ptree output, one per p
   std::vector<MergeJob> jobs_scratch;
   std::vector<const SolutionCurve*> srcs_scratch;
+  std::vector<std::uint32_t> ids_scratch;  // layer_ptree's terminal ids
+  RangeMemo ranges;
 
   [[nodiscard]] std::span<const double> widths() const {
     return cfg.wire_widths.empty() ? std::span<const double>(kDefaultWidth)
@@ -134,7 +234,7 @@ struct Workspace {
             const Order& order_, SolutionArena& arena_, std::vector<Point> pts_)
       : net(net_), lib(lib_), cfg(cfg_), order(order_), arena(arena_),
         pts(std::move(pts_)), k(pts.size()), n(net_.fanout()),
-        gamma(net_.fanout(), pts.size()) {
+        gamma(net_.fanout(), pts.size()), ranges(pts.size()) {
     neigh.resize(k);
     std::vector<std::uint32_t> all(k);
     for (std::uint32_t p = 0; p < k; ++p) all[p] = p;
@@ -159,6 +259,7 @@ struct Workspace {
 // where one terminal may be an already-built sub-group represented by its
 // child curves X (one curve per root location, viewed in place in the Gamma
 // table).  Fills `routed` with the full-range curve per candidate location.
+// Ranges of two or more terminals go through the construction's RangeMemo.
 void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
                  std::span<const std::span<const SolutionCurve>> children,
                  std::vector<SolutionCurve>& routed) {
@@ -179,7 +280,7 @@ void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
       const auto& child_at = children[seq[t].child_slot];
       for (std::size_t p = 0; p < k; ++p) table.at(t, t, p) = child_at[p];
     } else {
-      const Sink& s = ws.net.sinks[seq[t].sink];
+      const Sink& s = ws.net.sinks[seq[t].id];
       for (std::size_t p = 0; p < k; ++p) {
         SolutionCurve& cell = table.at(t, t, p);
         const double len = static_cast<double>(manhattan(ws.pts[p], s.pos));
@@ -190,7 +291,7 @@ void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
           sol.load = s.load + wm.wire_cap(len);
           sol.wirelen = len;
           sol.node = ws.arena.make_sink(
-              ws.pts[p], static_cast<std::int32_t>(seq[t].sink), width);
+              ws.pts[p], static_cast<std::int32_t>(seq[t].id), width);
           cell.push(std::move(sol));
           if (len == 0.0) break;
         }
@@ -203,10 +304,22 @@ void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
   // wire-extension relaxation (sufficient under Elmore; see ptree.cpp).
   std::vector<MergeJob>& jobs = ws.jobs_scratch;
   std::vector<const SolutionCurve*>& srcs = ws.srcs_scratch;
+  std::vector<std::uint32_t>& ids = ws.ids_scratch;
+  ids.resize(w);
+  for (std::size_t t = 0; t < w; ++t) ids[t] = seq[t].id;
   ws.ext_scratch.resize(k);
   for (std::size_t len = 2; len <= w; ++len) {
     for (std::size_t i = 0; i + len <= w; ++i) {
       const std::size_t j = i + len - 1;
+      const std::span<const std::uint32_t> run(ids.data() + i, len);
+      const std::span<SolutionCurve> cells = table.row(i, j);
+      if (const std::uint32_t hit = ws.ranges.find(run); hit != RangeMemo::kMissing) {
+        obs_add(ws.cfg.obs, Counter::kRangeReuseHits);
+        for (std::size_t p = 0; p < k; ++p)
+          for (const Solution& s : ws.ranges.curve(hit, p)) cells[p].push(s);
+        continue;
+      }
+      obs_add(ws.cfg.obs, Counter::kRangeReuseMisses);
       for (std::size_t p = 0; p < k; ++p) {
         SolutionCurve& cell = table.at(i, j, p);
         jobs.clear();
@@ -236,6 +349,7 @@ void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
         for (const Solution& s : ws.ext_scratch[p]) cell.push(s);
         cell.prune(prune);
       }
+      ws.ranges.insert(run, cells);
     }
   }
 
@@ -298,7 +412,8 @@ bool build_sequence(const Workspace& ws, const GroupSpan& Omega,
     const GroupSpan& omega = omegas[slot];
     if (const auto lh = omega.left_hole(); lh && Omega.contains_position(*lh))
       seq.push_back(Terminal{false, 0, ws.order[*lh], kNoPos});
-    seq.push_back(Terminal{true, static_cast<std::uint8_t>(slot), 0, kNoPos});
+    seq.push_back(Terminal{true, static_cast<std::uint8_t>(slot),
+                           child_terminal_id(omega, ws.n), kNoPos});
     if (const auto rh = omega.right_hole(); rh && Omega.contains_position(*rh))
       seq.push_back(Terminal{false, 0, ws.order[*rh], kNoPos});
     emitted[slot] = true;

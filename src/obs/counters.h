@@ -39,6 +39,10 @@ enum class Counter : std::uint16_t {
   kCacheEntriesStaged,
   kCacheEntriesFlushed,
   kCacheEntriesEvicted,
+  // The same sharing one level down: *PTREE terminal ranges within one
+  // BUBBLE_CONSTRUCT (core/bubble.cpp RangeMemo), counted per range.
+  kRangeReuseHits,       ///< ranges copied from an earlier layer call
+  kRangeReuseMisses,     ///< ranges computed (then stored for reuse)
 
   // Provenance arena (curve/arena.h).
   kArenaNodesAllocated,  ///< SolNodes allocated (per-run deltas, summed)
@@ -117,6 +121,8 @@ inline constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCoun
     case Counter::kCacheEntriesStaged: return "cache_entries_staged";
     case Counter::kCacheEntriesFlushed: return "cache_entries_flushed";
     case Counter::kCacheEntriesEvicted: return "cache_entries_evicted";
+    case Counter::kRangeReuseHits: return "range_reuse_hits";
+    case Counter::kRangeReuseMisses: return "range_reuse_misses";
     case Counter::kArenaNodesAllocated: return "arena_nodes_allocated";
     case Counter::kArenaNodesCompacted: return "arena_nodes_compacted";
     case Counter::kArenaCompactions: return "arena_compactions";

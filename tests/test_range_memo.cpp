@@ -1,0 +1,181 @@
+// Exactness pins for BUBBLE_CONSTRUCT's within-construction *PTREE range
+// memo: every terminal run's curves are computed once per construction and
+// shared by every layer call that meets the same run again (Lemma 7's
+// sub-problem sharing, one level below the Gamma groups).  Reuse must be
+// invisible in the results, so the fingerprints and digests below were
+// recorded with the memo absent and must never move.  The work counts show
+// that the memo actually fires.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <string>
+
+#include "buflib/library.h"
+#include "cache/shard.h"
+#include "core/bubble.h"
+#include "flow/batch.h"
+#include "flow/circuit.h"
+#include "net/generator.h"
+#include "obs/sink.h"
+#include "order/tsp.h"
+
+namespace merlin {
+namespace {
+
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ULL;
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+};
+
+/// Every root-curve point (metrics only: provenance handles are arena
+/// addresses, which reuse legitimately changes), the extracted tree and the
+/// realized order.
+std::uint64_t fingerprint(const BubbleResult& r) {
+  Fnv d;
+  d.u64(r.root_curve.size());
+  for (const Solution& s : r.root_curve) {
+    d.f64(s.req_time);
+    d.f64(s.load);
+    d.f64(s.area);
+    d.f64(s.wirelen);
+  }
+  d.u64(r.tree.size());
+  for (std::size_t i = 0; i < r.tree.size(); ++i) {
+    const TreeNode& tn = r.tree.node(i);
+    d.u64(static_cast<std::uint64_t>(tn.kind));
+    d.u64(static_cast<std::uint32_t>(tn.at.x));
+    d.u64(static_cast<std::uint32_t>(tn.at.y));
+    d.u64(static_cast<std::uint32_t>(tn.idx));
+    d.u64(tn.parent);
+    d.f64(tn.wire_width);
+  }
+  for (std::size_t i = 0; i < r.out_order.size(); ++i) d.u64(r.out_order[i]);
+  d.u64(r.layer_calls);
+  d.u64(r.solutions_stored);
+  return d.h;
+}
+
+BubbleConfig base_cfg() {
+  BubbleConfig cfg;
+  cfg.alpha = 3;
+  cfg.candidates.policy = CandidatePolicy::kReducedHanan;
+  cfg.candidates.budget_factor = 1.5;
+  cfg.candidates.max_candidates = 14;
+  cfg.inner_prune.max_solutions = 4;
+  cfg.group_prune.max_solutions = 5;
+  cfg.buffer_stride = 4;
+  return cfg;
+}
+
+struct MemoCase {
+  const char* name;
+  std::size_t sinks;
+  std::uint64_t seed;
+  bool relaxed;    ///< max_internal_children = 2
+  bool widths;     ///< wire_widths {1, 2}
+  bool quantized;  ///< quantized inner_prune
+  std::uint64_t fingerprint;       ///< recorded without the memo
+  std::uint64_t extend_candidates;  ///< recorded without the memo
+};
+
+const MemoCase kCases[] = {
+    {"relaxed", 7, 3, true, false, false, 0x4f6d0aa37c324f6bULL, 1958668},
+    {"widths", 7, 5, false, true, false, 0xb0fd1c714b3ef95aULL, 1409499},
+    {"quantized", 8, 9, false, false, true, 0x0eb98291ef98bffbULL, 1166999},
+    {"all", 7, 11, true, true, true, 0xeb7921e670c006c3ULL, 4109351},
+};
+
+BubbleConfig case_cfg(const MemoCase& c) {
+  BubbleConfig cfg = base_cfg();
+  if (c.relaxed) cfg.max_internal_children = 2;
+  if (c.widths) cfg.wire_widths = {1.0, 2.0};
+  if (c.quantized) {
+    cfg.inner_prune.load_quantum = 2.0;
+    cfg.inner_prune.area_quantum = 4.0;
+  }
+  return cfg;
+}
+
+TEST(RangeMemo, RootCurvesMatchTheUnmemoizedConstruction) {
+  const BufferLibrary lib = make_standard_library();
+  for (const MemoCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    NetSpec spec;
+    spec.n_sinks = c.sinks;
+    spec.seed = c.seed;
+    const Net net = make_random_net(spec, lib);
+    ObsSink sink;
+    BubbleConfig cfg = case_cfg(c);
+    cfg.obs = &sink;
+    const BubbleResult r = bubble_construct(net, lib, tsp_order(net), cfg);
+    EXPECT_EQ(fingerprint(r), c.fingerprint);
+    const std::uint64_t extend = sink.counters.get(Counter::kExtendCandidates);
+    EXPECT_LT(extend, c.extend_candidates);
+    EXPECT_GT(sink.counters.get(Counter::kRangeReuseHits), 0u);
+    EXPECT_GT(sink.counters.get(Counter::kRangeReuseMisses), 0u);
+  }
+}
+
+/// The one-shot `merlin_cli --circuit G S` run: default flow 3, the CLI's
+/// default 64 MB shared cache (detached under MERLIN_CACHE=off, which must
+/// not change the digest either).
+std::uint64_t cli_circuit_digest(std::size_t gates, std::uint64_t seed,
+                                 std::size_t threads) {
+  const BufferLibrary lib = make_standard_library();
+  CircuitSpec cs;
+  cs.name = "ckt" + std::to_string(gates);
+  cs.n_gates = gates;
+  cs.seed = seed;
+  const Circuit ckt = make_random_circuit(cs, lib);
+  CacheConfig cc;
+  cc.capacity_nodes = 64ull * 1024 * 1024 / sizeof(SolNode);
+  SubproblemCache cache(cc);
+  BatchOptions opts;
+  opts.threads = threads;
+  opts.cache = &cache;
+  return batch_result_digest(BatchRunner(lib, opts).run(ckt));
+}
+
+struct CircuitPin {
+  std::size_t gates;
+  std::uint64_t seed;
+  std::uint64_t digest;  ///< `merlin_cli --circuit G S --digest`, no memo
+};
+
+void PrintTo(const CircuitPin& pin, std::ostream* os) {
+  *os << "--circuit " << pin.gates << ' ' << pin.seed;
+}
+
+class RangeMemoCircuit
+    : public ::testing::TestWithParam<std::tuple<CircuitPin, std::size_t>> {};
+
+TEST_P(RangeMemoCircuit, DigestMatchesTheUnmemoizedRun) {
+  const auto& [pin, threads] = GetParam();
+  EXPECT_EQ(cli_circuit_digest(pin.gates, pin.seed, threads), pin.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, RangeMemoCircuit,
+    ::testing::Combine(
+        ::testing::Values(CircuitPin{30, 7, 0x2353012618a1fed8ULL},
+                          CircuitPin{26, 5, 0x7573586381cdc31eULL},
+                          CircuitPin{40, 3, 0x87be003320531eaeULL}),
+        ::testing::Values(std::size_t{1}, std::size_t{4})),
+    [](const auto& tp) {
+      const CircuitPin& pin = std::get<0>(tp.param);
+      return "ckt" + std::to_string(pin.gates) + "_" +
+             std::to_string(pin.seed) + "_threads" +
+             std::to_string(std::get<1>(tp.param));
+    });
+
+}  // namespace
+}  // namespace merlin

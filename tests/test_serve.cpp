@@ -584,8 +584,11 @@ TEST(ServeSurvivability, WarmRestartFromSnapshotIsDigestIdenticalAndWarm) {
     // Bit-identical answer from the restored store...
     EXPECT_EQ(oc->digest, first_digest);
     // ...and it genuinely ran warm: the restored entries were adopted.
+    // MERLIN_CACHE=off detaches the store from every run, so nothing is
+    // published or adopted and only the digest identity applies.
     const JsonValue doc = json_parse(oc->stats_json);
-    EXPECT_GT(doc.at("counters").at("cache_shared_hits").number, 0.0);
+    if (!cache_env_off())
+      EXPECT_GT(doc.at("counters").at("cache_shared_hits").number, 0.0);
     EXPECT_EQ(doc.at("serve").at("snapshot_loads").number, 1.0);
     EXPECT_NE(core.snapshot_note().find("loaded"), std::string::npos)
         << core.snapshot_note();
