@@ -4,7 +4,6 @@
 // neither the untripped guard nor the tracer changed any result.
 //
 //   bench_guard [--quick] [--smoke] [--gates N] [--seed S] [--reps R]
-//               [--json FILE]
 //
 // The guard's checkpoints are a pointer test plus an add at DP layer
 // boundaries, and arming the span ring adds one ring store per span, so the
@@ -13,21 +12,20 @@
 // per-prune recording and the span rollup (two steady-clock reads per
 // span), so a counters-only configuration (sink attached, span ring
 // disarmed) carries both; trace_overhead_pct, traced-minus-counters over
-// bare, is therefore the ring store alone.  Wall clocks on shared CI runners are noisy, so the configurations
-// are interleaved within each of R reps (slow drift — thermal, background
-// load — hits every configuration equally instead of whichever block runs
-// last) and the *minimum* wall time per configuration is compared.
-// --smoke exits non-zero if the guard or the tracer changes any
-// scheduling-independent result (hard failure) or a measured overhead
-// exceeds 25 % (a generous noise-tolerant CI bound; the recorded JSON tracks
-// the real numbers against the 2 % target).  --json writes the
-// machine-readable baseline (see BENCH_GUARD.json), gated in CI by
-// tools/bench_compare.
+// bare, is therefore the ring store alone.  Wall clocks on shared CI
+// runners are noisy, so the configurations are interleaved within each of
+// R reps (slow drift — thermal, background load — hits every configuration
+// equally instead of whichever block runs last) and the *minimum* wall time
+// per configuration is compared.
+//
+// --smoke exits non-zero if a measured overhead exceeds 25 % (a generous
+// noise-tolerant CI bound).  Every run exits non-zero if the guard or the
+// tracer changes any scheduling-independent result; tier-1 checks the same
+// identity in tests/test_batch_differential.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -71,7 +69,6 @@ int main(int argc, char** argv) {
   std::size_t reps = 5;
   bool quick = false;
   bool smoke = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     else if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
@@ -81,8 +78,6 @@ int main(int argc, char** argv) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
       reps = std::strtoul(argv[++i], nullptr, 10);
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
   }
   if (quick || smoke) {
     n_gates = std::min<std::size_t>(n_gates, 40);
@@ -183,40 +178,6 @@ int main(int argc, char** argv) {
               "visible in any scheduling-independent field (tracer\n"
               "recorded %zu spans).\n",
               trace_overhead_pct, span_count);
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    char buf[1024];
-    std::snprintf(buf, sizeof(buf),
-                  "{\n"
-                  "  \"schema\": \"merlin.bench_guard\",\n"
-                  "  \"version\": 2,\n"
-                  "  \"gates\": %zu,\n"
-                  "  \"nets\": %zu,\n"
-                  "  \"seed\": %llu,\n"
-                  "  \"reps\": %zu,\n"
-                  "  \"wall_ms_no_guard\": %.3f,\n"
-                  "  \"wall_ms_guard\": %.3f,\n"
-                  "  \"wall_ms_counters\": %.3f,\n"
-                  "  \"wall_ms_traced\": %.3f,\n"
-                  "  \"overhead_pct\": %.3f,\n"
-                  "  \"counters_overhead_pct\": %.3f,\n"
-                  "  \"trace_overhead_pct\": %.3f,\n"
-                  "  \"overhead_target_pct\": 2.0,\n"
-                  "  \"span_count\": %zu,\n"
-                  "  \"identical\": %s,\n"
-                  "  \"trace_identical\": %s\n"
-                  "}\n",
-                  ckt.gates.size(), base.result.nets.size(),
-                  static_cast<unsigned long long>(seed), reps,
-                  base.min_wall_ms, guarded.min_wall_ms, counters.min_wall_ms,
-                  spanned.min_wall_ms, overhead_pct, counters_overhead_pct,
-                  trace_overhead_pct, span_count,
-                  identical ? "true" : "false",
-                  trace_identical ? "true" : "false");
-    out << buf;
-    std::printf("wrote %s\n", json_path.c_str());
-  }
 
   if (smoke) {
     if (!identical) {

@@ -1,143 +1,26 @@
 // Curve-mechanics exhibit (Definition 6, Lemmas 9/10): how large the
-// non-inferior solution curves actually get, what the quantization and
+// non-inferior solution curves actually get, and what the quantization and
 // capping knobs (the engineering reading of the paper's pseudo-polynomial
-// "q distinct load values" assumption) trade away, and what the bucketed
-// kernel (curve/kernel.h) buys over naive generate-then-prune.
+// "q distinct load values" assumption) trade away.
 //
-//   bench_pruning [--reps R] [--json FILE]
+//   bench_pruning
 //
-// --json writes the machine-readable baseline (see BENCH_PRUNE.json) gated
-// in CI by tools/bench_compare: the candidate/survivor counts and the
-// kernel-vs-naive equivalence bits are fully deterministic (portable Rng,
-// no libm in the curve arithmetic) and get zero-tolerance gates; the
-// kernel_faster bit compares min-of-reps wall times on a workload large
-// enough that the structural win dwarfs runner noise.
+// The bucketed kernel's equivalence to naive generate-then-prune, on these
+// curve shapes among others, is checked by tests/test_prune_differential.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "buflib/library.h"
 #include "core/bubble.h"
 #include "curve/curve.h"
-#include "curve/kernel.h"
 #include "flow/report.h"
 #include "net/generator.h"
 #include "net/rng.h"
 #include "order/tsp.h"
 
-namespace {
-
-using namespace merlin;
-
-// Plain metric tuple for the naive reference (no provenance).
-struct Tuple {
-  double req_time, load, area, wirelen;
-};
-
-// The naive reference: materialize every candidate, sort into the
-// canonical order, quadratic scan against the kept set.  This is what the
-// library's prune did before the bucketed kernel (and what the oracle in
-// tests/test_prune_differential.cpp still does).
-std::vector<Tuple> naive_prune(std::vector<Tuple> v) {
-  std::sort(v.begin(), v.end(), [](const Tuple& a, const Tuple& b) {
-    if (a.load != b.load) return a.load < b.load;
-    if (a.area != b.area) return a.area < b.area;
-    if (a.req_time != b.req_time) return a.req_time > b.req_time;
-    return a.wirelen < b.wirelen;
-  });
-  std::vector<Tuple> kept;
-  for (const Tuple& t : v) {
-    bool drop = false;
-    for (const Tuple& k : kept)
-      if (dominates(k, t)) {
-        drop = true;
-        break;
-      }
-    if (!drop) kept.push_back(t);
-  }
-  return kept;
-}
-
-// A genuine n-point frontier (req/load rise together, area falls), the
-// shape mature DP states actually have: random uniform points collapse to a
-// ~15-point front and would benchmark the empty case.
-SolutionCurve frontier_curve(SolutionArena& arena, std::size_t n,
-                             std::uint64_t seed) {
-  Rng rng(seed);
-  SolutionCurve c;
-  for (std::size_t i = 0; i < n; ++i) {
-    Solution s;
-    s.req_time = 10.0 * static_cast<double>(i) + rng.uniform(0, 5);
-    s.load = static_cast<double>(i) + rng.uniform(0, 0.5);
-    s.area = 2.0 * static_cast<double>(n - i) + rng.uniform(0, 1);
-    s.wirelen = rng.uniform(0, 100);
-    s.node = arena.make_sink({0, 0}, 0);
-    c.push(std::move(s));
-  }
-  c.prune();
-  return c;
-}
-
-double min_wall_us(std::size_t reps, const std::function<void()>& fn) {
-  double best = 0.0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    if (r == 0 || us < best) best = us;
-  }
-  return best;
-}
-
-// Survivor metrics of a curve, as tuples in curve order.
-std::vector<Tuple> tuples_of(const SolutionCurve& c) {
-  std::vector<Tuple> v;
-  for (const Solution& s : c)
-    v.push_back(Tuple{s.req_time, s.load, s.area, s.wirelen});
-  return v;
-}
-
-bool same_tuples(const std::vector<Tuple>& a, std::vector<Tuple> b) {
-  // The naive reference has no sequence tie-break, so compare as sorted
-  // multisets of metrics (full ties are metric-identical either way).
-  auto key = [](const Tuple& x, const Tuple& y) {
-    if (x.load != y.load) return x.load < y.load;
-    if (x.area != y.area) return x.area < y.area;
-    if (x.req_time != y.req_time) return x.req_time > y.req_time;
-    return x.wirelen < y.wirelen;
-  };
-  std::vector<Tuple> as = a;
-  std::sort(as.begin(), as.end(), key);
-  std::sort(b.begin(), b.end(), key);
-  if (as.size() != b.size()) return false;
-  for (std::size_t i = 0; i < as.size(); ++i)
-    if (as[i].req_time != b[i].req_time || as[i].load != b[i].load ||
-        as[i].area != b[i].area || as[i].wirelen != b[i].wirelen)
-      return false;
-  return true;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   using namespace merlin;
-  std::size_t reps = 9;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-      reps = std::strtoul(argv[++i], nullptr, 10);
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
-  if (reps == 0) reps = 1;
   const BufferLibrary lib = make_standard_library();
 
   std::printf("Raw curve growth: merging random curves with/without pruning\n\n");
@@ -248,113 +131,5 @@ int main(int argc, char** argv) {
   }
   std::printf("Lemma 10 bounds curves by O(nmq); in practice exact Pareto\n"
               "pruning keeps them tiny, and coarse quanta trade little delay.\n\n");
-
-  // -- bucketed kernel vs naive generate-then-prune -------------------------
-  // Merge workload: two 128-point pruned curves -> one batch merge.  The
-  // kernel never materializes prefilter-killed candidates; the naive path
-  // materializes all |l|*|r|, sorts, and scans quadratically.
-  std::printf("Bucketed kernel vs naive generate-then-prune (min of %zu reps):\n\n",
-              reps);
-  SolutionArena arena;
-  const SolutionCurve ml = frontier_curve(arena, 128, 21);
-  const SolutionCurve mr = frontier_curve(arena, 128, 22);
-  const std::size_t merge_candidates = ml.size() * mr.size();
-
-  std::vector<Tuple> merge_flat;
-  merge_flat.reserve(merge_candidates);
-  for (const Solution& a : ml)
-    for (const Solution& b : mr)
-      merge_flat.push_back(Tuple{std::min(a.req_time, b.req_time),
-                                 a.load + b.load, a.area + b.area,
-                                 a.wirelen + b.wirelen});
-  std::vector<Tuple> merge_naive;
-  const double merge_naive_us =
-      min_wall_us(reps, [&] { merge_naive = naive_prune(merge_flat); });
-
-  SolutionCurve merge_dst;
-  const MergeJob job{&ml, &mr};
-  const double merge_kernel_us = min_wall_us(reps, [&] {
-    merge_dst.clear();
-    push_merged_options(arena, std::span<const MergeJob>(&job, 1), {0, 0}, {},
-                        merge_dst);
-  });
-  const bool merge_identical = same_tuples(tuples_of(merge_dst), merge_naive);
-
-  // Buffer workload: 256-point frontier x the full standard library.
-  const SolutionCurve bsrc = frontier_curve(arena, 256, 23);
-  const std::size_t buffer_candidates = bsrc.size() * lib.size();
-  std::vector<Tuple> buffer_flat;
-  for (const Solution& s : bsrc)
-    for (std::size_t t = 0; t < lib.size(); ++t)
-      buffer_flat.push_back(Tuple{s.req_time - lib[t].delay_ps(s.load),
-                                  lib[t].input_cap, s.area + lib[t].area,
-                                  s.wirelen});
-  std::vector<Tuple> buffer_naive;
-  const double buffer_naive_us =
-      min_wall_us(reps, [&] { buffer_naive = naive_prune(buffer_flat); });
-
-  SolutionCurve buffer_dst;
-  const double buffer_kernel_us = min_wall_us(reps, [&] {
-    buffer_dst.clear();
-    push_buffered_options(arena, bsrc, {0, 0}, lib, buffer_dst);
-  });
-  const bool buffer_identical = same_tuples(tuples_of(buffer_dst), buffer_naive);
-
-  const bool kernel_faster =
-      merge_kernel_us < merge_naive_us && buffer_kernel_us < buffer_naive_us;
-  {
-    TextTable t({"op", "candidates", "survivors", "kernel (us)", "naive (us)",
-                 "speedup", "identical"});
-    t.begin_row();
-    t.cell(std::string("merge 128x128"));
-    t.cell(merge_candidates);
-    t.cell(merge_dst.size());
-    t.cell(merge_kernel_us, 1);
-    t.cell(merge_naive_us, 1);
-    t.cell(merge_naive_us / merge_kernel_us, 2);
-    t.cell(std::string(merge_identical ? "yes" : "NO"));
-    t.begin_row();
-    t.cell(std::string("buffer 256xlib"));
-    t.cell(buffer_candidates);
-    t.cell(buffer_dst.size());
-    t.cell(buffer_kernel_us, 1);
-    t.cell(buffer_naive_us, 1);
-    t.cell(buffer_naive_us / buffer_kernel_us, 2);
-    t.cell(std::string(buffer_identical ? "yes" : "NO"));
-    std::printf("%s\n", t.render().c_str());
-    std::printf("SIMD dominance sweep: %s\n",
-                kernel_simd_enabled() ? "on" : "off (scalar)");
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    char buf[1024];
-    std::snprintf(buf, sizeof(buf),
-                  "{\n"
-                  "  \"schema\": \"merlin.bench_prune\",\n"
-                  "  \"version\": 1,\n"
-                  "  \"reps\": %zu,\n"
-                  "  \"merge_candidates\": %zu,\n"
-                  "  \"merge_survivors\": %zu,\n"
-                  "  \"merge_kernel_us\": %.1f,\n"
-                  "  \"merge_naive_us\": %.1f,\n"
-                  "  \"merge_identical\": %s,\n"
-                  "  \"buffer_candidates\": %zu,\n"
-                  "  \"buffer_survivors\": %zu,\n"
-                  "  \"buffer_kernel_us\": %.1f,\n"
-                  "  \"buffer_naive_us\": %.1f,\n"
-                  "  \"buffer_identical\": %s,\n"
-                  "  \"kernel_faster\": %s,\n"
-                  "  \"simd\": %s\n"
-                  "}\n",
-                  reps, merge_candidates, merge_dst.size(), merge_kernel_us,
-                  merge_naive_us, merge_identical ? "true" : "false",
-                  buffer_candidates, buffer_dst.size(), buffer_kernel_us,
-                  buffer_naive_us, buffer_identical ? "true" : "false",
-                  kernel_faster ? "true" : "false",
-                  kernel_simd_enabled() ? "true" : "false");
-    out << buf;
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return merge_identical && buffer_identical ? 0 : 1;
+  return 0;
 }

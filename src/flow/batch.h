@@ -303,7 +303,7 @@ bool batch_results_identical(const BatchResult& a, const BatchResult& b);
 
 /// batch_results_identical minus the cache counters: trees, evals, statuses
 /// and the circuit outcome must match, but cache hits/misses may differ.
-/// The warm-vs-cold comparisons (bench_cache, tests/test_cache.cpp) need
+/// The warm-vs-cold comparisons (tests/test_cache.cpp) need
 /// this form — a warm rerun serves sub-problems from the shared store,
 /// turning misses into hits without changing any structure.
 bool batch_results_equivalent(const BatchResult& a, const BatchResult& b);

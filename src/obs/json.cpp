@@ -164,8 +164,8 @@ std::string stats_to_json(const ObsSink& sink, const RuntimeInfo& rt,
 
   {
     // v6: percentiles come from the shared histogram type (bucket lower
-    // bounds) so this section, bench_serve and the daemon's lifetime
-    // histograms all quantize identically.
+    // bounds) so this section and the daemon's lifetime histograms
+    // quantize identically.
     LatencyHistogram lat;
     for (const TraceRecord& t : sink.traces()) lat.record(t.wall_us);
     w.key("latency_us");

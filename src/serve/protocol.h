@@ -11,7 +11,7 @@
 // strings are u32-length-prefixed UTF-8.  Every request gets exactly one
 // response frame on the same connection, in order — the protocol is
 // strictly synchronous per connection, and concurrency comes from opening
-// several connections (bench_serve's client sweep does exactly that).
+// several connections (perfbench's daemon_eco clients do exactly that).
 //
 // The message and error vocabularies below are dotted `kind.what` names,
 // documented in docs/SERVING.md's wire tables, which tools/check_docs.sh

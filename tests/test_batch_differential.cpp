@@ -76,9 +76,10 @@ TEST(BatchDifferential, SerialVsParallelBitIdenticalAcrossFlows) {
 }
 
 TEST(BatchDifferential, ArmedTracerPreservesBitIdentity) {
-  // Tracing is purely observational: a run with an ObsSink attached and the
-  // span ring armed must be bit-identical to the bare run, serial and
-  // parallel alike.
+  // Instruments are purely observational: a run with an ObsSink attached
+  // and the span ring armed, and a run under a NetGuard armed with budgets
+  // it never reaches, must both be bit-identical to the bare run, serial
+  // and parallel alike.
   const BufferLibrary lib = make_standard_library();
   for (std::size_t i = 0; i < 3; ++i) {
     const Circuit ckt = random_circuit(i, lib);
@@ -98,6 +99,14 @@ TEST(BatchDifferential, ArmedTracerPreservesBitIdentity) {
           << "circuit " << i << " flow " << static_cast<int>(flow) << " at "
           << threads << " threads changed under an armed tracer";
       EXPECT_GT(sink.spans().size(), 0u);
+
+      opts.obs = nullptr;
+      opts.guard.step_budget = std::uint64_t{1} << 40;
+      opts.guard.arena_node_cap = ~std::uint32_t{0};
+      const BatchResult guarded = BatchRunner(lib, opts).run(ckt);
+      EXPECT_TRUE(batch_results_identical(bare, guarded))
+          << "circuit " << i << " flow " << static_cast<int>(flow) << " at "
+          << threads << " threads changed under an untripped guard";
     }
   }
 }

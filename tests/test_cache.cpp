@@ -368,18 +368,37 @@ TEST(CacheDeterminism, ColdSharedCacheMatchesCacheOff) {
 
 TEST(CacheDeterminism, WarmRerunHitsSharedStoreWithIdenticalStructure) {
   if (cache_env_off()) GTEST_SKIP() << "MERLIN_CACHE=off disables sharing";
-  const Circuit ckt = cache_circuit(502);
-  SubproblemCache shared(CacheConfig{1u << 22, 8});
-  const BatchResult cold = run_cached(ckt, &shared, 2);
-  EXPECT_GT(shared.entry_count(), 0u);
+  CircuitSpec pinned;  // its store and adoption counts are pinned below
+  pinned.name = "cache_pinned";
+  pinned.n_gates = 26;
+  pinned.n_primary_inputs = 5;
+  pinned.max_fanout = 7;
+  pinned.seed = 71;
+  for (const Circuit& ckt :
+       {cache_circuit(502), make_random_circuit(pinned, lib_ref())}) {
+    SubproblemCache shared(CacheConfig{1u << 22, 8});
+    const BatchResult cold = run_cached(ckt, &shared, 2);
+    const std::size_t entries = shared.entry_count();
+    const std::uint64_t nodes = shared.node_cost();
+    EXPECT_GT(entries, 0u);
 
-  ObsSink sink;
-  const BatchResult warm = run_cached(ckt, &shared, 2, &sink);
-  // The warm run recomputes less (strictly more hits)...
-  EXPECT_GT(warm.stats.det.cache_hits, cold.stats.det.cache_hits);
-  EXPECT_GT(sink.counters.get(Counter::kCacheSharedHits), 0u);
-  // ...but produces the exact same trees, evals and circuit outcome.
-  EXPECT_TRUE(batch_results_equivalent(cold, warm));
+    ObsSink sink;
+    const BatchResult warm = run_cached(ckt, &shared, 2, &sink);
+    const std::uint64_t shared_hits =
+        sink.counters.get(Counter::kCacheSharedHits);
+    // The warm run recomputes less (strictly more hits)...
+    EXPECT_GT(warm.stats.det.cache_hits, cold.stats.det.cache_hits);
+    EXPECT_GT(shared_hits, 0u);
+    // ...but produces the exact same trees, evals and circuit outcome.
+    EXPECT_TRUE(batch_results_equivalent(cold, warm));
+
+    if (ckt.name == pinned.name) {
+      // Publish is serial and keys are canonical, so these are exact.
+      EXPECT_EQ(entries, 272u);
+      EXPECT_EQ(nodes, 27092u);
+      EXPECT_EQ(shared_hits, 272u);
+    }
+  }
 }
 
 TEST(CacheDeterminism, WarmRunsAreThreadCountInvariant) {

@@ -184,20 +184,30 @@ std::vector<Solution> attach_sinks(SolutionArena& arena,
   return v;
 }
 
-TEST_P(PruneDifferential, MergedOptionsMatchFlatOracle) {
-  Rng rng(0xD1FF3000 + GetParam());
-  SolutionArena arena;
-  SolutionCurve l1, r1, l2, r2;
-  for (const Solution& s : attach_sinks(arena, grid_curve(rng, 12))) l1.push(s);
-  for (const Solution& s : attach_sinks(arena, smooth_curve(rng, 9))) r1.push(s);
-  for (const Solution& s : attach_sinks(arena, eps_boundary_curve(rng, 5))) l2.push(s);
-  for (const Solution& s : attach_sinks(arena, grid_curve(rng, 7))) r2.push(s);
-  l1.prune();
-  r1.prune();
-  l2.prune();
-  r2.prune();
+// A genuine n-point frontier (req/load rise together, area falls), the
+// shape mature DP states have; random uniform points collapse to a
+// ~15-point front.
+SolutionCurve frontier_curve(SolutionArena& arena, std::size_t n,
+                             std::uint64_t seed) {
+  Rng rng(seed);
+  SolutionCurve c;
+  for (std::size_t i = 0; i < n; ++i) {
+    Solution s;  // one draw per statement: argument order is unspecified
+    s.req_time = 10.0 * static_cast<double>(i) + rng.uniform(0, 5);
+    s.load = static_cast<double>(i) + rng.uniform(0, 0.5);
+    s.area = 2.0 * static_cast<double>(n - i) + rng.uniform(0, 1);
+    s.wirelen = rng.uniform(0, 100);
+    s.node = arena.make_sink({0, 0}, 0);
+    c.push(s);
+  }
+  c.prune();
+  return c;
+}
 
-  const std::vector<MergeJob> jobs{{&l1, &r1}, {&l2, &r2}};
+// Replays one push_merged_options call, exact and quantized, against the
+// flat reference; returns the exact call's survivor count.
+std::size_t expect_merge_matches_oracle(SolutionArena& arena,
+                                        const std::vector<MergeJob>& jobs) {
   std::vector<Solution> flat;
   for (const MergeJob& job : jobs)
     for (const Solution& a : *job.left)
@@ -213,6 +223,30 @@ TEST_P(PruneDifferential, MergedOptionsMatchFlatOracle) {
     SolutionCurve q;
     push_merged_options(arena, jobs, {0, 0}, cfg, q);
     expect_identical(q, pruned_flat(flat, cfg), "merge, quantized");
+  }
+  return dst.size();
+}
+
+TEST_P(PruneDifferential, MergedOptionsMatchFlatOracle) {
+  Rng rng(0xD1FF3000 + GetParam());
+  SolutionArena arena;
+  SolutionCurve l1, r1, l2, r2;
+  for (const Solution& s : attach_sinks(arena, grid_curve(rng, 12))) l1.push(s);
+  for (const Solution& s : attach_sinks(arena, smooth_curve(rng, 9))) r1.push(s);
+  for (const Solution& s : attach_sinks(arena, eps_boundary_curve(rng, 5))) l2.push(s);
+  for (const Solution& s : attach_sinks(arena, grid_curve(rng, 7))) r2.push(s);
+  l1.prune();
+  r1.prune();
+  l2.prune();
+  r2.prune();
+  (void)expect_merge_matches_oracle(arena, {{&l1, &r1}, {&l2, &r2}});
+
+  if (GetParam() == 1) {  // seed-independent input: checked once
+    // Two 128-point frontiers: 16,384 candidates, most of them killed by
+    // the prefilter before they are generated.
+    const SolutionCurve fl = frontier_curve(arena, 128, 21);
+    const SolutionCurve fr = frontier_curve(arena, 128, 22);
+    EXPECT_EQ(expect_merge_matches_oracle(arena, {{&fl, &fr}}), 2586u);
   }
 }
 
@@ -260,6 +294,31 @@ TEST_P(PruneDifferential, ExtendedOptionsMatchFlatOracle) {
   }
 }
 
+// Replays one push_buffered_options call against the flat reference;
+// returns its survivor count.
+std::size_t expect_buffer_matches_oracle(SolutionArena& arena,
+                                         const SolutionCurve& src,
+                                         const BufferLibrary& lib,
+                                         std::size_t stride) {
+  std::vector<std::uint32_t> tried;
+  for (std::uint32_t t = 0; t < lib.size(); t += stride) tried.push_back(t);
+  if (tried.back() + 1 != lib.size())
+    tried.push_back(static_cast<std::uint32_t>(lib.size()) - 1);
+
+  std::vector<Solution> flat;
+  for (const Solution& s : src)
+    for (const std::uint32_t t : tried) {
+      const Buffer& buf = lib[t];
+      flat.push_back(sol(s.req_time - buf.delay_ps(s.load), buf.input_cap,
+                         s.area + buf.area, s.wirelen));
+    }
+
+  SolutionCurve dst;
+  push_buffered_options(arena, src, {0, 0}, lib, dst, stride);
+  expect_identical(dst, oracle_prune(flat), "buffer");
+  return dst.size();
+}
+
 TEST_P(PruneDifferential, BufferedOptionsMatchFlatOracle) {
   Rng rng(0xD1FF5000 + GetParam());
   const BufferLibrary lib = make_standard_library();
@@ -267,24 +326,14 @@ TEST_P(PruneDifferential, BufferedOptionsMatchFlatOracle) {
   SolutionCurve src;
   for (const Solution& s : attach_sinks(arena, smooth_curve(rng, 20))) src.push(s);
   src.prune();
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{3}})
+    (void)expect_buffer_matches_oracle(arena, src, lib, stride);
 
-  for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
-    std::vector<std::uint32_t> tried;
-    for (std::uint32_t t = 0; t < lib.size(); t += stride) tried.push_back(t);
-    if (tried.back() + 1 != lib.size())
-      tried.push_back(static_cast<std::uint32_t>(lib.size()) - 1);
-
-    std::vector<Solution> flat;
-    for (const Solution& s : src)
-      for (const std::uint32_t t : tried) {
-        const Buffer& buf = lib[t];
-        flat.push_back(sol(s.req_time - buf.delay_ps(s.load), buf.input_cap,
-                           s.area + buf.area, s.wirelen));
-      }
-
-    SolutionCurve dst;
-    push_buffered_options(arena, src, {0, 0}, lib, dst, stride);
-    expect_identical(dst, oracle_prune(flat), "buffer");
+  if (GetParam() == 1) {  // seed-independent input: checked once
+    // A 256-point frontier against the whole library collapses to a
+    // handful of survivors.
+    const SolutionCurve frontier = frontier_curve(arena, 256, 23);
+    EXPECT_EQ(expect_buffer_matches_oracle(arena, frontier, lib, 1), 29u);
   }
 }
 

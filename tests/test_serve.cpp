@@ -587,8 +587,9 @@ TEST(ServeSurvivability, WarmRestartFromSnapshotIsDigestIdenticalAndWarm) {
     // MERLIN_CACHE=off detaches the store from every run, so nothing is
     // published or adopted and only the digest identity applies.
     const JsonValue doc = json_parse(oc->stats_json);
-    if (!cache_env_off())
+    if (!cache_env_off()) {
       EXPECT_GT(doc.at("counters").at("cache_shared_hits").number, 0.0);
+    }
     EXPECT_EQ(doc.at("serve").at("snapshot_loads").number, 1.0);
     EXPECT_NE(core.snapshot_note().find("loaded"), std::string::npos)
         << core.snapshot_note();
@@ -775,6 +776,12 @@ TEST(ServeSocket, WarmSubmissionsShareTheDaemonCache) {
   const SubmitReply warm = client.submit_circuit(18, 5);
   ASSERT_TRUE(warm.ok);
   EXPECT_EQ(cold.result.digest, warm.result.digest);
+  // The warm job adopted what the cold one published.  MERLIN_CACHE=off
+  // detaches the store, so only the digest identity applies there.
+  const JsonValue doc = json_parse(client.stats(warm.result.job_id).json);
+  if (!cache_env_off()) {
+    EXPECT_GT(doc.at("counters").at("cache_shared_hits").number, 0.0);
+  }
   fx.shutdown_and_join();
 }
 

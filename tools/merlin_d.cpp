@@ -43,7 +43,7 @@
 // The daemon keeps the buffer library, thread pool, per-worker arenas and
 // the shared SubproblemCache warm across requests (flow/batch.h
 // BatchContext), so repeat submissions skip all startup and hit the cache
-// — the >5x warm-rerun speedup BENCH_SERVE.json gates on.  Results are
+// (perfbench's daemon_eco workload measures the warm path).  Results are
 // bit-identical to one-shot `merlin_cli --circuit` runs; docs/SERVING.md
 // has the wire protocol and the determinism contract.
 //
