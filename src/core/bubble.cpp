@@ -7,6 +7,7 @@
 
 #include "cache/shard.h"
 #include "core/grouping.h"
+#include "ptree/range_dp.h"
 #include "runtime/guard.h"
 
 namespace merlin {
@@ -83,33 +84,6 @@ std::uint32_t child_terminal_id(const GroupSpan& g, std::size_t n) {
 }
 
 inline constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
-
-// Dense (i, j, p) storage for the within-layer *PTREE DP (w is tiny: <=
-// alpha).  One instance lives in the Workspace and is re-prepared per layer
-// call: clearing cells keeps their vector capacity, so after the first few
-// layers the entire within-layer DP runs without heap allocation.
-class LayerTable {
- public:
-  void prepare(std::size_t w, std::size_t k) {
-    w_ = w;
-    k_ = k;
-    const std::size_t need = w * (w + 1) / 2 * k;
-    if (cells_.size() < need) cells_.resize(need);
-    for (std::size_t i = 0; i < need; ++i) cells_[i].clear();
-  }
-
-  SolutionCurve& at(std::size_t i, std::size_t j, std::size_t p) {
-    return cells_[(i * w_ - i * (i - 1) / 2 + (j - i)) * k_ + p];
-  }
-  /// The k curves of range (i, j), contiguous over p.
-  std::span<SolutionCurve> row(std::size_t i, std::size_t j) {
-    return {&at(i, j, 0), k_};
-  }
-
- private:
-  std::size_t w_ = 0, k_ = 0;
-  std::vector<SolutionCurve> cells_;
-};
 
 // The *PTREE range memo: Lemma 7's sub-problem sharing one level below the
 // Gamma groups.  Within one construction a range (i, j) of a layer's terminal
@@ -197,8 +171,6 @@ class RangeMemo {
   std::vector<std::uint32_t> slots_;  ///< entry index + 1; 0 = empty
 };
 
-inline constexpr double kDefaultWidth[] = {1.0};
-
 struct Workspace {
   const Net& net;
   const BufferLibrary& lib;
@@ -211,47 +183,22 @@ struct Workspace {
   std::size_t n = 0;
   GammaTable gamma;
   std::size_t layer_calls = 0;
-  /// neigh[p]: candidate indices wire-extension is allowed from (see
-  /// BubbleConfig::extension_neighbors), nearest first.
-  std::vector<std::vector<std::uint32_t>> neigh;
-  std::vector<Point> neigh_pts_scratch;
-  // Per-layer-call scratch, reused across the whole construction so curve
-  // and table capacity warms up once (see LayerTable::prepare).
-  LayerTable layer_scratch;
-  std::vector<SolutionCurve> ext_scratch;     // extension staging, one per p
+  // Per-layer-call state, reused across the whole construction so curve and
+  // table capacity warms up once (see RangeDp::prepare).  Within-layer wire
+  // extensions start only from each candidate's extension_neighbors nearest.
+  RangeDp dp;
   std::vector<SolutionCurve> routed_scratch;  // layer_ptree output, one per p
-  std::vector<MergeJob> jobs_scratch;
-  std::vector<const SolutionCurve*> srcs_scratch;
   std::vector<std::uint32_t> ids_scratch;  // layer_ptree's terminal ids
   RangeMemo ranges;
 
-  [[nodiscard]] std::span<const double> widths() const {
-    return cfg.wire_widths.empty() ? std::span<const double>(kDefaultWidth)
-                                   : std::span<const double>(cfg.wire_widths);
-  }
-
   Workspace(const Net& net_, const BufferLibrary& lib_, const BubbleConfig& cfg_,
-            const Order& order_, SolutionArena& arena_, std::vector<Point> pts_)
+            const Order& order_, SolutionArena& arena_, CandidateSet cands)
       : net(net_), lib(lib_), cfg(cfg_), order(order_), arena(arena_),
-        pts(std::move(pts_)), k(pts.size()), n(net_.fanout()),
-        gamma(net_.fanout(), pts.size()), ranges(pts.size()) {
-    neigh.resize(k);
-    std::vector<std::uint32_t> all(k);
-    for (std::uint32_t p = 0; p < k; ++p) all[p] = p;
-    for (std::uint32_t p = 0; p < k; ++p) {
-      std::vector<std::uint32_t> order_by_dist = all;
-      std::sort(order_by_dist.begin(), order_by_dist.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return manhattan(pts[a], pts[p]) < manhattan(pts[b], pts[p]);
-                });
-      const std::size_t keep =
-          cfg.extension_neighbors == 0
-              ? k
-              : std::min<std::size_t>(k, cfg.extension_neighbors + 1);
-      for (std::size_t t = 0; t < keep; ++t)
-        if (order_by_dist[t] != p) neigh[p].push_back(order_by_dist[t]);
-    }
-  }
+        pts(std::move(cands.pts)), k(pts.size()), source_p(cands.source_p),
+        n(net_.fanout()), gamma(net_.fanout(), pts.size()),
+        dp(arena_, pts, extension_sources(pts, cfg_.extension_neighbors),
+           net_.wire, cfg_.wire_widths, cfg_.inner_prune),
+        ranges(pts.size()) {}
 };
 
 // The *PTREE layer DP (paper section 3.2.3): finds non-inferior rectilinear
@@ -259,60 +206,38 @@ struct Workspace {
 // where one terminal may be an already-built sub-group represented by its
 // child curves X (one curve per root location, viewed in place in the Gamma
 // table).  Fills `routed` with the full-range curve per candidate location.
-// Ranges of two or more terminals go through the construction's RangeMemo.
+// The ranges run ptree_route's range DP (ptree/range_dp.h); ranges of
+// two or more terminals go through the construction's RangeMemo first.
 void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
                  std::span<const std::span<const SolutionCurve>> children,
                  std::vector<SolutionCurve>& routed) {
   const std::size_t w = seq.size();
   const std::size_t k = ws.k;
-  const PruneConfig& prune = ws.cfg.inner_prune;
-  LayerTable& table = ws.layer_scratch;
-  table.prepare(w, k);
+  RangeDp& dp = ws.dp;
+  dp.prepare(w);
   ++ws.layer_calls;
   // One DP step per layer call, weighted by its (terminals x candidates)
   // state count — the dominant cost unit of the whole construction.
   guard_step(ws.cfg.guard, w * k);
   guard_point(ws.cfg.guard, FaultSite::kBubbleLayer);
 
-  // Base cases.
   for (std::size_t t = 0; t < w; ++t) {
     if (seq[t].is_child) {
       const auto& child_at = children[seq[t].child_slot];
-      for (std::size_t p = 0; p < k; ++p) table.at(t, t, p) = child_at[p];
+      for (std::size_t p = 0; p < k; ++p) dp.at(t, t, p) = child_at[p];
     } else {
-      const Sink& s = ws.net.sinks[seq[t].id];
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& cell = table.at(t, t, p);
-        const double len = static_cast<double>(manhattan(ws.pts[p], s.pos));
-        for (const double width : ws.widths()) {
-          const WireModel wm = scaled_width(ws.net.wire, width);
-          Solution sol;
-          sol.req_time = s.req_time - wm.elmore_delay(len, s.load);
-          sol.load = s.load + wm.wire_cap(len);
-          sol.wirelen = len;
-          sol.node = ws.arena.make_sink(
-              ws.pts[p], static_cast<std::int32_t>(seq[t].id), width);
-          cell.push(std::move(sol));
-          if (len == 0.0) break;
-        }
-        cell.prune(prune);
-      }
+      dp.set_sink(t, ws.net.sinks[seq[t].id], static_cast<std::int32_t>(seq[t].id));
     }
   }
 
-  // Ranges by increasing length: merges at each point, then one
-  // wire-extension relaxation (sufficient under Elmore; see ptree.cpp).
-  std::vector<MergeJob>& jobs = ws.jobs_scratch;
-  std::vector<const SolutionCurve*>& srcs = ws.srcs_scratch;
   std::vector<std::uint32_t>& ids = ws.ids_scratch;
   ids.resize(w);
   for (std::size_t t = 0; t < w; ++t) ids[t] = seq[t].id;
-  ws.ext_scratch.resize(k);
   for (std::size_t len = 2; len <= w; ++len) {
     for (std::size_t i = 0; i + len <= w; ++i) {
       const std::size_t j = i + len - 1;
       const std::span<const std::uint32_t> run(ids.data() + i, len);
-      const std::span<SolutionCurve> cells = table.row(i, j);
+      const std::span<SolutionCurve> cells = dp.row(i, j);
       if (const std::uint32_t hit = ws.ranges.find(run); hit != RangeMemo::kMissing) {
         obs_add(ws.cfg.obs, Counter::kRangeReuseHits);
         for (std::size_t p = 0; p < k; ++p)
@@ -320,35 +245,7 @@ void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
         continue;
       }
       obs_add(ws.cfg.obs, Counter::kRangeReuseMisses);
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& cell = table.at(i, j, p);
-        jobs.clear();
-        for (std::size_t u = i; u < j; ++u)
-          jobs.push_back(MergeJob{&table.at(i, u, p), &table.at(u + 1, j, p)});
-        // Fresh cell (prepare() cleared the table): the batch merge already
-        // pruned with this config, so a re-prune would be a no-op.
-        push_merged_options(ws.arena, jobs, ws.pts[p], prune, cell);
-      }
-      // The extension relaxation reads the pre-extension (merge-only) cells,
-      // so results are staged and committed after the sweep.
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& ext = ws.ext_scratch[p];
-        ext.clear();
-        const auto& nb = ws.neigh[p];
-        srcs.resize(nb.size());
-        ws.neigh_pts_scratch.resize(nb.size());
-        for (std::size_t t = 0; t < nb.size(); ++t) {
-          srcs[t] = &table.at(i, j, nb[t]);
-          ws.neigh_pts_scratch[t] = ws.pts[nb[t]];
-        }
-        push_extended_options(ws.arena, srcs, ws.neigh_pts_scratch, ws.pts[p],
-                              ws.net.wire, prune, ext, ws.widths());
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& cell = table.at(i, j, p);
-        for (const Solution& s : ws.ext_scratch[p]) cell.push(s);
-        cell.prune(prune);
-      }
+      dp.solve(i, j);
       ws.ranges.insert(run, cells);
     }
   }
@@ -356,7 +253,7 @@ void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
   routed.resize(k);
   for (std::size_t p = 0; p < k; ++p) {
     routed[p].clear();
-    for (const Solution& s : table.at(0, w - 1, p)) routed[p].push(s);
+    for (const Solution& s : dp.at(0, w - 1, p)) routed[p].push(s);
   }
 }
 
@@ -371,7 +268,7 @@ std::vector<SolutionCurve> anchors_to_child(Workspace& ws,
     // Child curves are long-lived inputs to later layers; give them the
     // (richer) group budget rather than the transient inner one.
     push_extended_options(ws.arena, srcs, ws.pts, ws.pts[p], ws.net.wire,
-                          ws.cfg.group_prune, x[p], ws.widths());
+                          ws.cfg.group_prune, x[p], ws.cfg.wire_widths);
   }
   return x;
 }
@@ -494,14 +391,7 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
   if (lib.empty()) throw std::invalid_argument("bubble_construct: empty library");
   if (cfg.alpha < 2) throw std::invalid_argument("bubble_construct: alpha must be >= 2");
 
-  const std::vector<Point> terms = net.terminals();
-  std::vector<Point> pts = candidate_locations(terms, cfg.candidates);
-  Workspace ws(net, lib, cfg, order, arena, std::move(pts));
-  ws.source_p = ws.k;
-  for (std::size_t p = 0; p < ws.k; ++p)
-    if (ws.pts[p] == net.source) ws.source_p = p;
-  if (ws.source_p == ws.k)
-    throw std::logic_error("candidate set must contain the source");
+  Workspace ws(net, lib, cfg, order, arena, route_candidates(net, cfg.candidates));
 
   // Context signature for cache keys (cache/signature.h): everything a
   // stored group curve depends on besides the group itself — library cells,
@@ -524,7 +414,8 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
     }
     h.mix_double(net.wire.res_per_um);
     h.mix_double(net.wire.cap_per_um);
-    for (const double w : ws.widths()) h.mix_double(w);
+    if (cfg.wire_widths.empty()) h.mix_double(1.0);  // the default 1x width
+    for (const double w : cfg.wire_widths) h.mix_double(w);
     h.mix(ws.k);
     for (const Point& pt : ws.pts) {
       h.mix_i32(pt.x);
@@ -562,23 +453,12 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
     for (std::size_t r = 0; r < n; ++r) {
       const GroupSpan span{1, e, r};
       if (!span.valid(n)) continue;
-      const std::size_t pos = span.member_positions().front();
-      const Sink& s = net.sinks[order[pos]];
+      const std::uint32_t sid = order[span.member_positions().front()];
       std::vector<SolutionCurve> anchor(ws.k);
       for (std::size_t p = 0; p < ws.k; ++p) {
-        const double len = static_cast<double>(manhattan(ws.pts[p], s.pos));
         SolutionCurve base;
-        for (const double width : ws.widths()) {
-          const WireModel wm = scaled_width(net.wire, width);
-          Solution sol;
-          sol.req_time = s.req_time - wm.elmore_delay(len, s.load);
-          sol.load = s.load + wm.wire_cap(len);
-          sol.wirelen = len;
-          sol.node = ws.arena.make_sink(
-              ws.pts[p], static_cast<std::int32_t>(order[pos]), width);
-          base.push(std::move(sol));
-          if (len == 0.0) break;
-        }
+        push_sink_options(ws.arena, net.sinks[sid], static_cast<std::int32_t>(sid),
+                          ws.pts[p], net.wire, cfg.wire_widths, base);
         for (const Solution& sol : base) anchor[p].push(sol);
         push_buffered_options(ws.arena, base, ws.pts[p], lib, anchor[p],
                               cfg.buffer_stride, cfg.obs);

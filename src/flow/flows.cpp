@@ -33,6 +33,16 @@ void record_flow_obs(ObsSink* obs, const FlowResult& res,
   obs_gauge(obs, Gauge::kArenaPeakBytes, arena.stats().peak_bytes);
 }
 
+// The PTREE routing configuration of flows I and II.
+PTreeConfig ptree_config(const FlowConfig& cfg) {
+  PTreeConfig pcfg;
+  pcfg.candidates = cfg.candidates;
+  pcfg.prune = cfg.engine_prune;
+  pcfg.obs = cfg.obs;
+  pcfg.guard = cfg.guard;
+  return pcfg;
+}
+
 }  // namespace
 
 Point centroid(const std::vector<Point>& pts) {
@@ -113,6 +123,7 @@ FlowResult run_flow1(const Net& net, const BufferLibrary& lib,
     double load = 0.0;          // input cap of the buffer
   };
   std::vector<RoutedGroup> routed(groups.size());
+  const PTreeConfig pcfg = ptree_config(cfg);
 
   for (std::size_t gi = groups.size(); gi-- > 0;) {
     const FanoutGroup& g = groups[gi];
@@ -147,11 +158,6 @@ FlowResult run_flow1(const Net& net, const BufferLibrary& lib,
     if (local.sinks.empty())
       throw std::logic_error("flow1: empty fanout group");
 
-    PTreeConfig pcfg;
-    pcfg.candidates = cfg.candidates;
-    pcfg.prune = cfg.engine_prune;
-    pcfg.obs = cfg.obs;
-    pcfg.guard = cfg.guard;
     PTreeResult pr = ptree_route(local, tsp_order(local), pcfg, &arena);
 
     RoutedGroup rg;
@@ -183,14 +189,9 @@ FlowResult run_flow2(const Net& net, const BufferLibrary& lib,
   SolutionArena& arena = cfg.scratch_arena ? *cfg.scratch_arena : local_arena;
   arena.reset();
   const std::uint64_t alloc0 = arena.stats().nodes_allocated;
-  PTreeConfig pcfg;
-  pcfg.candidates = cfg.candidates;
-  pcfg.prune = cfg.engine_prune;
-  pcfg.obs = cfg.obs;
-  pcfg.guard = cfg.guard;
   PTreeResult pr = [&] {
     TraceSpan span(cfg.obs, SpanName::kFlowRouting);
-    return ptree_route(net, tsp_order(net), pcfg, &arena);
+    return ptree_route(net, tsp_order(net), ptree_config(cfg), &arena);
   }();
 
   VanGinnekenConfig vcfg;

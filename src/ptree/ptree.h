@@ -12,6 +12,10 @@
 // This is the second phase of the paper's Flow I and the routing phase of
 // Flow II; it contains no buffers (curve area stays 0; the non-inferior set
 // is effectively the classic load/required-time frontier).
+//
+// The range DP itself (ptree/range_dp.h) is shared with BUBBLE_CONSTRUCT,
+// whose *PTREE layers run it over sinks plus child-group terminals and add
+// buffers at the layer roots (core/bubble.cpp).
 
 #include <cstddef>
 

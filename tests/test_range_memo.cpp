@@ -1,10 +1,13 @@
-// Exactness pins for BUBBLE_CONSTRUCT's within-construction *PTREE range
-// memo: every terminal run's curves are computed once per construction and
-// shared by every layer call that meets the same run again (Lemma 7's
-// sub-problem sharing, one level below the Gamma groups).  Reuse must be
-// invisible in the results, so the fingerprints and digests below were
-// recorded with the memo absent and must never move.  The work counts show
-// that the memo actually fires.
+// Exactness pins for the *PTREE range DP and BUBBLE_CONSTRUCT's
+// within-construction range memo: every terminal run's curves are computed
+// once per construction and shared by every layer call that meets the same
+// run again (Lemma 7's sub-problem sharing, one level below the Gamma
+// groups).  Reuse must be invisible in the results, so the fingerprints and
+// digests below were recorded with the memo absent and must never move.  The
+// work counts show that the memo actually fires.  ptree_route runs the same
+// range DP as the layers (ptree/range_dp.h); its root curves and the
+// Flow I/II circuit digests are pinned here too, recorded before the two
+// callers shared one implementation.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "net/generator.h"
 #include "obs/sink.h"
 #include "order/tsp.h"
+#include "ptree/ptree.h"
 
 namespace merlin {
 namespace {
@@ -37,20 +41,19 @@ struct Fnv {
 };
 
 /// Every root-curve point (metrics only: provenance handles are arena
-/// addresses, which reuse legitimately changes), the extracted tree and the
-/// realized order.
-std::uint64_t fingerprint(const BubbleResult& r) {
-  Fnv d;
-  d.u64(r.root_curve.size());
-  for (const Solution& s : r.root_curve) {
+/// addresses, which reuse legitimately changes) and the extracted tree.
+void mix_curve_and_tree(Fnv& d, const SolutionCurve& root_curve,
+                        const RoutingTree& tree) {
+  d.u64(root_curve.size());
+  for (const Solution& s : root_curve) {
     d.f64(s.req_time);
     d.f64(s.load);
     d.f64(s.area);
     d.f64(s.wirelen);
   }
-  d.u64(r.tree.size());
-  for (std::size_t i = 0; i < r.tree.size(); ++i) {
-    const TreeNode& tn = r.tree.node(i);
+  d.u64(tree.size());
+  for (std::size_t i = 0; i < tree.size(); ++i) {
+    const TreeNode& tn = tree.node(i);
     d.u64(static_cast<std::uint64_t>(tn.kind));
     d.u64(static_cast<std::uint32_t>(tn.at.x));
     d.u64(static_cast<std::uint32_t>(tn.at.y));
@@ -58,6 +61,13 @@ std::uint64_t fingerprint(const BubbleResult& r) {
     d.u64(tn.parent);
     d.f64(tn.wire_width);
   }
+}
+
+/// The root curve, the extracted tree, the realized order and the work
+/// statistics of one construction.
+std::uint64_t fingerprint(const BubbleResult& r) {
+  Fnv d;
+  mix_curve_and_tree(d, r.root_curve, r.tree);
   for (std::size_t i = 0; i < r.out_order.size(); ++i) d.u64(r.out_order[i]);
   d.u64(r.layer_calls);
   d.u64(r.solutions_stored);
@@ -125,11 +135,50 @@ TEST(RangeMemo, RootCurvesMatchTheUnmemoizedConstruction) {
   }
 }
 
-/// The one-shot `merlin_cli --circuit G S` run: default flow 3, the CLI's
+struct PTreeCase {
+  const char* name;
+  std::size_t sinks;
+  std::uint64_t seed;
+  bool widths;      ///< wire_widths {1, 2}
+  bool full_hanan;  ///< CandidatePolicy::kFullHanan
+  bool quantized;   ///< quantized prune
+  std::uint64_t fingerprint;  ///< recorded before the range DP was shared
+};
+
+const PTreeCase kPTreeCases[] = {
+    {"default", 12, 4, false, false, false, 0x915a8ba6202d2f87ULL},
+    {"widths", 10, 6, true, false, false, 0xf5ec982be67e2254ULL},
+    {"full_hanan", 8, 8, false, true, false, 0x07ff30bff45d02e9ULL},
+    {"quantized", 12, 10, false, false, true, 0xff0efb6aaa5ca20bULL},
+};
+
+TEST(RangeMemo, PTreeRootCurvesMatchTheUnsharedDp) {
+  const BufferLibrary lib = make_standard_library();
+  for (const PTreeCase& c : kPTreeCases) {
+    SCOPED_TRACE(c.name);
+    NetSpec spec;
+    spec.n_sinks = c.sinks;
+    spec.seed = c.seed;
+    const Net net = make_random_net(spec, lib);
+    PTreeConfig cfg;
+    if (c.widths) cfg.wire_widths = {1.0, 2.0};
+    if (c.full_hanan) cfg.candidates.policy = CandidatePolicy::kFullHanan;
+    if (c.quantized) {
+      cfg.prune.load_quantum = 2.0;
+      cfg.prune.area_quantum = 4.0;
+    }
+    const PTreeResult r = ptree_route(net, tsp_order(net), cfg);
+    Fnv d;
+    mix_curve_and_tree(d, r.root_curve, r.tree);
+    EXPECT_EQ(d.h, c.fingerprint);
+  }
+}
+
+/// The one-shot `merlin_cli --circuit G S --flow F` run with the CLI's
 /// default 64 MB shared cache (detached under MERLIN_CACHE=off, which must
 /// not change the digest either).
-std::uint64_t cli_circuit_digest(std::size_t gates, std::uint64_t seed,
-                                 std::size_t threads) {
+std::uint64_t cli_circuit_digest(FlowKind flow, std::size_t gates,
+                                 std::uint64_t seed, std::size_t threads) {
   const BufferLibrary lib = make_standard_library();
   CircuitSpec cs;
   cs.name = "ckt" + std::to_string(gates);
@@ -140,19 +189,23 @@ std::uint64_t cli_circuit_digest(std::size_t gates, std::uint64_t seed,
   cc.capacity_nodes = 64ull * 1024 * 1024 / sizeof(SolNode);
   SubproblemCache cache(cc);
   BatchOptions opts;
+  opts.flow = flow;
   opts.threads = threads;
   opts.cache = &cache;
   return batch_result_digest(BatchRunner(lib, opts).run(ckt));
 }
 
 struct CircuitPin {
+  FlowKind flow;
   std::size_t gates;
   std::uint64_t seed;
-  std::uint64_t digest;  ///< `merlin_cli --circuit G S --digest`, no memo
+  std::uint64_t digest;  ///< `merlin_cli --circuit G S --flow F --digest`
 };
 
+/// The pin's CLI arguments (flow 3 is the CLI default).
 void PrintTo(const CircuitPin& pin, std::ostream* os) {
   *os << "--circuit " << pin.gates << ' ' << pin.seed;
+  if (pin.flow != FlowKind::kFlow3) *os << " --flow " << static_cast<int>(pin.flow);
 }
 
 class RangeMemoCircuit
@@ -160,19 +213,27 @@ class RangeMemoCircuit
 
 TEST_P(RangeMemoCircuit, DigestMatchesTheUnmemoizedRun) {
   const auto& [pin, threads] = GetParam();
-  EXPECT_EQ(cli_circuit_digest(pin.gates, pin.seed, threads), pin.digest);
+  EXPECT_EQ(cli_circuit_digest(pin.flow, pin.gates, pin.seed, threads),
+            pin.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Pinned, RangeMemoCircuit,
     ::testing::Combine(
-        ::testing::Values(CircuitPin{30, 7, 0x2353012618a1fed8ULL},
-                          CircuitPin{26, 5, 0x7573586381cdc31eULL},
-                          CircuitPin{40, 3, 0x87be003320531eaeULL}),
+        ::testing::Values(
+            CircuitPin{FlowKind::kFlow3, 30, 7, 0x2353012618a1fed8ULL},
+            CircuitPin{FlowKind::kFlow3, 26, 5, 0x7573586381cdc31eULL},
+            CircuitPin{FlowKind::kFlow3, 40, 3, 0x87be003320531eaeULL},
+            CircuitPin{FlowKind::kFlow1, 30, 7, 0xffd833ada4cc097dULL},
+            CircuitPin{FlowKind::kFlow2, 30, 7, 0x88bfca8a10d6cb90ULL}),
         ::testing::Values(std::size_t{1}, std::size_t{4})),
     [](const auto& tp) {
       const CircuitPin& pin = std::get<0>(tp.param);
-      return "ckt" + std::to_string(pin.gates) + "_" +
+      const std::string flow =
+          pin.flow == FlowKind::kFlow3
+              ? ""
+              : "flow" + std::to_string(static_cast<int>(pin.flow)) + "_";
+      return flow + "ckt" + std::to_string(pin.gates) + "_" +
              std::to_string(pin.seed) + "_threads" +
              std::to_string(std::get<1>(tp.param));
     });
