@@ -7,6 +7,7 @@
 
 #include "cache/shard.h"
 #include "core/grouping.h"
+#include "curve/fork.h"
 #include "ptree/range_dp.h"
 #include "runtime/guard.h"
 
@@ -190,6 +191,7 @@ struct Workspace {
   std::vector<SolutionCurve> routed_scratch;  // layer_ptree output, one per p
   std::vector<std::uint32_t> ids_scratch;  // layer_ptree's terminal ids
   RangeMemo ranges;
+  CandidateFork fork;  // root options and child curves, per candidate
 
   Workspace(const Net& net_, const BufferLibrary& lib_, const BubbleConfig& cfg_,
             const Order& order_, SolutionArena& arena_, CandidateSet cands)
@@ -197,8 +199,8 @@ struct Workspace {
         pts(std::move(cands.pts)), k(pts.size()), source_p(cands.source_p),
         n(net_.fanout()), gamma(net_.fanout(), pts.size()),
         dp(arena_, pts, extension_sources(pts, cfg_.extension_neighbors),
-           net_.wire, cfg_.wire_widths, cfg_.inner_prune),
-        ranges(pts.size()) {}
+           net_.wire, cfg_.wire_widths, cfg_.inner_prune, cfg_.pool),
+        ranges(pts.size()), fork(arena_, cfg_.pool) {}
 };
 
 // The *PTREE layer DP (paper section 3.2.3): finds non-inferior rectilinear
@@ -264,12 +266,17 @@ std::vector<SolutionCurve> anchors_to_child(Workspace& ws,
   std::vector<SolutionCurve> x(ws.k);
   std::vector<const SolutionCurve*> srcs(ws.k);
   for (std::size_t pc = 0; pc < ws.k; ++pc) srcs[pc] = &anchor[pc];
-  for (std::size_t p = 0; p < ws.k; ++p) {
-    // Child curves are long-lived inputs to later layers; give them the
-    // (richer) group budget rather than the transient inner one.
-    push_extended_options(ws.arena, srcs, ws.pts, ws.pts[p], ws.net.wire,
-                          ws.cfg.group_prune, x[p], ws.cfg.wire_widths);
-  }
+  // Child curves are long-lived inputs to later layers; give them the
+  // (richer) group budget rather than the transient inner one.
+  ws.fork.run(
+      ws.k, ws.cfg.group_prune.obs,
+      [&](std::size_t p, SolutionArena& lane, ObsSink* lane_obs) {
+        PruneConfig pc = ws.cfg.group_prune;
+        pc.obs = lane_obs;
+        push_extended_options(lane, srcs, ws.pts, ws.pts[p], ws.net.wire, pc,
+                              x[p], ws.cfg.wire_widths);
+      },
+      [&](std::size_t p) -> SolutionCurve& { return x[p]; });
   return x;
 }
 
@@ -277,17 +284,24 @@ std::vector<SolutionCurve> anchors_to_child(Workspace& ws,
 // unbuffered originals when the configuration (or the top level) allows.
 void apply_root_options(Workspace& ws, const std::vector<SolutionCurve>& routed,
                         bool keep_unbuffered, std::vector<SolutionCurve>& into) {
-  for (std::size_t p = 0; p < ws.k; ++p) {
-    if (routed[p].empty()) continue;
-    if (keep_unbuffered)
-      for (const Solution& s : routed[p]) into[p].push(s);
-    push_buffered_options(ws.arena, routed[p], ws.pts[p], ws.lib, into[p],
-                          ws.cfg.buffer_stride, ws.cfg.obs);
-    // Amortized pruning keeps accumulation cells from ballooning while many
-    // (l, e, r) child choices pour into the same (L, E, R) group.
-    if (into[p].size() > 4 * std::max<std::size_t>(ws.cfg.group_prune.max_solutions, 8))
-      into[p].prune(ws.cfg.group_prune);
-  }
+  ws.fork.run(
+      ws.k, ws.cfg.obs,
+      [&](std::size_t p, SolutionArena& lane, ObsSink* lane_obs) {
+        if (routed[p].empty()) return;
+        if (keep_unbuffered)
+          for (const Solution& s : routed[p]) into[p].push(s);
+        push_buffered_options(lane, routed[p], ws.pts[p], ws.lib, into[p],
+                              ws.cfg.buffer_stride, lane_obs);
+        // Amortized pruning keeps accumulation cells from ballooning while
+        // many (l, e, r) child choices pour into the same (L, E, R) group.
+        if (into[p].size() >
+            4 * std::max<std::size_t>(ws.cfg.group_prune.max_solutions, 8)) {
+          PruneConfig pc = ws.cfg.group_prune;
+          pc.obs = lane_obs;
+          into[p].prune(pc);
+        }
+      },
+      [&](std::size_t p) -> SolutionCurve& { return into[p]; });
 }
 
 // Builds the layer terminal sequence for parent `Omega` using the inner

@@ -37,6 +37,7 @@ namespace merlin {
 
 class NetGuard;      // runtime/guard.h
 class CacheSession;  // cache/shard.h
+class ThreadPool;    // runtime/pool.h
 
 /// Which variant of the problem to solve (paper section III.1).
 enum class ObjectiveMode {
@@ -111,6 +112,16 @@ struct BubbleConfig {
   /// the arena live-node count checked at group boundaries.  Budget trips
   /// raise BudgetExceeded out of bubble_construct.  Null = unguarded.
   NetGuard* guard = nullptr;
+
+  /// Optional executor for the construction's per-candidate loops (the
+  /// *PTREE range merges and extensions, the buffered root options, the
+  /// child-curve extensions): each runs as a fork (curve/fork.h) on the
+  /// pool's idle workers.  Results, counters and arena contents are
+  /// identical with and without it.  The batch engine passes its own pool,
+  /// so a net's search borrows the workers other nets left idle.  The range
+  /// memo, cache staging, guard steps and fault sites stay on the calling
+  /// thread.  Null = every loop runs on the calling thread.
+  ThreadPool* pool = nullptr;
 };
 
 /// Outcome of one BUBBLE_CONSTRUCT run.

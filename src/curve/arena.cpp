@@ -1,5 +1,6 @@
 #include "curve/arena.h"
 
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -16,9 +17,19 @@ const SolNode& SolutionArena::at(SolNodeId id) const {
   return (*this)[id];
 }
 
-SolNodeId SolutionArena::emplace(SolNode n) {
-  if (size_ >= kNullSol)
-    throw std::length_error("SolutionArena: node count exceeds 32-bit handles");
+SolNodeId SolutionArena::stage(const SolNode& n) {
+  if (is_lane_handle(n.a) || is_lane_handle(n.b))
+    throw std::logic_error(
+        "SolutionArena: a lane node may only reference spliced nodes");
+  if (staged_.size() >= node_limit_ - 1)  // the tagged id must stay non-null
+    throw std::length_error("SolutionArena: lane exceeds the handle space");
+  staged_.push_back(n);
+  return static_cast<SolNodeId>(staged_.size() - 1) | kLaneTag;
+}
+
+SolNodeId SolutionArena::append(const SolNode& n) {
+  if (size_ >= node_limit_)
+    throw std::length_error("SolutionArena: node count exceeds the handle space");
   if (fault_armed_) {
     if (fault_grants_ == 0)
       throw std::length_error("SolutionArena: injected allocation failure");
@@ -34,6 +45,29 @@ SolNodeId SolutionArena::emplace(SolNode n) {
   return id;
 }
 
+std::span<SolutionArena> SolutionArena::open_fork(std::size_t n) {
+  assert(!lane_ && !fork_open_ && "SolutionArena: forks do not nest");
+  if (lanes_.size() < n) {
+    lanes_.resize(n);
+    for (SolutionArena& lane : lanes_) lane.lane_ = true;
+  }
+  fork_open_ = true;
+  return {lanes_.data(), n};
+}
+
+SolNodeId SolutionArena::splice(SolutionArena& lane) {
+  assert(fork_open_ && lane.lane_ && "SolutionArena: splice outside a fork");
+  const SolNodeId base = static_cast<SolNodeId>(size_);
+  for (const SolNode& n : lane.staged_) append(n);
+  lane.staged_.clear();
+  return base;
+}
+
+void SolutionArena::close_fork() noexcept {
+  for (SolutionArena& lane : lanes_) lane.staged_.clear();
+  fork_open_ = false;
+}
+
 void SolutionArena::reset() {
   size_ = 0;
   ++stats_.resets;
@@ -41,6 +75,7 @@ void SolutionArena::reset() {
 
 std::vector<SolNodeId> SolutionArena::mark_compact(
     std::span<const SolNodeId> roots) {
+  assert(!fork_open_ && "SolutionArena: mark_compact during a fork");
   // Mark: iterative DFS over the live sub-DAG.
   std::vector<char> live(size_, 0);
   std::vector<SolNodeId> stack;

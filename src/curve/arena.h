@@ -10,7 +10,8 @@
 //   * nodes live in fixed-size slabs (never reallocated, so references
 //     handed out by operator[] stay valid across further allocation);
 //   * a handle is a dense 32-bit index (SolNodeId) — half the size of a
-//     pointer, trivially relocatable and serializable;
+//     pointer, trivially relocatable and serializable; the top bit tags
+//     lane handles (below), so an arena holds at most 2^31 nodes;
 //   * freeing is wholesale: reset() between independent DP invocations, or
 //     mark_compact() to squeeze dead sub-DAGs out while the best result's
 //     curves stay alive across neighborhood-search iterations.
@@ -22,9 +23,21 @@
 //     (cache/store.h) copies survivor curves out into arena-independent
 //     entries and clones them back in via make_node() on a hit, so arenas
 //     and caches have fully independent lifetimes;
-//   * arenas are single-threaded; the batch engine gives each pool worker
-//     its own arena next to its CacheSession.
+//   * arenas are single-writer; the batch engine gives each pool worker
+//     its own arena next to its CacheSession.  The one exception is a fork
+//     (open_fork): a per-candidate DP phase whose items may run on several
+//     threads each allocates into its own staging *lane*, never into the
+//     arena.  Lane handles carry kLaneTag; after the phase the owner splices
+//     the lanes back in item order and rebases each item's tagged handles
+//     (SolutionCurve::rebase_lane).  A lane node may only reference nodes
+//     already in the arena, so lane i's nodes land exactly where a serial
+//     loop over items 0..n-1 would have allocated them: the node sequence,
+//     every handle, the fault-injection grant count and the handle limit
+//     are those of the serial run.  While a fork is open the arena itself
+//     is read-only — a direct allocation or a mark_compact asserts in Debug
+//     and sanitizer builds.
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -43,6 +56,12 @@ class SolutionArena {
   static constexpr std::size_t kSlabShift = 13;  // 8192 nodes, 512 KiB/slab
   static constexpr std::size_t kSlabSize = std::size_t{1} << kSlabShift;
   static constexpr std::size_t kSlabMask = kSlabSize - 1;
+
+  /// Tag bit of a lane handle; arena handles stay below it.
+  static constexpr SolNodeId kLaneTag = 0x80000000u;
+  /// Most nodes an arena (or a lane) can hold: the tag halves the handle
+  /// space.  Allocating past it throws std::length_error.
+  static constexpr std::size_t kMaxNodes = kLaneTag;
 
   struct Stats {
     std::uint64_t nodes_allocated = 0;  ///< lifetime total (across resets)
@@ -81,6 +100,36 @@ class SolutionArena {
   /// back into a run arena, child before parent (cache/store.h).
   SolNodeId make_node(const SolNode& n) { return emplace(n); }
 
+  // -- fork lanes (see the ownership rules above) ----------------------------
+
+  /// Whether `id` is a lane handle (tagged, not yet spliced).
+  [[nodiscard]] static bool is_lane_handle(SolNodeId id) {
+    return id != kNullSol && (id & kLaneTag) != 0;
+  }
+  /// The arena handle a lane handle receives when its lane is spliced with
+  /// first id `base`; arena handles and kNullSol pass through unchanged.
+  [[nodiscard]] static SolNodeId rebase_lane_handle(SolNodeId id,
+                                                    SolNodeId base) {
+    return is_lane_handle(id) ? base + (id & ~kLaneTag) : id;
+  }
+
+  /// Opens a fork of `n` items and returns one empty staging lane per item
+  /// (owned by this arena; capacity is kept from fork to fork).  Each lane
+  /// is itself a SolutionArena, so the curve algebra allocates into it
+  /// unchanged; its make_* return tagged handles, and it throws
+  /// std::logic_error when a node's child is a lane handle.  Forks do not
+  /// nest.
+  std::span<SolutionArena> open_fork(std::size_t n);
+
+  /// Appends `lane` (one of the open fork's lanes) to this arena in staging
+  /// order and returns the id its first node received.  Splice the lanes in
+  /// item order.  Grants of an armed set_alloc_fault and the handle limit
+  /// are charged node by node, exactly as direct allocation charges them.
+  SolNodeId splice(SolutionArena& lane);
+
+  /// Closes the fork and empties every lane (also after a failed splice).
+  void close_fork() noexcept;
+
   // -- access ----------------------------------------------------------------
 
   [[nodiscard]] const SolNode& operator[](SolNodeId id) const {
@@ -92,6 +141,8 @@ class SolutionArena {
   [[nodiscard]] const SolNode& at(SolNodeId id) const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// Nodes staged in this lane since its fork opened (0 for an arena).
+  [[nodiscard]] std::size_t staged() const { return staged_.size(); }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] bool contains(SolNodeId id) const { return id < size_; }
 
@@ -131,7 +182,15 @@ class SolutionArena {
   void clear_alloc_fault() { fault_armed_ = false; }
 
  private:
-  SolNodeId emplace(SolNode n);
+  friend struct SolutionArenaTestPeer;  // lowers node_limit_ in tests
+
+  SolNodeId emplace(const SolNode& n) {
+    if (lane_) return stage(n);
+    assert(!fork_open_ && "SolutionArena: direct allocation during a fork");
+    return append(n);
+  }
+  SolNodeId stage(const SolNode& n);
+  SolNodeId append(const SolNode& n);
   [[nodiscard]] SolNode& slot(SolNodeId id) {
     return slabs_[id >> kSlabShift][id & kSlabMask];
   }
@@ -141,6 +200,11 @@ class SolutionArena {
   Stats stats_;                // live_nodes/reserved_bytes filled by stats()
   bool fault_armed_ = false;   // injected allocation failure (set_alloc_fault)
   std::uint64_t fault_grants_ = 0;
+  std::size_t node_limit_ = kMaxNodes;
+  bool lane_ = false;          // this arena is a fork lane of another
+  bool fork_open_ = false;     // between open_fork and close_fork
+  std::vector<SolNode> staged_;       // lane: nodes in staging order
+  std::vector<SolutionArena> lanes_;  // arena: lanes of the (last) fork
 };
 
 }  // namespace merlin

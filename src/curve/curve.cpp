@@ -228,6 +228,11 @@ void SolutionCurve::remap_nodes(std::span<const SolNodeId> remap) {
     if (s.node != kNullSol) s.node = remap[s.node];
 }
 
+void SolutionCurve::rebase_lane(SolNodeId base) {
+  for (Solution& s : sols_)
+    s.node = SolutionArena::rebase_lane_handle(s.node, base);
+}
+
 const Solution* SolutionCurve::best_req_time() const {
   const Solution* best = nullptr;
   for (const Solution& s : sols_)
@@ -316,6 +321,7 @@ void push_buffered_options(SolutionArena& arena, const SolutionCurve& src,
   PruneConfig pc;
   pc.obs = obs;
   const std::vector<CurveCand>& survivors = sweep_and_cap(scratch, generated, pc);
+  obs_add(obs, Counter::kBufferKept, survivors.size());
   for (const CurveCand& c : survivors) {
     const std::size_t i = static_cast<std::size_t>(c.seq / n_tried);
     const std::uint32_t b = tried[static_cast<std::size_t>(c.seq % n_tried)];
@@ -360,6 +366,7 @@ void push_merged_options(SolutionArena& arena, std::span<const MergeJob> jobs,
   obs_add(cfg.obs, Counter::kMergeCandidates, seq);
   const std::vector<CurveCand>& survivors =
       sweep_and_cap(scratch, static_cast<std::size_t>(seq), cfg);
+  obs_add(cfg.obs, Counter::kMergeKept, survivors.size());
   for (const CurveCand& c : survivors) {
     // Largest seq_base <= c.seq locates the bucket.
     const auto it = std::upper_bound(
@@ -426,6 +433,7 @@ void push_extended_options(SolutionArena& arena,
   obs_add(cfg.obs, Counter::kExtendCandidates, seq);
   const std::vector<CurveCand>& survivors =
       sweep_and_cap(scratch, static_cast<std::size_t>(seq), cfg);
+  obs_add(cfg.obs, Counter::kExtendKept, survivors.size());
   for (const CurveCand& c : survivors) {
     const auto it = std::upper_bound(
         buckets.begin(), buckets.end(), c.seq,

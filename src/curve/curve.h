@@ -80,6 +80,10 @@ class SolutionCurve {
   /// SolutionArena::mark_compact.
   void remap_nodes(std::span<const SolNodeId> remap);
 
+  /// Rewrites every lane handle (SolutionArena::open_fork) to the arena id
+  /// it received when its lane was spliced with first id `base`.
+  void rebase_lane(SolNodeId base);
+
   /// The solution with the largest required time, or nullptr if empty.
   [[nodiscard]] const Solution* best_req_time() const;
 

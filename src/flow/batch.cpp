@@ -347,6 +347,10 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
           cfg.scratch_arena = &arena;
           cfg.obs = sink;
           cfg.guard = g;
+          // Flow III's per-candidate loops borrow whichever workers other
+          // nets left idle (ThreadPool::parallel_for); results do not
+          // depend on how many do.
+          cfg.pool = &pool;
           switch (flow) {
             case FlowKind::kFlow1: slot.result = run_flow1(job.net, lib_, cfg); break;
             case FlowKind::kFlow2: slot.result = run_flow2(job.net, lib_, cfg); break;

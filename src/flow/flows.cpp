@@ -219,6 +219,7 @@ FlowResult run_flow3(const Net& net, const BufferLibrary& lib,
   if (mcfg.scratch_arena == nullptr) mcfg.scratch_arena = cfg.scratch_arena;
   if (mcfg.bubble.obs == nullptr) mcfg.bubble.obs = cfg.obs;
   if (mcfg.bubble.guard == nullptr) mcfg.bubble.guard = cfg.guard;
+  if (mcfg.bubble.pool == nullptr) mcfg.bubble.pool = cfg.pool;
   MerlinResult mr = [&] {
     TraceSpan span(cfg.obs, SpanName::kFlowSearch);
     return merlin_optimize(net, lib, tsp_order(net), mcfg);

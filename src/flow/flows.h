@@ -52,6 +52,10 @@ struct FlowConfig {
   /// construction attempt; budget trips raise BudgetExceeded out of the
   /// run_flow* call.  Null = unguarded.
   NetGuard* guard = nullptr;
+  /// Optional executor for flow III's per-candidate loops, propagated into
+  /// BubbleConfig::pool (see there).  The batch engine passes its own pool.
+  /// Null = single-threaded.
+  ThreadPool* pool = nullptr;
 };
 
 /// One flow's outcome on one net.

@@ -27,6 +27,9 @@ enum class Counter : std::uint16_t {
   kMergeCandidates,      ///< solution pairs formed by merge operations
   kExtendCandidates,     ///< wire-extension candidates generated
   kBufferCandidates,     ///< (solution, buffer) candidates generated
+  kMergeKept,            ///< merge candidates surviving their batch prune
+  kExtendKept,           ///< wire-extension candidates surviving theirs
+  kBufferKept,           ///< buffer candidates surviving theirs
 
   // Sub-problem reuse (paper section III.4, Lemma 7 sharing) and the
   // shared cross-net cache built on it (cache/shard.h).  Shared hits are
@@ -115,6 +118,9 @@ inline constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCoun
     case Counter::kMergeCandidates: return "merge_candidates";
     case Counter::kExtendCandidates: return "extend_candidates";
     case Counter::kBufferCandidates: return "buffer_candidates";
+    case Counter::kMergeKept: return "merge_kept";
+    case Counter::kExtendKept: return "extend_kept";
+    case Counter::kBufferKept: return "buffer_kept";
     case Counter::kGammaCacheHits: return "gamma_cache_hits";
     case Counter::kGammaCacheMisses: return "gamma_cache_misses";
     case Counter::kCacheSharedHits: return "cache_shared_hits";

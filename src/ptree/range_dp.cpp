@@ -54,9 +54,14 @@ void push_sink_options(SolutionArena& arena, const Sink& s,
 RangeDp::RangeDp(SolutionArena& arena, std::span<const Point> pts,
                  std::vector<std::vector<std::uint32_t>> sources,
                  const WireModel& wire, std::span<const double> widths,
-                 const PruneConfig& prune)
+                 const PruneConfig& prune, ThreadPool* pool)
     : arena_(arena), pts_(pts), sources_(std::move(sources)), wire_(wire),
-      widths_(widths), prune_(prune), k_(pts.size()), ext_(pts.size()) {}
+      widths_(widths), prune_(prune), k_(pts.size()), scratch_(pts.size()),
+      fork_(arena, pool) {
+  for (std::size_t p = 0; p < k_; ++p)
+    for (const std::uint32_t q : sources_[p])
+      scratch_[p].src_pts.push_back(pts_[q]);
+}
 
 void RangeDp::prepare(std::size_t w) {
   w_ = w;
@@ -74,29 +79,37 @@ void RangeDp::set_sink(std::size_t t, const Sink& s, std::int32_t sink_id) {
 }
 
 void RangeDp::solve(std::size_t i, std::size_t j) {
-  for (std::size_t p = 0; p < k_; ++p) {
-    jobs_.clear();
-    for (std::size_t u = i; u < j; ++u)
-      jobs_.push_back(MergeJob{&at(i, u, p), &at(u + 1, j, p)});
-    // Fresh cell: the batch merge already pruned with prune_.
-    push_merged_options(arena_, jobs_, pts_[p], prune_, at(i, j, p));
-  }
-  for (std::size_t p = 0; p < k_; ++p) {
-    ext_[p].clear();
-    srcs_.clear();
-    src_pts_.clear();
-    for (const std::uint32_t q : sources_[p]) {
-      srcs_.push_back(&at(i, j, q));
-      src_pts_.push_back(pts_[q]);
-    }
-    push_extended_options(arena_, srcs_, src_pts_, pts_[p], wire_, prune_,
-                          ext_[p], widths_);
-  }
-  for (std::size_t p = 0; p < k_; ++p) {
-    SolutionCurve& cell = at(i, j, p);
-    for (const Solution& s : ext_[p]) cell.push(s);
-    cell.prune(prune_);
-  }
+  fork_.run(
+      k_, prune_.obs,
+      [&](std::size_t p, SolutionArena& lane, ObsSink* lane_obs) {
+        PruneConfig pc = prune_;
+        pc.obs = lane_obs;
+        std::vector<MergeJob>& jobs = scratch_[p].jobs;
+        jobs.clear();
+        for (std::size_t u = i; u < j; ++u)
+          jobs.push_back(MergeJob{&at(i, u, p), &at(u + 1, j, p)});
+        // Fresh cell: the batch merge already pruned with prune_.
+        push_merged_options(lane, jobs, pts_[p], pc, at(i, j, p));
+      },
+      [&](std::size_t p) -> SolutionCurve& { return at(i, j, p); });
+  fork_.run(
+      k_, prune_.obs,
+      [&](std::size_t p, SolutionArena& lane, ObsSink* lane_obs) {
+        PruneConfig pc = prune_;
+        pc.obs = lane_obs;
+        ItemScratch& sc = scratch_[p];
+        sc.srcs.clear();
+        for (const std::uint32_t q : sources_[p]) sc.srcs.push_back(&at(i, j, q));
+        sc.ext.clear();
+        push_extended_options(lane, sc.srcs, sc.src_pts, pts_[p], wire_, pc,
+                              sc.ext, widths_);
+        sc.stage.clear();
+        for (const Solution& s : at(i, j, p)) sc.stage.push(s);
+        for (const Solution& s : sc.ext) sc.stage.push(s);
+        sc.stage.prune(pc);
+      },
+      [&](std::size_t p) -> SolutionCurve& { return scratch_[p].stage; });
+  for (std::size_t p = 0; p < k_; ++p) std::swap(at(i, j, p), scratch_[p].stage);
 }
 
 }  // namespace merlin

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "curve/curve.h"
+#include "curve/fork.h"
 #include "geom/hanan.h"
 #include "net/net.h"
 
@@ -45,6 +46,9 @@ void push_sink_options(SolutionArena& arena, const Sink& s,
 /// and then solves ranges by increasing length.  One instance may
 /// serve many sequences: prepare() clears the table but keeps every curve's
 /// capacity, so repeated layer calls run without heap allocation once warm.
+/// solve() runs its per-candidate loops as CandidateFork phases
+/// (curve/fork.h): on `pool`'s idle workers when one is given, with results
+/// identical to the serial loops either way.
 class RangeDp {
  public:
   /// The context every range shares: candidates `pts`, per-candidate
@@ -54,7 +58,7 @@ class RangeDp {
   RangeDp(SolutionArena& arena, std::span<const Point> pts,
           std::vector<std::vector<std::uint32_t>> sources,
           const WireModel& wire, std::span<const double> widths,
-          const PruneConfig& prune);
+          const PruneConfig& prune, ThreadPool* pool = nullptr);
 
   /// Clears the table for a sequence of `w` terminals.
   void prepare(std::size_t w);
@@ -70,13 +74,27 @@ class RangeDp {
   /// Fills base cells (t, t, ·) with sink `s` wired from every candidate.
   void set_sink(std::size_t t, const Sink& s, std::int32_t sink_id);
 
-  /// Fills range (i, j), i < j, from its solved sub-ranges: merges at every
-  /// candidate, then one wire-extension relaxation across candidates, staged
-  /// so it reads only merge results.  A single pass suffices: under Elmore a
-  /// direct minimum-length wire dominates any same-endpoints multi-hop chain.
+  /// Fills range (i, j), i < j, from its solved sub-ranges in two phases.
+  /// Phase 1 merges at every candidate.  Phase 2 runs one wire-extension
+  /// relaxation across candidates and prunes each merged cell together with
+  /// its extensions into a staging curve; the staging curves replace the
+  /// cells only after the phase, because every candidate's extensions read
+  /// the other candidates' merge results.  A single pass suffices: under
+  /// Elmore a direct minimum-length wire dominates any same-endpoints
+  /// multi-hop chain.
   void solve(std::size_t i, std::size_t j);
 
  private:
+  // Per-candidate solve() scratch, reused across ranges.  Indexed by p so
+  // the items of a forked phase never share a vector.
+  struct ItemScratch {
+    std::vector<MergeJob> jobs;
+    std::vector<const SolutionCurve*> srcs;
+    std::vector<Point> src_pts;  ///< fixed: the points of sources_[p]
+    SolutionCurve ext;
+    SolutionCurve stage;
+  };
+
   SolutionArena& arena_;
   std::span<const Point> pts_;
   std::vector<std::vector<std::uint32_t>> sources_;
@@ -85,11 +103,8 @@ class RangeDp {
   const PruneConfig& prune_;
   std::size_t w_ = 0, k_ = 0;
   std::vector<SolutionCurve> cells_;
-  // solve() scratch, reused across ranges.
-  std::vector<SolutionCurve> ext_;
-  std::vector<MergeJob> jobs_;
-  std::vector<const SolutionCurve*> srcs_;
-  std::vector<Point> src_pts_;
+  std::vector<ItemScratch> scratch_;
+  CandidateFork fork_;
 };
 
 }  // namespace merlin

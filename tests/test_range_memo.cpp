@@ -22,6 +22,7 @@
 #include "flow/batch.h"
 #include "flow/circuit.h"
 #include "net/generator.h"
+#include "obs/json.h"
 #include "obs/sink.h"
 #include "order/tsp.h"
 #include "ptree/ptree.h"
@@ -226,7 +227,8 @@ INSTANTIATE_TEST_SUITE_P(
             CircuitPin{FlowKind::kFlow3, 40, 3, 0x87be003320531eaeULL},
             CircuitPin{FlowKind::kFlow1, 30, 7, 0xffd833ada4cc097dULL},
             CircuitPin{FlowKind::kFlow2, 30, 7, 0x88bfca8a10d6cb90ULL}),
-        ::testing::Values(std::size_t{1}, std::size_t{4})),
+        ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{4},
+                          std::size_t{8})),
     [](const auto& tp) {
       const CircuitPin& pin = std::get<0>(tp.param);
       const std::string flow =
@@ -237,6 +239,76 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(pin.seed) + "_threads" +
              std::to_string(std::get<1>(tp.param));
     });
+
+/// Canonical text of a parsed stats-JSON value (object keys sorted).
+std::string dump(const JsonValue& v) {
+  switch (v.kind) {
+    case JsonValue::Kind::kNull: return "null";
+    case JsonValue::Kind::kBool: return v.boolean ? "true" : "false";
+    case JsonValue::Kind::kNumber: return std::to_string(v.number);
+    case JsonValue::Kind::kString: return '"' + v.string + '"';
+    case JsonValue::Kind::kArray: {
+      std::string out = "[";
+      for (const JsonValue& e : v.array) out += dump(e) + ",";
+      return out + "]";
+    }
+    case JsonValue::Kind::kObject: {
+      std::string out = "{";
+      for (const auto& [k, e] : v.object) out += k + ":" + dump(e) + ",";
+      return out + "}";
+    }
+  }
+  return {};
+}
+
+/// What one single-net batch run must reproduce at every thread count.
+struct SingleNetRun {
+  std::uint64_t digest = 0;
+  std::uint64_t nodes_allocated = 0;
+  std::string det_sections;  ///< counters, gauges and layers of the stats JSON
+};
+
+SingleNetRun single_net_batch(const Net& net, std::size_t threads, bool with_obs) {
+  const BufferLibrary lib = make_standard_library();
+  ObsSink sink;
+  BatchOptions opts;
+  opts.threads = threads;
+  if (with_obs) opts.obs = &sink;
+  const BatchResult r = BatchRunner(lib, opts).run_nets({net});
+  SingleNetRun out;
+  out.digest = batch_result_digest(r);
+  if (with_obs) {
+    out.nodes_allocated = sink.counters.get(Counter::kArenaNodesAllocated);
+    const JsonValue doc = json_parse(stats_to_json(sink));
+    for (const char* section : {"counters", "gauges", "layers"})
+      out.det_sections += std::string(section) + "=" + dump(doc.at(section)) + "\n";
+  }
+  return out;
+}
+
+// One net alone in a batch: every other worker is idle for the whole run, so
+// BUBBLE_CONSTRUCT's per-candidate forks really run on helpers.  Lanes are
+// spliced in candidate order, so the arena, the counters and the result
+// must not depend on how many helpers joined — nor on whether a sink is
+// attached.
+TEST(RangeMemo, SingleNetBatchIsIdenticalAtEveryThreadCount) {
+  const BufferLibrary lib = make_standard_library();
+  NetSpec spec;
+  spec.n_sinks = 6;
+  spec.seed = 21;
+  const Net net = make_random_net(spec, lib);
+  const SingleNetRun serial = single_net_batch(net, 1, true);
+  EXPECT_GT(serial.nodes_allocated, 0u);
+  EXPECT_NE(serial.det_sections.find("merge_kept"), std::string::npos);
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    const SingleNetRun with = single_net_batch(net, threads, true);
+    EXPECT_EQ(with.digest, serial.digest);
+    EXPECT_EQ(with.nodes_allocated, serial.nodes_allocated);
+    EXPECT_EQ(with.det_sections, serial.det_sections);
+    EXPECT_EQ(single_net_batch(net, threads, false).digest, serial.digest);
+  }
+}
 
 }  // namespace
 }  // namespace merlin
