@@ -1,6 +1,7 @@
 #include "curve/curve.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "curve/kernel.h"
@@ -67,13 +68,18 @@ void apply_bins(std::vector<CurveCand>& v, const PruneConfig& cfg) {
 // with an even spread along the load axis — load is what decides whether a
 // solution stays useful after more upstream wire, so spreading over it
 // preserves downstream feasibility far better than spreading over area
-// (which is frequently constant across a young curve).
+// (which is frequently constant across a young curve).  The survivors
+// arrive in canonical order and are strictly increasing in (load, area):
+// of two points with equal load and area, the earlier has the larger
+// required time and so eps-dominates the later.  That is the order the
+// spread indexes into, so no sort is needed.
 void apply_curve_cap(std::vector<CurveCand>& v, const PruneConfig& cfg) {
   if (cfg.max_solutions == 0 || v.size() <= cfg.max_solutions) return;
-  std::sort(v.begin(), v.end(), [](const CurveCand& a, const CurveCand& b) {
-    if (a.load != b.load) return a.load < b.load;
-    return a.area < b.area;
-  });
+  assert(std::adjacent_find(v.begin(), v.end(),
+                            [](const CurveCand& a, const CurveCand& b) {
+                              return !(a.load < b.load ||
+                                       (a.load == b.load && a.area < b.area));
+                            }) == v.end());
   const std::size_t n = v.size();
   const std::size_t m = cfg.max_solutions;
   std::size_t best_rt = 0, min_area = 0, best_scalar = 0;
@@ -118,9 +124,9 @@ void apply_curve_cap(std::vector<CurveCand>& v, const PruneConfig& cfg) {
 // index the candidate has in a materialize-every-candidate enumeration, so
 // they prune exactly like SolutionCurve::prune over that enumeration.  The
 // per-bucket prefilter kills most dominated candidates in O(1) before they
-// are stored; a bucket whose keys come out of order (an unsorted curve, or
-// floating-point collapse of distinct source loads) is sorted before the
-// k-way sweep.
+// are stored; a bucket whose keys come out of order (a buffer bucket, whose
+// constant load leaves area to order it, or floating-point collapse of
+// distinct source loads) is sorted before the sweep.
 class BucketScratch {
  public:
   void clear() {
@@ -144,10 +150,23 @@ class BucketScratch {
     return true;
   }
 
+  /// Pushes one candidate of an input that is mostly in canonical order: a
+  /// candidate that does not follow the previous one starts a new bucket,
+  /// so the input reaches the sweep as sorted runs and is never sorted.
+  /// The bucket break loses no prefilter rejection: a candidate that
+  /// precedes the previous one in canonical order cannot be dominated
+  /// slack-free by it (that would put the previous one first).
+  void push_in_runs(const CurveCand& c) {
+    if (has_last_ && !cand_order_less(last_, c)) end_bucket();
+    push(c);
+  }
+
   void end_bucket() {
     if (!sorted_) {
       std::sort(cands_.begin() + bucket_start_, cands_.end(),
-                cand_order_less);
+                [](const CurveCand& a, const CurveCand& b) {
+                  return cand_order_less(a, b);
+                });
     }
     ends_.push_back(static_cast<std::uint32_t>(cands_.size()));
     bucket_start_ = static_cast<std::uint32_t>(cands_.size());
@@ -195,18 +214,19 @@ const std::vector<CurveCand>& sweep_and_cap(const BucketScratch& scratch,
 
 }  // namespace
 
-// One bucket in input order (sequence number = position, so which duplicate
-// survives is pinned); the scratch sorts it when the input was not already
-// canonical, and its prefilter drops a point dominated slack-free by the one
-// pushed before it — safe in any input order, since that point's smaller
-// position still puts it first in the canonical scan (kernel.h).
+// The input in order (sequence number = position, so which duplicate
+// survives is pinned), cut into a new bucket wherever the input order
+// breaks: a curve pruned before arrives as one run, and a concatenation of
+// pruned curves (RangeDp's merged cell plus its extensions) as one run per
+// curve.  The prefilter drops a point dominated slack-free by the one pushed
+// before it (kernel.h).
 void SolutionCurve::prune(const PruneConfig& cfg) {
   if (sols_.empty()) return;
   thread_local BucketScratch scratch;
   scratch.clear();
   for (std::size_t i = 0; i < sols_.size(); ++i) {
     const Solution& s = sols_[i];
-    scratch.push(CurveCand{s.req_time, s.load, s.area, s.wirelen, i});
+    scratch.push_in_runs(CurveCand{s.req_time, s.load, s.area, s.wirelen, i});
   }
   scratch.end_bucket();
   const std::vector<CurveCand>& survivors =

@@ -33,7 +33,8 @@ struct PruneConfig {
   /// when the cap is tight.  0 disables the extra keep-point.
   double ref_res = 0.0;
   /// Optional observability sink: every prune through this config records
-  /// pushed/pruned/kept counts and the peak curve width.  Not part of the
+  /// pushed/pruned/kept counts and the most candidates one prune was
+  /// offered (`curve_peak_width`).  Not part of the
   /// pruning policy itself; engines patch it from their own config's sink.
   /// Must stay the last member — PruneConfig is brace-initialized
   /// positionally throughout the codebase.

@@ -1,10 +1,11 @@
 #include "curve/kernel.h"
 
 #include <algorithm>
+#include <cassert>
 
 #if defined(MERLIN_SIMD) && MERLIN_SIMD
-#if defined(__SSE2__) || defined(__AVX2__)
-#include <immintrin.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
 #define MERLIN_SIMD_ACTIVE 1
 #endif
 #endif
@@ -43,23 +44,10 @@ bool FrontierSoA::dominated(double req_time, double load, double area) const {
   const double area_lim = area + kCurveEps;
   const double req_lim = req_time - kCurveEps;
   const std::size_t n = load_.size();
-  std::size_t k = 0;
-#if defined(__AVX2__)
-  const __m256d ll4 = _mm256_set1_pd(load_lim);
-  const __m256d al4 = _mm256_set1_pd(area_lim);
-  const __m256d rl4 = _mm256_set1_pd(req_lim);
-  for (; k + 4 <= n; k += 4) {
-    const __m256d dom = _mm256_and_pd(
-        _mm256_and_pd(
-            _mm256_cmp_pd(_mm256_loadu_pd(&load_[k]), ll4, _CMP_LE_OQ),
-            _mm256_cmp_pd(_mm256_loadu_pd(&area_[k]), al4, _CMP_LE_OQ)),
-        _mm256_cmp_pd(_mm256_loadu_pd(&req_[k]), rl4, _CMP_GE_OQ));
-    if (_mm256_movemask_pd(dom) != 0) return true;
-  }
-#endif
   const __m128d ll2 = _mm_set1_pd(load_lim);
   const __m128d al2 = _mm_set1_pd(area_lim);
   const __m128d rl2 = _mm_set1_pd(req_lim);
+  std::size_t k = 0;
   for (; k + 2 <= n; k += 2) {
     const __m128d dom =
         _mm_and_pd(_mm_and_pd(_mm_cmple_pd(_mm_loadu_pd(&load_[k]), ll2),
@@ -77,63 +65,122 @@ bool FrontierSoA::dominated(double req_time, double load, double area) const {
 #endif
 }
 
+// The sweep's test: the same bounds as above minus the load lane, which a
+// query in sweep order always passes, scanned from the newest survivor back.
+bool FrontierSoA::dominated_in_order(double req_time, double area) const {
+  const double area_lim = area + kCurveEps;
+  const double req_lim = req_time - kCurveEps;
+  std::size_t k = area_.size();
+#ifdef MERLIN_SIMD_ACTIVE
+  const __m128d al2 = _mm_set1_pd(area_lim);
+  const __m128d rl2 = _mm_set1_pd(req_lim);
+  for (; k >= 2; k -= 2) {
+    const __m128d dom =
+        _mm_and_pd(_mm_cmple_pd(_mm_loadu_pd(&area_[k - 2]), al2),
+                   _mm_cmpge_pd(_mm_loadu_pd(&req_[k - 2]), rl2));
+    if (_mm_movemask_pd(dom) != 0) return true;
+  }
+#endif
+  while (k > 0) {
+    --k;
+    if (area_[k] <= area_lim && req_[k] >= req_lim) return true;
+  }
+  return false;
+}
+
+namespace {
+
+// One canonical-order run of candidates, [begin, end), never empty.
+struct Run {
+  const CurveCand* begin;
+  const CurveCand* end;
+};
+
+// Visits the merged canonical order of adjacent runs `a` and `b` through a
+// branch-light two-way merge.  Adjacent runs never have the left run wholly
+// first: the join step leaves every run's last candidate at or after its
+// right neighbour's first, and merging neighbours pairwise keeps that true
+// one level up.  So the only pair that does not interleave has the right
+// run wholly first, and is visited without comparisons.  `seq` makes the
+// order total, so the merge needs no stability rule.
+template <typename Visit>
+void merge_runs(Run a, Run b, Visit&& visit) {
+  assert(!cand_order_less(*(a.end - 1), *b.begin));
+  if (cand_order_less(*(b.end - 1), *a.begin)) std::swap(a, b);
+  const CurveCand* x = a.begin;
+  const CurveCand* y = b.begin;
+  while (x != a.end && y != b.end) {
+    const bool take_y = cand_order_less(*y, *x);
+    visit(*(take_y ? y : x));
+    y += take_y;
+    x += !take_y;
+  }
+  for (; x != a.end; ++x) visit(*x);
+  for (; y != b.end; ++y) visit(*y);
+}
+
+}  // namespace
+
 std::size_t sweep_buckets(const std::vector<CurveCand>& cands,
                           const std::vector<std::uint32_t>& bucket_ends,
                           FrontierSoA& out) {
-  // Cursor per non-empty bucket, organized as a binary min-heap on the
-  // canonical order of each bucket's head candidate.  thread_local: the DP
-  // engines call this once per state and a heap allocation here would be a
-  // top allocation site (same rationale as curve.cpp's candidate scratch).
-  struct Cursor {
-    std::uint32_t pos, end;
+  // One thread_local block (one TLS lookup per sweep): the DP engines call
+  // this once per state, and allocating here would be a top allocation
+  // site (same rationale as curve.cpp's candidate scratch).
+  struct Scratch {
+    std::vector<Run> runs;
+    std::vector<CurveCand> ping, pong;
   };
-  thread_local std::vector<Cursor> heap;
-  heap.clear();
+  thread_local Scratch scratch;
+  std::vector<Run>& runs = scratch.runs;
+  runs.clear();
+  const CurveCand* const base = cands.data();
   std::uint32_t start = 0;
   for (const std::uint32_t end : bucket_ends) {
-    if (end > start) heap.push_back(Cursor{start, end});
+    if (end > start) {
+      // Buckets sit back to back, so a bucket that starts after the open
+      // run's last candidate in canonical order simply extends it.
+      if (!runs.empty() && cand_order_less(*(base + start - 1), base[start]))
+        runs.back().end = base + end;
+      else
+        runs.push_back(Run{base + start, base + end});
+    }
     start = end;
   }
-  const auto head_less = [&](const Cursor& a, const Cursor& b) {
-    return cand_order_less(cands[a.pos], cands[b.pos]);
-  };
-
-  if (heap.size() == 1) {
-    // Single bucket (the common prune-one-curve case): no heap needed.
-    for (std::uint32_t i = heap[0].pos; i < heap[0].end; ++i)
-      out.accept(cands[i]);
+  const auto sweep = [&out](const CurveCand& c) { out.accept(c); };
+  if (runs.empty()) return cands.size();
+  if (runs.size() == 1) {
+    std::for_each(runs[0].begin, runs[0].end, sweep);
     return cands.size();
   }
 
-  std::make_heap(heap.begin(), heap.end(),
-                 [&](const Cursor& a, const Cursor& b) {
-                   return head_less(b, a);  // min-heap
-                 });
-  const auto sift_down = [&] {
-    // Re-establish the min-heap after heap[0]'s head advanced (or replace
-    // the root with the last cursor when its bucket is exhausted).
-    std::size_t i = 0;
-    const std::size_t n = heap.size();
-    for (;;) {
-      std::size_t best = i;
-      const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-      if (l < n && head_less(heap[l], heap[best])) best = l;
-      if (r < n && head_less(heap[r], heap[best])) best = r;
-      if (best == i) break;
-      std::swap(heap[i], heap[best]);
-      i = best;
+  // Bottom-up pairwise merging until two runs are left.  Each level writes
+  // into the buffer the previous level did not, so no run is overwritten
+  // while it is read; an odd run out is copied along.
+  if (runs.size() > 2) {
+    scratch.ping.resize(cands.size());
+    scratch.pong.resize(cands.size());
+    CurveCand* dst = scratch.ping.data();
+    CurveCand* other = scratch.pong.data();
+    while (runs.size() > 2) {
+      CurveCand* o = dst;
+      std::size_t w = 0;
+      for (std::size_t r = 0; r + 1 < runs.size(); r += 2) {
+        CurveCand* const begin = o;
+        merge_runs(runs[r], runs[r + 1], [&o](const CurveCand& c) { *o++ = c; });
+        runs[w++] = Run{begin, o};
+      }
+      if (runs.size() % 2 == 1) {
+        CurveCand* const begin = o;
+        o = std::copy(runs.back().begin, runs.back().end, o);
+        runs[w++] = Run{begin, o};
+      }
+      runs.resize(w);
+      std::swap(dst, other);
     }
-  };
-  while (!heap.empty()) {
-    Cursor& top = heap[0];
-    out.accept(cands[top.pos]);
-    if (++top.pos == top.end) {
-      top = heap.back();
-      heap.pop_back();
-      if (heap.empty()) break;
-    }
-    sift_down();
   }
+  // The last merge feeds the sweep instead of a buffer.
+  merge_runs(runs[0], runs[1], sweep);
   return cands.size();
 }
 

@@ -13,12 +13,20 @@
 // wire width), most dominated candidates are rejected by an O(1) range
 // comparison against their bucket's running frontier before they are ever
 // stored, and the surviving per-bucket lists — kept sorted by the canonical
-// curve order — are k-way merged through a single dominance sweep whose
-// survivor store is a struct-of-arrays (`FrontierSoA`) so the inner
-// dominance test is a branch-light loop over contiguous double lanes that
-// vectorizes (SSE2/AVX2 when built with MERLIN_SIMD=ON, scalar otherwise;
-// both paths compare with identical IEEE semantics, so results are
-// bit-identical either way).
+// curve order — are merged into that order and scanned by a single
+// dominance sweep whose survivor store is a struct-of-arrays
+// (`FrontierSoA`), so the inner dominance test is a branch-light loop over
+// contiguous double lanes (SSE2 when built with MERLIN_SIMD=ON on an SSE2
+// target, scalar otherwise; both paths compare with identical IEEE
+// semantics, so results are bit-identical either way).
+//
+// The sweeps are small — a typical one takes a few dozen candidates in a
+// handful of buckets — so the kernel is built for low fixed cost rather
+// than asymptotics: adjacent buckets whose ranges do not interleave are
+// joined into one run without touching a candidate (the common buffer
+// case: a buffer bucket has one constant load), the remaining runs are
+// merged pairwise, and the dominance test exploits the sweep order (see
+// `FrontierSoA::accept`).
 //
 // ## Canonical candidate order
 //
@@ -60,6 +68,7 @@
 // wire extensions) live with the curve algebra in curve.cpp; the kernel
 // only sees their candidate streams.
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -105,7 +114,7 @@ struct CurveCand {
 }
 
 /// kernel-entry: kernel_simd_enabled
-/// True when the kernel was built with the vector (SSE2/AVX2) dominance
+/// True when the kernel was built with the vector (SSE2) dominance
 /// sweep; false for the scalar fallback (MERLIN_SIMD=OFF or a target
 /// without the intrinsics).  Both produce bit-identical results; tests use
 /// this only for reporting.
@@ -113,9 +122,10 @@ struct CurveCand {
 
 /// kernel-entry: FrontierSoA
 /// Struct-of-arrays survivor store for one dominance sweep.  The three
-/// dominance lanes (load / area / req_time) are contiguous doubles so
-/// `dominated` is a vectorizable compare-reduce; wirelen and seq ride along
-/// for output materialization only.
+/// dominance lanes (load / area / req_time) are contiguous doubles so the
+/// dominance tests are vectorizable compare-reduces (the sweep's own test
+/// reads only area and req_time); wirelen and seq ride along for output
+/// materialization only.
 class FrontierSoA {
  public:
   void clear() {
@@ -131,10 +141,12 @@ class FrontierSoA {
 
   /// Sweep step: rejects `c` if any current survivor eps-dominates it,
   /// otherwise appends it.  Returns true when `c` entered the frontier.
-  /// Candidates MUST arrive in canonical order for the sweep to equal the
-  /// reference prune.
+  /// Candidates MUST arrive in canonical order (asserted in Debug and
+  /// sanitizer builds): that is what makes the sweep equal the reference
+  /// prune, and what lets the test skip the load lane (`dominated_in_order`).
   bool accept(const CurveCand& c) {
-    if (dominated(c.req_time, c.load, c.area)) return false;
+    assert(empty() || !cand_order_less(c, (*this)[size() - 1]));
+    if (dominated_in_order(c.req_time, c.area)) return false;
     load_.push_back(c.load);
     area_.push_back(c.area);
     req_.push_back(c.req_time);
@@ -143,8 +155,19 @@ class FrontierSoA {
     return true;
   }
 
-  /// Whether any survivor eps-dominates the tuple (vector path when built
-  /// with MERLIN_SIMD, scalar otherwise; identical results).
+  /// `dominated` for a query that follows every survivor in canonical
+  /// order, as each candidate of a sweep does.  Every survivor then has
+  /// load <= the query's load, so `load_[k] <= load + eps` always holds and
+  /// only the area and req lanes are compared.  The scan runs newest
+  /// survivor first, because the latest point is the likeliest dominator;
+  /// the predicate is an existence test, so the order cannot change the
+  /// answer.  Vector path when built with MERLIN_SIMD, scalar otherwise.
+  [[nodiscard]] bool dominated_in_order(double req_time, double area) const;
+
+  /// Whether any survivor eps-dominates the tuple, for a query in any
+  /// order: the three-lane reference the sweep-order test is checked
+  /// against (vector path when built with MERLIN_SIMD, scalar otherwise;
+  /// identical results).
   [[nodiscard]] bool dominated(double req_time, double load,
                                double area) const;
 
@@ -164,12 +187,16 @@ class FrontierSoA {
 };
 
 /// kernel-entry: sweep_buckets
-/// K-way merges pre-sorted candidate buckets through one dominance sweep.
-/// `cands` holds every bucket's surviving candidates back to back;
-/// `bucket_ends[b]` is one past the last candidate of bucket b, and each
-/// bucket range must already be in canonical order (curve.cpp sorts the
-/// rare out-of-order bucket before calling).  Survivors land in `out` in
-/// canonical order.  Returns the number of candidates swept.
+/// Merges pre-sorted candidate buckets into the canonical order through one
+/// dominance sweep.  `cands` holds every bucket's surviving candidates back
+/// to back; `bucket_ends[b]` is one past the last candidate of bucket b, and
+/// each bucket range must already be in canonical order (curve.cpp sorts an
+/// out-of-order bucket, or cuts it into ordered buckets, before calling).
+/// Adjacent buckets that do not interleave (the last of one precedes the
+/// first of the next) are joined into one run; the remaining runs are
+/// merged bottom-up, pairwise, through two thread-local ping-pong buffers,
+/// and the last pair is merged straight into the sweep.  Survivors land in
+/// `out` in canonical order.  Returns the number of candidates swept.
 std::size_t sweep_buckets(const std::vector<CurveCand>& cands,
                           const std::vector<std::uint32_t>& bucket_ends,
                           FrontierSoA& out);

@@ -95,7 +95,7 @@ enum class Counter : std::uint16_t {
 
 /// High-water gauges (monotone maxima; deterministic for a fixed workload).
 enum class Gauge : std::uint16_t {
-  kCurvePeakWidth,       ///< widest curve seen entering a prune pass
+  kCurvePeakWidth,       ///< most candidates offered to one prune
   kArenaPeakLiveNodes,   ///< SolutionArena peak live SolNodes
   kArenaPeakBytes,       ///< peak live-node bytes
   kGammaPeakSolutions,   ///< most solutions stored in one Gamma table

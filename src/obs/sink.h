@@ -29,7 +29,7 @@ struct TraceRecord {
   std::size_t net_id = 0;
   std::size_t sinks = 0;            ///< fanout of the net
   std::uint64_t wall_us = 0;        ///< per-net wall time (NOT deterministic)
-  std::uint64_t peak_curve_width = 0;  ///< widest curve while routing this net
+  std::uint64_t peak_curve_width = 0;  ///< most candidates one prune of this net was offered
   std::size_t merlin_loops = 0;     ///< outer-loop iterations (0 for flows I/II)
   std::size_t buffers = 0;          ///< buffers in the final tree
   NetStatus status = NetStatus::kOk;  ///< batch outcome (docs/ROBUSTNESS.md)

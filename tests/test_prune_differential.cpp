@@ -8,7 +8,8 @@
 // sequence tie-break, and pairs separated by exactly the dominance epsilon
 // (and half / double it).  The CI matrix runs this file under both
 // MERLIN_SIMD=ON and OFF; `FrontierSoA::dominated_scalar` is additionally
-// checked against the dispatched path in-process.
+// checked against the dispatched `dominated` and against the sweep's own
+// two-lane test (`dominated_in_order`) in-process.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,8 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "buflib/library.h"
@@ -66,8 +69,8 @@ std::vector<Solution> oracle_prune(const std::vector<Solution>& in) {
 // Bitwise, order-sensitive equality between the kernel's surviving curve
 // and the oracle's: the kernel never recomputes metrics, so even the
 // sign of zero must agree.
-void expect_identical(const SolutionCurve& got, const std::vector<Solution>& want,
-                      const char* what) {
+void expect_identical(std::span<const Solution> got,
+                      const std::vector<Solution>& want, const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < want.size(); ++i) {
     const Solution& g = got[i];
@@ -83,7 +86,7 @@ void run_differential(const std::vector<Solution>& input, const char* what) {
   SolutionCurve c;
   for (const Solution& s : input) c.push(s);
   c.prune();
-  expect_identical(c, oracle_prune(input), what);
+  expect_identical(c.solutions(), oracle_prune(input), what);
 }
 
 // -- input generators -------------------------------------------------------
@@ -161,7 +164,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PruneDifferential,
 // the bucketed kernel; the reference materializes every candidate in the
 // op's enumeration order and runs the oracle (exact configs) or
 // SolutionCurve::prune (quantized configs).  This pins the bucketed
-// generation + prefilter + k-way sweep against the flat reference.
+// generation + prefilter + merged sweep against the flat reference.
 
 // Quantized configs, uncapped and capped: the batch ops must prune them
 // exactly like SolutionCurve::prune over the materialized candidates.
@@ -217,12 +220,12 @@ std::size_t expect_merge_matches_oracle(SolutionArena& arena,
 
   SolutionCurve dst;
   push_merged_options(arena, jobs, {0, 0}, {}, dst);
-  expect_identical(dst, oracle_prune(flat), "merge");
+  expect_identical(dst.solutions(), oracle_prune(flat), "merge");
 
   for (const PruneConfig& cfg : quantized_configs()) {
     SolutionCurve q;
     push_merged_options(arena, jobs, {0, 0}, cfg, q);
-    expect_identical(q, pruned_flat(flat, cfg), "merge, quantized");
+    expect_identical(q.solutions(), pruned_flat(flat, cfg), "merge, quantized");
   }
   return dst.size();
 }
@@ -285,12 +288,12 @@ TEST_P(PruneDifferential, ExtendedOptionsMatchFlatOracle) {
 
   SolutionCurve dst;
   push_extended_options(arena, srcs, pts, to, wire, {}, dst, widths);
-  expect_identical(dst, oracle_prune(flat), "extend");
+  expect_identical(dst.solutions(), oracle_prune(flat), "extend");
 
   for (const PruneConfig& cfg : quantized_configs()) {
     SolutionCurve q;
     push_extended_options(arena, srcs, pts, to, wire, cfg, q, widths);
-    expect_identical(q, pruned_flat(flat, cfg), "extend, quantized");
+    expect_identical(q.solutions(), pruned_flat(flat, cfg), "extend, quantized");
   }
 }
 
@@ -315,7 +318,7 @@ std::size_t expect_buffer_matches_oracle(SolutionArena& arena,
 
   SolutionCurve dst;
   push_buffered_options(arena, src, {0, 0}, lib, dst, stride);
-  expect_identical(dst, oracle_prune(flat), "buffer");
+  expect_identical(dst.solutions(), oracle_prune(flat), "buffer");
   return dst.size();
 }
 
@@ -337,9 +340,228 @@ TEST_P(PruneDifferential, BufferedOptionsMatchFlatOracle) {
   }
 }
 
+// -- sweep, run and cap shapes -----------------------------------------------
+// sweep_buckets joins buckets that do not interleave into one run and merges
+// the rest pairwise; SolutionCurve::prune cuts its input into runs where the
+// order breaks; the cap picks from the canonical order without sorting.
+// Each is checked here on the shapes that drive its separate paths.  The
+// oracle inputs carry their sequence number (or input position) in
+// `Solution::node`, so the comparison also pins which duplicate survived.
+
+void expect_same_points(std::span<const Solution> got,
+                        const std::vector<Solution>& want, const char* what) {
+  expect_identical(got, want, what);
+  if (got.size() != want.size()) return;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(got[i].node, want[i].node) << what << " [" << i << "]";
+}
+
+// Sweeps `buckets` (each sorted canonically, laid out back to back) and
+// compares the frontier with the oracle.  Sequence numbers are a random
+// permutation, so metric ties across buckets are decided by `seq`, not by
+// bucket order.
+void expect_sweep_matches_oracle(Rng& rng,
+                                 const std::vector<std::vector<Solution>>& buckets,
+                                 const char* what) {
+  std::size_t n = 0;
+  for (const auto& b : buckets) n += b.size();
+  std::vector<std::uint64_t> seqs(n);
+  std::iota(seqs.begin(), seqs.end(), std::uint64_t{0});
+  for (std::size_t i = n; i > 1; --i)
+    std::swap(seqs[i - 1], seqs[static_cast<std::size_t>(
+                               rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+
+  std::vector<Solution> by_seq(n);
+  std::vector<CurveCand> cands;
+  std::vector<std::uint32_t> ends;
+  for (const auto& b : buckets) {
+    const std::size_t start = cands.size();
+    for (const Solution& s : b) {
+      const std::uint64_t q = seqs[cands.size()];
+      cands.push_back(CurveCand{s.req_time, s.load, s.area, s.wirelen, q});
+      by_seq[q] = s;
+      by_seq[q].node = static_cast<SolNodeId>(q);
+    }
+    std::sort(cands.begin() + static_cast<std::ptrdiff_t>(start), cands.end(),
+              cand_order_less);
+    ends.push_back(static_cast<std::uint32_t>(cands.size()));
+  }
+
+  FrontierSoA f;
+  EXPECT_EQ(sweep_buckets(cands, ends, f), n) << what;
+  std::vector<Solution> got;
+  for (std::size_t k = 0; k < f.size(); ++k) {
+    const CurveCand c = f[k];
+    Solution s = sol(c.req_time, c.load, c.area, c.wirelen);
+    s.node = static_cast<SolNodeId>(c.seq);
+    got.push_back(s);
+  }
+  expect_same_points(got, oracle_prune(by_seq), what);
+}
+
+TEST_P(PruneDifferential, SweepBucketsMatchesOracleOnEveryRunShape) {
+  Rng rng(0xD1FF6000 + GetParam());
+  using Buckets = std::vector<std::vector<Solution>>;
+  expect_sweep_matches_oracle(rng, {}, "no buckets");
+  expect_sweep_matches_oracle(rng, {{}, {}, {}}, "empty buckets");
+  expect_sweep_matches_oracle(rng, {{sol(5, 2, 1)}}, "one candidate");
+  expect_sweep_matches_oracle(rng, {{}, {sol(5, 2, 1)}, {}},
+                              "one candidate among empty buckets");
+
+  for (const std::size_t nb : {2u, 3u, 4u, 5u, 7u, 9u}) {
+    Buckets up, down, interleaved, overlapping, grid, eps;
+    for (std::size_t b = 0; b < nb; ++b) {
+      const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 8));
+      // The buffer shape: one constant load per bucket, rising (one run
+      // after joining) or falling (runs that never interleave).
+      std::vector<Solution> rising = smooth_curve(rng, m);
+      std::vector<Solution> falling = smooth_curve(rng, m);
+      for (Solution& s : rising) s.load = 1.0 + static_cast<double>(b);
+      for (Solution& s : falling) s.load = 20.0 - static_cast<double>(b);
+      up.push_back(rising);
+      down.push_back(falling);
+      interleaved.push_back(smooth_curve(rng, m));
+      std::vector<Solution> shifted = smooth_curve(rng, m);
+      for (Solution& s : shifted)
+        s.load = static_cast<double>(b) + rng.uniform(0, 2);
+      overlapping.push_back(shifted);
+      grid.push_back(grid_curve(rng, m));
+      if (b % 3 == 1) grid.push_back({});  // empty buckets between runs
+    }
+    // Eps-boundary pairs dealt round-robin, so a pair straddles buckets.
+    const std::vector<Solution> pairs = eps_boundary_curve(rng, 4 * nb);
+    eps.resize(nb);
+    for (std::size_t i = 0; i < pairs.size(); ++i) eps[i % nb].push_back(pairs[i]);
+
+    expect_sweep_matches_oracle(rng, up, "disjoint, rising");
+    expect_sweep_matches_oracle(rng, down, "disjoint, falling");
+    expect_sweep_matches_oracle(rng, interleaved, "interleaved");
+    expect_sweep_matches_oracle(rng, overlapping, "partially overlapping");
+    expect_sweep_matches_oracle(rng, grid, "grid ties");
+    expect_sweep_matches_oracle(rng, eps, "eps boundary");
+  }
+}
+
+// The cap reference (sort-then-pick): sort the survivors by
+// (load, area), then keep the extremes and the load spread.
+std::vector<Solution> sort_then_pick(std::vector<Solution> v,
+                                     const PruneConfig& cfg) {
+  if (cfg.max_solutions == 0 || v.size() <= cfg.max_solutions) return v;
+  std::sort(v.begin(), v.end(), [](const Solution& a, const Solution& b) {
+    if (a.load != b.load) return a.load < b.load;
+    return a.area < b.area;
+  });
+  const std::size_t n = v.size();
+  const std::size_t m = cfg.max_solutions;
+  std::size_t best_rt = 0, min_area = 0, best_scalar = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (v[i].req_time > v[best_rt].req_time) best_rt = i;
+    if (v[i].area < v[min_area].area) min_area = i;
+    if (cfg.ref_res > 0.0 &&
+        v[i].req_time - cfg.ref_res * v[i].load >
+            v[best_scalar].req_time - cfg.ref_res * v[best_scalar].load)
+      best_scalar = i;
+  }
+  std::vector<std::size_t> must{0, best_rt, min_area};
+  if (cfg.ref_res > 0.0) must.push_back(best_scalar);
+  std::sort(must.begin(), must.end());
+  must.erase(std::unique(must.begin(), must.end()), must.end());
+  std::vector<std::size_t> pick = must;
+  for (std::size_t j = 0; j < m && pick.size() < m + must.size(); ++j)
+    pick.push_back(m == 1 ? best_rt : j * (n - 1) / (m - 1));
+  std::sort(pick.begin(), pick.end());
+  pick.erase(std::unique(pick.begin(), pick.end()), pick.end());
+  for (std::size_t j = 1; pick.size() > std::max(m, must.size());) {
+    if (j + 1 >= pick.size()) break;
+    if (!std::binary_search(must.begin(), must.end(), pick[j]))
+      pick.erase(pick.begin() + static_cast<std::ptrdiff_t>(j));
+    else
+      ++j;
+  }
+  std::vector<Solution> out;
+  for (const std::size_t i : pick) out.push_back(v[i]);
+  return out;
+}
+
+// Quantization reference: of the exact survivors (canonical order), keep
+// per (load bin, area bin) the best required time, ties toward less wire,
+// then toward the earlier point.
+std::vector<Solution> reference_bins(const std::vector<Solution>& v,
+                                     const PruneConfig& cfg) {
+  if (cfg.load_quantum <= 0.0 && cfg.area_quantum <= 0.0) return v;
+  const auto bin = [](double x, double q) {
+    return q > 0.0 ? std::floor(x / q) : x;
+  };
+  std::vector<Solution> out;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    bool beaten = false;
+    for (std::size_t j = 0; j < v.size() && !beaten; ++j) {
+      if (j == i || bin(v[j].load, cfg.load_quantum) != bin(v[i].load, cfg.load_quantum) ||
+          bin(v[j].area, cfg.area_quantum) != bin(v[i].area, cfg.area_quantum))
+        continue;
+      beaten = v[j].req_time > v[i].req_time ||
+               (v[j].req_time == v[i].req_time &&
+                (v[j].wirelen < v[i].wirelen ||
+                 (v[j].wirelen == v[i].wirelen && j < i)));
+    }
+    if (!beaten) out.push_back(v[i]);
+  }
+  return out;
+}
+
+std::vector<Solution> reference_prune(const std::vector<Solution>& in,
+                                      const PruneConfig& cfg) {
+  return sort_then_pick(reference_bins(oracle_prune(in), cfg), cfg);
+}
+
+std::vector<Solution> numbered(std::vector<Solution> v) {
+  for (std::size_t i = 0; i < v.size(); ++i) v[i].node = static_cast<SolNodeId>(i);
+  return v;
+}
+
+// RangeDp's stage shape: a merged cell followed by extension curves, each
+// already pruned, so the input is a few sorted runs back to back.
+TEST_P(PruneDifferential, PruneOfConcatenatedCurvesMatchesOracle) {
+  Rng rng(0xD1FF7000 + GetParam());
+  const PruneConfig configs[] = {
+      PruneConfig{}, PruneConfig{5.0, 2.0, 0}, PruneConfig{0.0, 0.0, 4, 1.0},
+      PruneConfig{0.0, 0.0, 3}, PruneConfig{5.0, 2.0, 4, 1.0}};
+  for (std::size_t parts = 2; parts <= 5; ++parts) {
+    std::vector<Solution> flat;
+    for (std::size_t k = 0; k < parts; ++k) {
+      const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 30));
+      std::vector<Solution> part = k % 3 == 0   ? smooth_curve(rng, n)
+                                   : k % 3 == 1 ? grid_curve(rng, n)
+                                                : eps_boundary_curve(rng, n);
+      const std::vector<Solution> pruned = pruned_flat(part, {});
+      flat.insert(flat.end(), pruned.begin(), pruned.end());
+    }
+    flat = numbered(flat);
+    for (const PruneConfig& cfg : configs)
+      expect_same_points(pruned_flat(flat, cfg), reference_prune(flat, cfg),
+                         "concatenation");
+  }
+}
+
+TEST_P(PruneDifferential, CapPicksLikeSortThenPick) {
+  Rng rng(0xD1FF8000 + GetParam());
+  SolutionArena arena;
+  const SolutionCurve staircase = frontier_curve(arena, 24, 0xCA90 + GetParam());
+  const std::vector<std::vector<Solution>> inputs = {
+      numbered(smooth_curve(rng, 60)), numbered(grid_curve(rng, 80)),
+      numbered(eps_boundary_curve(rng, 30)),
+      numbered({staircase.begin(), staircase.end()})};
+  for (const std::vector<Solution>& in : inputs)
+    for (std::size_t cap = 1; cap <= 8; ++cap)
+      for (const double ref_res : {0.0, 0.7}) {
+        const PruneConfig cfg{0.0, 0.0, cap, ref_res};
+        expect_same_points(pruned_flat(in, cfg), reference_prune(in, cfg), "cap");
+      }
+}
+
 // -- SIMD vs scalar agreement ----------------------------------------------
 // The dispatched `dominated` (vector when built with MERLIN_SIMD on an
-// SSE2/AVX2 target) must agree with the always-built scalar loop on every
+// SSE2 target) must agree with the always-built scalar loop on every
 // query, most importantly at exact eps boundaries where a widened compare
 // that reassociated the bound arithmetic would flip.
 
@@ -348,11 +570,12 @@ TEST(KernelSimd, DominatedAgreesWithScalarOnAdversarialQueries) {
   FrontierSoA f;
   std::vector<CurveCand> members;
   for (std::size_t i = 0; i < 37; ++i) {  // odd size: exercises vector tails
-    const CurveCand c{rng.uniform(0, 10), rng.uniform(1, 10),
-                      rng.uniform(0, 10), 0.0, i};
-    members.push_back(c);
-    f.accept(c);
+    members.push_back(CurveCand{rng.uniform(0, 10), rng.uniform(1, 10),
+                                rng.uniform(0, 10), 0.0, i});
   }
+  // `accept` requires canonical order; every member still yields queries.
+  std::sort(members.begin(), members.end(), cand_order_less);
+  for (const CurveCand& c : members) f.accept(c);
   ASSERT_FALSE(f.empty());
 
   std::size_t checked = 0;
@@ -378,6 +601,79 @@ TEST(KernelSimd, DominatedAgreesWithScalarOnAdversarialQueries) {
   EXPECT_GT(checked, 1000u);
   // Not an assertion — just surface which path this binary exercises.
   RecordProperty("simd", kernel_simd_enabled() ? "on" : "off");
+}
+
+// A query coordinate q whose eps bound lands exactly on x (q + step == x
+// in floating point), so a `<=` / `>=` lane compare is decided by equality;
+// nullopt when rounding leaves no such q next to x - step.
+std::optional<double> bound_lands_on(double x, double step) {
+  double q = x - step;
+  for (int i = 0; i < 16; ++i) {
+    const double b = q + step;
+    if (b == x) return q;
+    q = std::nextafter(q, b < x ? HUGE_VAL : -HUGE_VAL);
+  }
+  return std::nullopt;
+}
+
+// The sweep's own test (`dominated_in_order`) skips the load lane and
+// scans newest first; for every query that follows the whole frontier in
+// canonical order — the only queries a sweep makes — it must agree with the
+// three-lane scalar reference.  The frontier grows one member at a time, so
+// every size (and every vector tail) is exercised, and the queries sit on
+// the eps boundary of both the next member and the newest survivor.
+TEST(KernelSimd, SweepOrderTestAgreesWithScalarReference) {
+  Rng rng(0x51D50002);
+  std::vector<CurveCand> members;
+  for (std::size_t i = 0; i < 64; ++i) {
+    members.push_back(CurveCand{rng.uniform(0, 10), rng.uniform(1, 10),
+                                rng.uniform(0, 10), 0.0, i});
+  }
+  std::sort(members.begin(), members.end(), cand_order_less);
+
+  static constexpr double kDeltas[] = {-2 * kCurveEps, -kCurveEps,
+                                       -kCurveEps / 2, 0.0, kCurveEps / 2,
+                                       kCurveEps, 2 * kCurveEps};
+  FrontierSoA f;
+  std::size_t checked = 0, on_bound = 0;
+  const auto check = [&](double req, double load, double area) {
+    const CurveCand qc{req, load, area, 0.0, members.size()};
+    if (!f.empty() && !cand_order_less(f[f.size() - 1], qc)) return;
+    const bool want = f.dominated_scalar(req, load, area);
+    EXPECT_EQ(f.dominated_in_order(req, area), want)
+        << "size=" << f.size() << " req=" << req << " load=" << load
+        << " area=" << area;
+    ++checked;
+    for (std::size_t k = 0; k < f.size(); ++k)
+      on_bound += f[k].area == area + kCurveEps ||
+                  f[k].req_time == req - kCurveEps;
+  };
+  for (const CurveCand& m : members) {
+    std::vector<CurveCand> anchors{m};
+    if (!f.empty()) anchors.push_back(f[f.size() - 1]);
+    for (const CurveCand& a : anchors) {
+      for (const double d : kDeltas) {
+        const double queries[][3] = {
+            {a.req_time + d, a.load, a.area},
+            {a.req_time, a.load + d, a.area},
+            {a.req_time, a.load, a.area + d},
+            {a.req_time - d, a.load + d, a.area + d},
+        };
+        for (const auto& q : queries) check(q[0], q[1], q[2]);
+      }
+      // Exactly on the area and req_time bounds of the anchor, at a load
+      // just past it so the query still follows the anchor.
+      const double load = a.load + kCurveEps;
+      const std::optional<double> area_on = bound_lands_on(a.area, kCurveEps);
+      const std::optional<double> req_on = bound_lands_on(a.req_time, -kCurveEps);
+      if (area_on) check(a.req_time, load, *area_on);
+      if (req_on) check(*req_on, load, a.area);
+      if (area_on && req_on) check(*req_on, load, *area_on);
+    }
+    f.accept(m);
+  }
+  EXPECT_GT(checked, 2000u);
+  EXPECT_GT(on_bound, 100u);
 }
 
 }  // namespace
