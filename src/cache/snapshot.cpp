@@ -2,14 +2,11 @@
 
 #include <array>
 #include <cerrno>
-#include <cstring>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
+#include "io/bytes.h"
 
 namespace merlin {
 
@@ -39,117 +36,21 @@ std::uint32_t crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-// -- little-endian field codec ----------------------------------------------
-// Same byte discipline as the wire protocol, but local: the cache layer
-// cannot depend on serve/, and a file format should not borrow another
-// format's framing anyway.
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_i32(std::string& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-/// Bounds-latching reader: any underrun flips ok() and every later read
-/// returns zero, so parsing code can run to the end and check once.  No
-/// read ever touches bytes past the buffer — a hostile length cannot make
-/// the loader crash or balloon an allocation.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-               data_[pos_ + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-               data_[pos_ + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] bool exhausted() const { return ok_ && pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  bool take(std::size_t n) {
-    if (!ok_ || data_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 // -- entry codec ------------------------------------------------------------
 
 void encode_entry(std::string& out, const CacheEntry& e) {
-  put_u64(out, e.key.hi);
-  put_u64(out, e.key.lo);
-  put_u32(out, static_cast<std::uint32_t>(e.curves.size()));
+  ByteWriter w(out);
+  w.u64(e.key.hi).u64(e.key.lo);
+  w.u32(static_cast<std::uint32_t>(e.curves.size()));
   for (const std::vector<Solution>& curve : e.curves) {
-    put_u32(out, static_cast<std::uint32_t>(curve.size()));
-    for (const Solution& s : curve) {
-      put_f64(out, s.req_time);
-      put_f64(out, s.load);
-      put_f64(out, s.area);
-      put_f64(out, s.wirelen);
-      put_u32(out, s.node);
-    }
+    w.u32(static_cast<std::uint32_t>(curve.size()));
+    for (const Solution& s : curve)
+      w.f64(s.req_time).f64(s.load).f64(s.area).f64(s.wirelen).u32(s.node);
   }
-  put_u32(out, static_cast<std::uint32_t>(e.nodes.size()));
-  for (const SolNode& n : e.nodes) {
-    put_u8(out, static_cast<std::uint8_t>(n.kind));
-    put_i32(out, n.idx);
-    put_i32(out, n.at.x);
-    put_i32(out, n.at.y);
-    put_f64(out, n.wire_width);
-    put_u32(out, n.a);
-    put_u32(out, n.b);
-  }
+  w.u32(static_cast<std::uint32_t>(e.nodes.size()));
+  for (const SolNode& n : e.nodes)
+    w.u8(static_cast<std::uint8_t>(n.kind)).i32(n.idx).i32(n.at.x).i32(n.at.y)
+        .f64(n.wire_width).u32(n.a).u32(n.b);
 }
 
 /// Decodes one entry and validates its internal invariants: node links are
@@ -210,10 +111,8 @@ bool decode_entry(ByteReader& r, CacheEntry& e) {
 
 void append_section(std::string& out, std::uint32_t tag,
                     std::string_view payload) {
-  put_u32(out, tag);
-  put_u64(out, payload.size());
-  put_u32(out, crc32(payload));
-  out.append(payload.data(), payload.size());
+  ByteWriter(out).u32(tag).u64(payload.size()).u32(crc32(payload))
+      .bytes(payload);
 }
 
 SnapshotLoadResult fail_cold(SubproblemCache& cache, SnapshotLoadStatus status,
@@ -232,11 +131,6 @@ SnapshotLoadResult fail_cold(SubproblemCache& cache, SnapshotLoadStatus status,
 
 bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
                          SnapshotStats* stats, std::string* error) {
-  const auto set_error = [&](const std::string& what) {
-    if (error != nullptr) *error = what + ": " + std::strerror(errno);
-    return false;
-  };
-
   const std::size_t shard_count = cache.config().shards == 0
                                       ? 1
                                       : cache.config().shards;
@@ -252,104 +146,51 @@ bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
       });
 
   std::string meta;
-  put_u64(meta, cache.config().capacity_nodes);
-  put_u64(meta, shard_count);
-  put_u64(meta, st.entries);
-  put_u64(meta, st.nodes);
+  ByteWriter(meta).u64(cache.config().capacity_nodes).u64(shard_count)
+      .u64(st.entries).u64(st.nodes);
 
   std::string file;
-  put_u32(file, kSnapshotMagic);
-  put_u32(file, kSnapshotVersion);
+  ByteWriter(file).u32(kSnapshotMagic).u32(kSnapshotVersion);
   append_section(file, kSectionMeta, meta);
   for (std::size_t i = 0; i < shard_count; ++i) {
     std::string payload;
-    put_u64(payload, shard_entries[i]);
-    payload += shard_payloads[i];
+    ByteWriter(payload).u64(shard_entries[i]).bytes(shard_payloads[i]);
     append_section(file, kSectionShard, payload);
   }
   append_section(file, kSectionEnd, {});
   st.bytes = file.size();
 
-  // Atomic replace: temp + fsync + rename, then fsync the directory so the
-  // rename itself is durable.  A crash at any point leaves either the old
-  // snapshot or the new one under `path` — never a torn mixture.
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return set_error("open(" + tmp + ")");
-  std::size_t off = 0;
-  while (off < file.size()) {
-    const ssize_t n = ::write(fd, file.data() + off, file.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return set_error("write(" + tmp + ")");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return set_error("fsync(" + tmp + ")");
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return set_error("rename(" + tmp + " -> " + path + ")");
-  }
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);  // best effort; the data fsync above is the hard floor
-    ::close(dfd);
-  }
+  // A crash at any point leaves either the old snapshot or the new one
+  // under `path`, never a torn mixture.
+  if (!write_file_atomic(path, file, error)) return false;
   if (stats != nullptr) *stats = st;
   return true;
 }
 
 SnapshotLoadResult load_cache_snapshot(SubproblemCache& cache,
                                        const std::string& path) {
-  // A save that died mid-write leaves `path + ".tmp"`; it is garbage by
-  // definition (the rename never happened) and must not accumulate.
-  ::unlink((path + ".tmp").c_str());
+  // A save that died mid-write leaves its temp file behind; it is garbage
+  // by definition (the rename never happened) and must not accumulate.
+  remove_stale_temp(path);
 
   if (!cache.enabled())
     return fail_cold(cache, SnapshotLoadStatus::kDisabled,
                      "cache has no capacity; snapshot not restored");
 
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    SnapshotLoadResult r;
-    r.status = errno == ENOENT ? SnapshotLoadStatus::kMissing
-                               : SnapshotLoadStatus::kCorrupt;
-    r.detail = "open(" + path + "): " + std::strerror(errno);
-    cache.clear();
-    return r;
-  }
   std::string file;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
-                       "read(" + path + "): " + std::strerror(errno));
-    }
-    if (n == 0) break;
-    file.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
+  std::string io_error;
+  if (!read_file(path, file, &io_error))
+    return fail_cold(cache,
+                     errno == ENOENT ? SnapshotLoadStatus::kMissing
+                                     : SnapshotLoadStatus::kCorrupt,
+                     io_error);
 
-  ByteReader header(file);
-  if (header.u32() != kSnapshotMagic)
+  ByteReader in(file);
+  if (in.u32() != kSnapshotMagic)
     return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
                      "bad snapshot magic");
-  const std::uint32_t version = header.u32();
-  if (!header.ok())
+  const std::uint32_t version = in.u32();
+  if (!in.ok())
     return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
                      "truncated snapshot header");
   if (version != kSnapshotVersion)
@@ -361,33 +202,26 @@ SnapshotLoadResult load_cache_snapshot(SubproblemCache& cache,
   // Walk the sections: framing first (tag/length in bounds), then the CRC,
   // and only then the payload parse — hostile bytes are rejected before
   // they can direct any allocation.
-  std::size_t pos = 8;
   bool saw_meta = false;
   bool saw_end = false;
   std::uint64_t declared_entries = 0;
   FlushBatch batch;
   SnapshotStats st;
   st.bytes = file.size();
-  while (pos < file.size()) {
+  while (in.remaining() > 0) {
     if (saw_end)
       return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
                        "bytes after end sentinel");
-    ByteReader sh(std::string_view(file).substr(pos));
-    const std::uint32_t tag = sh.u32();
-    const std::uint64_t len = sh.u64();
-    const std::uint32_t crc = sh.u32();
-    if (!sh.ok())
+    const std::uint32_t tag = in.u32();
+    const std::uint64_t len = in.u64();
+    const std::uint32_t crc = in.u32();
+    const std::string_view payload = in.bytes(len);
+    if (!in.ok())
       return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
-                       "truncated section header");
-    if (len > sh.remaining())
-      return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
-                       "section length exceeds file");
-    const std::string_view payload =
-        std::string_view(file).substr(pos + 16, len);
+                       "truncated section (header or length past the end)");
     if (crc32(payload) != crc)
       return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
                        "section CRC mismatch");
-    pos += 16 + len;
 
     if (tag == kSectionMeta) {
       if (saw_meta)

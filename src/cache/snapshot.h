@@ -22,10 +22,11 @@
 //
 // Robustness contract (tests/test_snapshot.cpp holds the loader to it):
 //
-//   * save is atomic: the bytes go to `path + ".tmp"`, are fsync'ed, and
-//     rename(2) onto `path` — a reader can never observe a torn write
-//     under the final name, and a crash mid-save leaves the old snapshot
-//     intact (plus a stale .tmp the next save or load cleans up).
+//   * save is atomic: the image is written with write_file_atomic
+//     (io/bytes.h: temp file, fsync, rename(2) onto `path`, directory
+//     fsync) — a reader can never observe a torn write under the final
+//     name, and a crash mid-save leaves the old snapshot intact (plus a
+//     stale temp file the next save or load cleans up).
 //   * load NEVER throws and NEVER crashes on hostile bytes: every length
 //     is bounds-checked before any allocation, every payload is CRC
 //     checked before it is parsed, and every failure path leaves the cache
@@ -105,8 +106,8 @@ bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
 /// the cache's own budget still governs — a snapshot larger than the
 /// configured capacity restores to a truncated (most-recent) working set.
 /// Never throws: any corruption, truncation or version skew reports via
-/// the returned status and leaves the cache cold.  Also removes a stale
-/// `path + ".tmp"` left by a save that died mid-write.
+/// the returned status and leaves the cache cold.  Also removes the stale
+/// temp file a save that died mid-write left behind.
 SnapshotLoadResult load_cache_snapshot(SubproblemCache& cache,
                                        const std::string& path);
 

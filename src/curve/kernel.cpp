@@ -20,11 +20,9 @@ bool kernel_simd_enabled() {
 #endif
 }
 
-// Both paths evaluate the identical predicate
+// The reference predicate
 //   load_[k] <= load + eps && area_[k] <= area + eps && req_[k] >= req - eps
-// with the three bounds computed once, scalar, before the loop — the vector
-// path only widens the *comparisons*, never the arithmetic, which is what
-// keeps MERLIN_SIMD=ON and OFF bit-identical.
+// with the three bounds computed once before the loop.
 bool FrontierSoA::dominated_scalar(double req_time, double load,
                                    double area) const {
   const double load_lim = load + kCurveEps;
@@ -38,35 +36,10 @@ bool FrontierSoA::dominated_scalar(double req_time, double load,
   return false;
 }
 
-bool FrontierSoA::dominated(double req_time, double load, double area) const {
-#ifdef MERLIN_SIMD_ACTIVE
-  const double load_lim = load + kCurveEps;
-  const double area_lim = area + kCurveEps;
-  const double req_lim = req_time - kCurveEps;
-  const std::size_t n = load_.size();
-  const __m128d ll2 = _mm_set1_pd(load_lim);
-  const __m128d al2 = _mm_set1_pd(area_lim);
-  const __m128d rl2 = _mm_set1_pd(req_lim);
-  std::size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const __m128d dom =
-        _mm_and_pd(_mm_and_pd(_mm_cmple_pd(_mm_loadu_pd(&load_[k]), ll2),
-                              _mm_cmple_pd(_mm_loadu_pd(&area_[k]), al2)),
-                   _mm_cmpge_pd(_mm_loadu_pd(&req_[k]), rl2));
-    if (_mm_movemask_pd(dom) != 0) return true;
-  }
-  for (; k < n; ++k) {
-    if (load_[k] <= load_lim && area_[k] <= area_lim && req_[k] >= req_lim)
-      return true;
-  }
-  return false;
-#else
-  return dominated_scalar(req_time, load, area);
-#endif
-}
-
 // The sweep's test: the same bounds as above minus the load lane, which a
 // query in sweep order always passes, scanned from the newest survivor back.
+// The vector path only widens the *comparisons*, never the bound
+// arithmetic, which keeps MERLIN_SIMD=ON and OFF bit-identical.
 bool FrontierSoA::dominated_in_order(double req_time, double area) const {
   const double area_lim = area + kCurveEps;
   const double req_lim = req_time - kCurveEps;

@@ -155,8 +155,8 @@ class FrontierSoA {
     return true;
   }
 
-  /// `dominated` for a query that follows every survivor in canonical
-  /// order, as each candidate of a sweep does.  Every survivor then has
+  /// The dominance test for a query that follows every survivor in
+  /// canonical order, as each candidate of a sweep does.  Every survivor then has
   /// load <= the query's load, so `load_[k] <= load + eps` always holds and
   /// only the area and req lanes are compared.  The scan runs newest
   /// survivor first, because the latest point is the likeliest dominator;
@@ -165,15 +165,8 @@ class FrontierSoA {
   [[nodiscard]] bool dominated_in_order(double req_time, double area) const;
 
   /// Whether any survivor eps-dominates the tuple, for a query in any
-  /// order: the three-lane reference the sweep-order test is checked
-  /// against (vector path when built with MERLIN_SIMD, scalar otherwise;
-  /// identical results).
-  [[nodiscard]] bool dominated(double req_time, double load,
-                               double area) const;
-
-  /// The always-built scalar reference for `dominated`; the differential
-  /// suite asserts the dispatched path agrees with it on adversarial
-  /// eps-boundary values.
+  /// order: the three-lane scalar reference the differential suite checks
+  /// `dominated_in_order` against on adversarial eps-boundary values.
   [[nodiscard]] bool dominated_scalar(double req_time, double load,
                                       double area) const;
 

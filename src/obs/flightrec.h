@@ -98,13 +98,11 @@ class FlightRecorder {
   /// durability needs nothing; this is for the SIGSEGV/SIGABRT handlers.
   void sigsync();
 
-  /// Atomic on-demand dump: copy the live ring to `path` (tmp + rename).
-  bool dump(const std::string& path, std::string* error = nullptr) const;
-
   void close();
 
-  /// Parse a ring file (live, dumped, or left behind by a dead process).
-  /// Torn records are dropped; returns false only on a structural problem.
+  /// Parse a ring file (live, or left behind by a dead process).  Torn
+  /// records are dropped; returns false only on a structural problem: a
+  /// bad header, or a file whose size is not exactly the header's ring.
   static bool load(const std::string& path, FlightDump* out,
                    std::string* error = nullptr);
 

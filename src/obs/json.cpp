@@ -355,8 +355,14 @@ class Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth) fail("nesting too deep");
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -472,6 +478,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -581,6 +588,21 @@ std::string stats_to_prometheus(const LifetimeSnapshot& lifetime,
   return out;
 }
 
+namespace {
+
+// A bucket count or run length: a non-negative integer below 2^64.  Any
+// other number makes the integer cast undefined; a negative run, wrapped
+// to 2^64 - 1, would pass the slot-count check and walk `slot + i` off the
+// bucket array.
+std::uint64_t hist_field(const JsonValue& v) {
+  if (!v.is_number() || !(v.number >= 0.0 && v.number < 0x1p64) ||
+      v.number != std::floor(v.number))
+    throw std::invalid_argument("hist_from_json: malformed [count, run]");
+  return static_cast<std::uint64_t>(v.number);
+}
+
+}  // namespace
+
 LatencyHistogram hist_from_json(const JsonValue& hist_obj) {
   if (!hist_obj.is_object() || !hist_obj.has("hist") ||
       !hist_obj.at("hist").is_array())
@@ -588,12 +610,11 @@ LatencyHistogram hist_from_json(const JsonValue& hist_obj) {
   LatencyHistogram h;
   std::size_t slot = 0;
   for (const JsonValue& pair : hist_obj.at("hist").array) {
-    if (!pair.is_array() || pair.array.size() != 2 ||
-        !pair.array[0].is_number() || !pair.array[1].is_number())
+    if (!pair.is_array() || pair.array.size() != 2)
       throw std::invalid_argument("hist_from_json: malformed [count, run]");
-    const auto count = static_cast<std::uint64_t>(pair.array[0].number);
-    const auto run = static_cast<std::size_t>(pair.array[1].number);
-    if (slot + run > LatencyHistogram::kSlots)
+    const std::uint64_t count = hist_field(pair.array[0]);
+    const std::uint64_t run = hist_field(pair.array[1]);
+    if (run > LatencyHistogram::kSlots - slot)
       throw std::invalid_argument("hist_from_json: runs exceed slot count");
     if (count != 0)
       for (std::size_t i = 0; i < run; ++i) h.add_bucket(slot + i, count);

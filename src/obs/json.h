@@ -106,9 +106,15 @@ struct JsonValue {
   }
 };
 
+/// Deepest array/object nesting json_parse accepts.  The exporter's
+/// documents nest under ten levels; the limit keeps hostile input such as
+/// a megabyte of '[' from exhausting the parser's stack.
+inline constexpr int kJsonMaxDepth = 64;
+
 /// Parse a JSON document.  Throws std::invalid_argument on malformed input
-/// (including trailing garbage).  Supports the full JSON grammar minus
-/// \uXXXX escapes (which the exporter never emits).
+/// (including trailing garbage and nesting deeper than kJsonMaxDepth).
+/// Supports the full JSON grammar minus \uXXXX escapes (which the exporter
+/// never emits).
 [[nodiscard]] JsonValue json_parse(std::string_view text);
 
 /// Reconstruct a LatencyHistogram from an exported histogram object (one

@@ -1,110 +1,30 @@
 #include "serve/protocol.h"
 
-#include <cstring>
+#include "io/bytes.h"
 
 namespace merlin {
-
-// -- WireWriter -------------------------------------------------------------
-
-void WireWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void WireWriter::f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  u64(bits);
-}
-
-void WireWriter::str(std::string_view v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  out_.append(v.data(), v.size());
-}
-
-// -- WireReader -------------------------------------------------------------
-
-bool WireReader::take(std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t WireReader::u8() {
-  if (!take(1)) return 0;
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint32_t WireReader::u32() {
-  if (!take(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(data_[pos_ + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t WireReader::u64() {
-  if (!take(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(data_[pos_ + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  pos_ += 8;
-  return v;
-}
-
-double WireReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-std::string WireReader::str() {
-  const std::uint32_t n = u32();
-  // A length that cannot fit in the remaining payload is corruption, not a
-  // request for allocation.
-  if (!take(n)) return {};
-  std::string out(data_.substr(pos_, n));
-  pos_ += n;
-  return out;
-}
 
 // -- frame codec ------------------------------------------------------------
 
 void append_frame(std::string& out, MsgType type, std::string_view payload) {
-  WireWriter w(out);
-  w.u32(kWireMagic);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
+  ByteWriter(out).u32(kWireMagic).u8(static_cast<std::uint8_t>(type))
+      .str(payload);
 }
 
 DecodeStatus decode_frame(std::string_view buf, Frame& frame,
                           std::size_t& consumed) {
   consumed = 0;
   if (buf.size() < kFrameHeaderSize) return DecodeStatus::kNeedMore;
-  WireReader r(buf);
+  ByteReader r(buf);
   const std::uint32_t magic = r.u32();
   if (magic != kWireMagic) return DecodeStatus::kBadMagic;
   const std::uint8_t raw_type = r.u8();
   const std::uint32_t len = r.u32();
   if (len > kMaxFramePayload) return DecodeStatus::kOversize;
   if (!msg_type_known(raw_type)) return DecodeStatus::kBadType;
-  if (buf.size() - kFrameHeaderSize < len) return DecodeStatus::kNeedMore;
+  if (r.remaining() < len) return DecodeStatus::kNeedMore;
   frame.type = static_cast<MsgType>(raw_type);
-  frame.payload.assign(buf.substr(kFrameHeaderSize, len));
+  frame.payload.assign(r.bytes(len));
   consumed = kFrameHeaderSize + len;
   return DecodeStatus::kFrame;
 }
@@ -113,16 +33,12 @@ DecodeStatus decode_frame(std::string_view buf, Frame& frame,
 
 std::string SubmitCircuitReq::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.u64(gates);
-  w.u64(seed);
-  w.u8(flow);
-  w.u32(deadline_ms);
+  ByteWriter(out).u64(gates).u64(seed).u8(flow).u32(deadline_ms);
   return out;
 }
 
 bool SubmitCircuitReq::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   gates = r.u64();
   seed = r.u64();
   flow = r.u8();
@@ -132,15 +48,12 @@ bool SubmitCircuitReq::decode(std::string_view payload) {
 
 std::string SubmitNetReq::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.u8(flow);
-  w.str(net_text);
-  w.u32(deadline_ms);
+  ByteWriter(out).u8(flow).str(net_text).u32(deadline_ms);
   return out;
 }
 
 bool SubmitNetReq::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   flow = r.u8();
   net_text = r.str();
   deadline_ms = r.u32();
@@ -149,28 +62,24 @@ bool SubmitNetReq::decode(std::string_view payload) {
 
 std::string JobReq::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.u64(job_id);
+  ByteWriter(out).u64(job_id);
   return out;
 }
 
 bool JobReq::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   job_id = r.u64();
   return r.exhausted();
 }
 
 std::string PongResp::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.u32(version);
-  w.u64(jobs_completed);
-  w.u8(draining);
+  ByteWriter(out).u32(version).u64(jobs_completed).u8(draining);
   return out;
 }
 
 bool PongResp::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   version = r.u32();
   jobs_completed = r.u64();
   draining = r.u8();
@@ -179,22 +88,13 @@ bool PongResp::decode(std::string_view payload) {
 
 std::string ResultResp::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.u64(job_id);
-  w.u8(ok);
-  w.f64(delay_ps);
-  w.f64(area);
-  w.u64(buffers);
-  w.u64(nets);
-  w.u64(digest);
-  w.f64(queue_ms);
-  w.f64(wall_ms);
-  w.str(error);
+  ByteWriter(out).u64(job_id).u8(ok).f64(delay_ps).f64(area).u64(buffers)
+      .u64(nets).u64(digest).f64(queue_ms).f64(wall_ms).str(error);
   return out;
 }
 
 bool ResultResp::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   job_id = r.u64();
   ok = r.u8();
   delay_ps = r.f64();
@@ -210,15 +110,12 @@ bool ResultResp::decode(std::string_view payload) {
 
 std::string StatusResp::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.u64(job_id);
-  w.u8(state);
-  w.u64(position);
+  ByteWriter(out).u64(job_id).u8(state).u64(position);
   return out;
 }
 
 bool StatusResp::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   job_id = r.u64();
   state = r.u8();
   position = r.u64();
@@ -227,14 +124,12 @@ bool StatusResp::decode(std::string_view payload) {
 
 std::string StatsResp::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.u64(job_id);
-  w.str(json);
+  ByteWriter(out).u64(job_id).str(json);
   return out;
 }
 
 bool StatsResp::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   job_id = r.u64();
   json = r.str();
   return r.exhausted();
@@ -242,14 +137,12 @@ bool StatsResp::decode(std::string_view payload) {
 
 std::string MetricsResp::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.str(json);
-  w.str(prometheus);
+  ByteWriter(out).str(json).str(prometheus);
   return out;
 }
 
 bool MetricsResp::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   json = r.str();
   prometheus = r.str();
   return r.exhausted();
@@ -257,15 +150,12 @@ bool MetricsResp::decode(std::string_view payload) {
 
 std::string ErrorResp::encode() const {
   std::string out;
-  WireWriter w(out);
-  w.u8(code);
-  w.u32(retry_after_ms);
-  w.str(message);
+  ByteWriter(out).u8(code).u32(retry_after_ms).str(message);
   return out;
 }
 
 bool ErrorResp::decode(std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   code = r.u8();
   retry_after_ms = r.u32();
   message = r.str();

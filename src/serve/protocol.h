@@ -7,11 +7,12 @@
 //   u8  type      MsgType
 //   u32 length    payload bytes that follow (<= kMaxFramePayload)
 //
-// Payloads are flat little-endian field sequences (WireWriter/WireReader);
-// strings are u32-length-prefixed UTF-8.  Every request gets exactly one
-// response frame on the same connection, in order — the protocol is
-// strictly synchronous per connection, and concurrency comes from opening
-// several connections (perfbench's daemon_eco clients do exactly that).
+// Payloads are flat little-endian field sequences written and read with the
+// shared byte codec (io/bytes.h: ByteWriter/ByteReader); strings are
+// u32-length-prefixed UTF-8.  Every request gets exactly one response frame
+// on the same connection, in order — the protocol is strictly synchronous
+// per connection, and concurrency comes from opening several connections
+// (perfbench's daemon_eco clients do exactly that).
 //
 // The message and error vocabularies below are dotted `kind.what` names,
 // documented in docs/SERVING.md's wire tables, which tools/check_docs.sh
@@ -123,46 +124,6 @@ enum class ServeError : std::uint8_t {
   }
   return "unknown";
 }
-
-// -- payload field codec ----------------------------------------------------
-
-/// Appends little-endian fields to a byte buffer (the frame payload).
-class WireWriter {
- public:
-  explicit WireWriter(std::string& out) : out_(out) {}
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
-  /// u32 length prefix + raw bytes.
-  void str(std::string_view v);
-
- private:
-  std::string& out_;
-};
-
-/// Reads little-endian fields back; any underrun (or an over-long string)
-/// latches ok() to false and every later read returns a zero value, so a
-/// decoder can read all fields and check ok() once at the end.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::string str();
-  /// True iff every read so far was in bounds.
-  [[nodiscard]] bool ok() const { return ok_; }
-  /// True iff the whole payload was consumed (trailing bytes = bad request).
-  [[nodiscard]] bool exhausted() const { return ok_ && pos_ == data_.size(); }
-
- private:
-  [[nodiscard]] bool take(std::size_t n);
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 // -- frame codec ------------------------------------------------------------
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -16,6 +15,7 @@
 #include <unistd.h>
 
 #include "flow/circuit.h"
+#include "io/bytes.h"
 #include "io/netfile.h"
 #include "net/generator.h"
 #include "obs/json.h"
@@ -201,11 +201,8 @@ bool ServerCore::save_snapshot(std::string* error) {
   // drain-time save may race, and the atomic temp+rename protocol assumes a
   // single in-flight temp file per path.
   std::lock_guard<std::mutex> lk(snapshot_mu_);
-  std::string err;
-  if (!save_cache_snapshot(*cache_, opts_.snapshot_path, nullptr, &err)) {
-    if (error != nullptr) *error = err;
+  if (!save_cache_snapshot(*cache_, opts_.snapshot_path, nullptr, error))
     return false;
-  }
   snapshot_saves_.fetch_add(1);
   flightrec_.record(FlightEvent::kSnapshot, 0, snapshot_saves_.load());
   return true;
@@ -235,22 +232,7 @@ bool ServerCore::dump_metrics(std::string* error) {
   // Same single-writer discipline as save_snapshot: the cadence thread and
   // the drain-time dump share one in-flight temp file per path.
   std::lock_guard<std::mutex> lk(metrics_out_mu_);
-  const std::string doc = metrics_json();
-  const std::string tmp = opts_.metrics_out + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out ||
-        !out.write(doc.data(), static_cast<std::streamsize>(doc.size()))) {
-      if (error != nullptr) *error = "cannot write " + tmp;
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), opts_.metrics_out.c_str()) != 0) {
-    if (error != nullptr) *error = "cannot rename " + tmp;
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return write_file_atomic(opts_.metrics_out, metrics_json(), error);
 }
 
 const JobOutcome* ServerCore::wait(std::uint64_t job_id) {

@@ -189,8 +189,9 @@ class ServerCore {
   [[nodiscard]] std::string metrics_json() const;
   /// The same registry snapshot in Prometheus text exposition format.
   [[nodiscard]] std::string metrics_prometheus() const;
-  /// Writes metrics_json() to ServeOptions::metrics_out atomically
-  /// (temp + rename).  False with `error` filled when unconfigured or the
+  /// Writes metrics_json() to ServeOptions::metrics_out atomically and
+  /// durably (io/bytes.h write_file_atomic: temp + fsync + rename +
+  /// directory fsync).  False with `error` filled when unconfigured or the
   /// write failed; a previous dump on disk survives every failure.
   bool dump_metrics(std::string* error = nullptr);
 

@@ -28,6 +28,7 @@
 #include "cache/shard.h"
 #include "flow/batch.h"
 #include "flow/circuit.h"
+#include "io/bytes.h"
 #include "io/netfile.h"
 #include "net/generator.h"
 #include "obs/json.h"
@@ -148,14 +149,14 @@ TEST(ServeFrame, BadMagicOversizeAndUnknownTypeAreRejected) {
   // Valid magic, oversize declared length: rejected BEFORE the payload
   // arrives (nothing should wait for 2 GB that will never come).
   std::string oversize;
-  WireWriter w(oversize);
+  ByteWriter w(oversize);
   w.u32(kWireMagic);
   w.u8(static_cast<std::uint8_t>(MsgType::kReqPing));
   w.u32(static_cast<std::uint32_t>(kMaxFramePayload + 1));
   EXPECT_EQ(decode_frame(oversize, f, consumed), DecodeStatus::kOversize);
 
   std::string badtype;
-  WireWriter w2(badtype);
+  ByteWriter w2(badtype);
   w2.u32(kWireMagic);
   w2.u8(200);  // not a MsgType
   w2.u32(0);
@@ -165,7 +166,7 @@ TEST(ServeFrame, BadMagicOversizeAndUnknownTypeAreRejected) {
 TEST(ServeFrame, CorruptPayloadsFailDecodeCleanly) {
   // String length prefix pointing past the payload end.
   std::string lying;
-  WireWriter w(lying);
+  ByteWriter w(lying);
   w.u8(3);
   w.u32(1000000);  // "string of a million bytes" ... followed by nothing
   SubmitNetReq n;
