@@ -10,7 +10,7 @@
 //                      until interrupted
 //     --json           print the raw merlin.stats v6 JSON instead
 //     --prom           print the Prometheus text exposition instead
-//     --flightrec FILE parse a flight-recorder ring (live, dumped, or left
+//     --flightrec FILE parse a flight-recorder ring (live, or left
 //                      behind by a dead daemon) and print its events,
 //                      oldest first — no daemon needed
 //     --last N         with --flightrec: print only the last N events
