@@ -1,5 +1,6 @@
 #include "io/bytes.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -46,14 +47,15 @@ std::string temp_path(const std::string& path) { return path + ".tmp"; }
 
 }  // namespace
 
-bool read_file(const std::string& path, std::string& out, std::string* error,
-               std::size_t max_bytes) {
+bool read_file_head(const std::string& path, std::string& out,
+                    std::size_t max_bytes, std::string* error) {
   out.clear();
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return fail(error, "open(" + path + ")");
   char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+  while (out.size() < max_bytes) {
+    const ssize_t n =
+        ::read(fd, buf, std::min(sizeof buf, max_bytes - out.size()));
     if (n < 0) {
       if (errno == EINTR) continue;
       fail(error, "read(" + path + ")");
@@ -61,15 +63,22 @@ bool read_file(const std::string& path, std::string& out, std::string* error,
       return false;
     }
     if (n == 0) break;
-    if (static_cast<std::size_t>(n) > max_bytes - out.size()) {
-      ::close(fd);
-      errno = EFBIG;
-      return fail(error, "read(" + path + ")");
-    }
     out.append(buf, static_cast<std::size_t>(n));
   }
   ::close(fd);
   return true;
+}
+
+bool read_file(const std::string& path, std::string& out, std::string* error,
+               std::size_t max_bytes) {
+  // One byte past the bound tells "exactly max_bytes" from "more".
+  const std::size_t limit =
+      max_bytes == static_cast<std::size_t>(-1) ? max_bytes : max_bytes + 1;
+  if (!read_file_head(path, out, limit, error)) return false;
+  if (out.size() <= max_bytes) return true;
+  out.clear();
+  errno = EFBIG;
+  return fail(error, "read(" + path + ")");
 }
 
 bool write_file_atomic(const std::string& path, std::string_view bytes,

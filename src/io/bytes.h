@@ -77,6 +77,12 @@ class ByteReader {
   bool ok_ = true;
 };
 
+/// Reads the first `max_bytes` bytes of the file at `path` into `out` (all
+/// of it when the file is shorter), so a reader can check a header before
+/// it sizes anything from one.  Failure is reported as by read_file.
+bool read_file_head(const std::string& path, std::string& out,
+                    std::size_t max_bytes, std::string* error = nullptr);
+
 /// Reads the whole file at `path` into `out`.  On failure returns false,
 /// fills `error` (when given) with the failed call and its reason, and
 /// leaves errno as that call set it (ENOENT: no such file; EFBIG: the file

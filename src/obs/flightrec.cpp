@@ -112,10 +112,10 @@ void FlightRecorder::close() {
 
 bool FlightRecorder::load(const std::string& path, FlightDump* out,
                           std::string* error) {
+  // The header first, at its fixed little-endian offsets (the FlightHeader
+  // layout above): a file that is not a ring costs 24 bytes, however big.
   std::string bytes;
-  if (!read_file(path, bytes, error, ring_bytes(kMaxCapacity))) return false;
-  // The header and slot fields at their fixed little-endian offsets (the
-  // FlightHeader / FlightRecord layouts above).
+  if (!read_file_head(path, bytes, sizeof(FlightHeader), error)) return false;
   ByteReader in(bytes);
   const std::uint32_t magic = in.u32();
   const std::uint32_t version = in.u32();
@@ -132,8 +132,10 @@ bool FlightRecorder::load(const std::string& path, FlightDump* out,
     set_error(error, "flightrec: bad header in " + path);
     return false;
   }
-  // The file must hold exactly the ring the header claims, checked before
-  // anything is sized from `capacity`.
+  // Then exactly the ring the header claims; one byte more tells a longer
+  // file apart.
+  if (!read_file_head(path, bytes, ring_bytes(capacity) + 1, error))
+    return false;
   if (bytes.size() != ring_bytes(capacity)) {
     set_error(error, "flightrec: ring size disagrees with header in " + path);
     return false;

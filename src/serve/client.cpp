@@ -1,47 +1,28 @@
 #include "serve/client.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
+
+#include "serve/transport.h"
 
 namespace merlin {
 
-namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-int connect_once(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.empty() || path.size() >= sizeof(addr.sun_path))
-    throw std::runtime_error("socket path empty or too long: '" + path + "'");
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_UNIX)");
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-}  // namespace
-
 ServeClient::ServeClient(const std::string& socket_path, int retry_ms) {
+  const sockaddr_un addr = unix_address(socket_path);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(retry_ms);
   for (;;) {
-    fd_ = connect_once(socket_path);
-    if (fd_ >= 0) return;
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd_ < 0) throw_errno("socket(AF_UNIX)");
+    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0)
+      return;
+    ::close(fd_);
     if (std::chrono::steady_clock::now() >= deadline)
       throw_errno("connect(" + socket_path + ")");
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -53,47 +34,32 @@ ServeClient::~ServeClient() {
 }
 
 void ServeClient::send_bytes(std::string_view bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      const int err = n < 0 ? errno : 0;
-      throw TransportError(
-          "send to daemon failed after " + std::to_string(off) + "/" +
-              std::to_string(bytes.size()) + " bytes" +
-              (err != 0 ? std::string(": ") + std::strerror(err) : ""),
-          err, off);
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  const SendResult r = send_all(fd_, bytes);
+  if (r.err != 0)
+    throw TransportError("send to daemon failed after " +
+                             std::to_string(r.written) + "/" +
+                             std::to_string(bytes.size()) +
+                             " bytes: " + std::strerror(r.err),
+                         r.err, r.written);
 }
 
 Frame ServeClient::read_reply() {
-  char tmp[4096];
-  for (;;) {
-    Frame frame;
-    std::size_t consumed = 0;
-    const DecodeStatus st = decode_frame(rxbuf_, frame, consumed);
-    if (st == DecodeStatus::kFrame) {
-      rxbuf_.erase(0, consumed);
+  Frame frame;
+  const ReadResult r = read_frame(fd_, rxbuf_, frame);
+  switch (r.status) {
+    case ReadStatus::kFrame:
       return frame;
-    }
-    if (st != DecodeStatus::kNeedMore)
+    case ReadStatus::kBadFrame:
       throw std::runtime_error("malformed frame from daemon");
-    const ssize_t n = ::recv(fd_, tmp, sizeof tmp, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0)
-      throw TransportError(std::string("recv from daemon failed: ") +
-                               std::strerror(errno),
-                           errno, 0);
-    if (n == 0)
+    case ReadStatus::kClosed:
       throw TransportError(rxbuf_.empty()
                                ? "daemon closed the connection"
                                : "daemon closed mid-reply (torn frame)",
                            0, 0);
-    rxbuf_.append(tmp, static_cast<std::size_t>(n));
+    default:
+      throw TransportError(std::string("recv from daemon failed: ") +
+                               std::strerror(r.err),
+                           r.err, 0);
   }
 }
 
@@ -117,14 +83,36 @@ namespace {
                            msg_type_name(f.type));
 }
 
+/// The `want` reply decoded, or the daemon's error (or the surprise frame)
+/// thrown.
+template <typename Resp>
+Resp expect(const Frame& f, MsgType want) {
+  Resp resp;
+  if (f.type != want || !resp.decode(f.payload)) throw_error_resp(f);
+  return resp;
+}
+
+/// A payload-less acknowledgement of type `want`, or the error thrown.
+void expect_ack(const Frame& f, MsgType want) {
+  if (f.type != want) throw_error_resp(f);
+}
+
+/// A submit's verdict: the result, or the daemon's typed error returned.
+SubmitReply submit_reply(const Frame& f) {
+  SubmitReply reply;
+  if (f.type == MsgType::kRespResult && reply.result.decode(f.payload)) {
+    reply.ok = true;
+    return reply;
+  }
+  if (f.type == MsgType::kRespError && reply.error.decode(f.payload))
+    return reply;
+  throw_error_resp(f);
+}
+
 }  // namespace
 
 PongResp ServeClient::ping() {
-  const Frame f = roundtrip(MsgType::kReqPing, {});
-  PongResp pong;
-  if (f.type != MsgType::kRespPong || !pong.decode(f.payload))
-    throw_error_resp(f);
-  return pong;
+  return expect<PongResp>(roundtrip(MsgType::kReqPing, {}), MsgType::kRespPong);
 }
 
 SubmitReply ServeClient::submit_circuit(std::uint64_t gates,
@@ -136,15 +124,7 @@ SubmitReply ServeClient::submit_circuit(std::uint64_t gates,
   req.seed = seed;
   req.flow = flow;
   req.deadline_ms = deadline_ms;
-  const Frame f = roundtrip(MsgType::kReqSubmitCircuit, req.encode());
-  SubmitReply reply;
-  if (f.type == MsgType::kRespResult && reply.result.decode(f.payload)) {
-    reply.ok = true;
-    return reply;
-  }
-  if (f.type == MsgType::kRespError && reply.error.decode(f.payload))
-    return reply;
-  throw_error_resp(f);
+  return submit_reply(roundtrip(MsgType::kReqSubmitCircuit, req.encode()));
 }
 
 SubmitReply ServeClient::submit_net(const std::string& net_text,
@@ -154,58 +134,38 @@ SubmitReply ServeClient::submit_net(const std::string& net_text,
   req.flow = flow;
   req.net_text = net_text;
   req.deadline_ms = deadline_ms;
-  const Frame f = roundtrip(MsgType::kReqSubmitNet, req.encode());
-  SubmitReply reply;
-  if (f.type == MsgType::kRespResult && reply.result.decode(f.payload)) {
-    reply.ok = true;
-    return reply;
-  }
-  if (f.type == MsgType::kRespError && reply.error.decode(f.payload))
-    return reply;
-  throw_error_resp(f);
+  return submit_reply(roundtrip(MsgType::kReqSubmitNet, req.encode()));
 }
 
 StatusResp ServeClient::status(std::uint64_t job_id) {
   JobReq req;
   req.job_id = job_id;
-  const Frame f = roundtrip(MsgType::kReqStatus, req.encode());
-  StatusResp resp;
-  if (f.type != MsgType::kRespStatus || !resp.decode(f.payload))
-    throw_error_resp(f);
-  return resp;
+  return expect<StatusResp>(roundtrip(MsgType::kReqStatus, req.encode()),
+                            MsgType::kRespStatus);
 }
 
 StatsResp ServeClient::stats(std::uint64_t job_id) {
   JobReq req;
   req.job_id = job_id;
-  const Frame f = roundtrip(MsgType::kReqStats, req.encode());
-  StatsResp resp;
-  if (f.type != MsgType::kRespStats || !resp.decode(f.payload))
-    throw_error_resp(f);
-  return resp;
+  return expect<StatsResp>(roundtrip(MsgType::kReqStats, req.encode()),
+                           MsgType::kRespStats);
 }
 
 MetricsResp ServeClient::metrics() {
-  const Frame f = roundtrip(MsgType::kReqMetrics, {});
-  MetricsResp resp;
-  if (f.type != MsgType::kRespMetrics || !resp.decode(f.payload))
-    throw_error_resp(f);
-  return resp;
+  return expect<MetricsResp>(roundtrip(MsgType::kReqMetrics, {}),
+                             MsgType::kRespMetrics);
 }
 
 void ServeClient::drain() {
-  const Frame f = roundtrip(MsgType::kReqDrain, {});
-  if (f.type != MsgType::kRespOk) throw_error_resp(f);
+  expect_ack(roundtrip(MsgType::kReqDrain, {}), MsgType::kRespOk);
 }
 
 void ServeClient::shutdown() {
-  const Frame f = roundtrip(MsgType::kReqShutdown, {});
-  if (f.type != MsgType::kRespBye) throw_error_resp(f);
+  expect_ack(roundtrip(MsgType::kReqShutdown, {}), MsgType::kRespBye);
 }
 
 void ServeClient::snapshot() {
-  const Frame f = roundtrip(MsgType::kReqSnapshot, {});
-  if (f.type != MsgType::kRespOk) throw_error_resp(f);
+  expect_ack(roundtrip(MsgType::kReqSnapshot, {}), MsgType::kRespOk);
 }
 
 }  // namespace merlin

@@ -1,6 +1,7 @@
 #pragma once
-// Blocking unix-socket client for merlin_d — the library bench_serve, the
-// serve tests and ad-hoc tooling drive the daemon with.  One request frame
+// Blocking unix-socket client for merlin_d — the library merlin_stat,
+// perfbench's daemon workload, the serve tests and ad-hoc tooling drive the
+// daemon with.  One request frame
 // out, one response frame back (the protocol is synchronous per
 // connection); run several clients for concurrency.
 

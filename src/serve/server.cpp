@@ -11,7 +11,6 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "flow/circuit.h"
@@ -20,6 +19,7 @@
 #include "net/generator.h"
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "serve/transport.h"
 
 namespace merlin {
 
@@ -130,8 +130,6 @@ SubmitOutcome ServerCore::submit(std::uint64_t client, JobSpec spec) {
     job.job_id = next_job_id_++;
     JobRecord rec;
     rec.state = JobState::kQueued;
-    rec.client = client;
-    rec.spec = job.spec;
     rec.admit_ns = now_ns();
     jobs_.emplace(job.job_id, std::move(rec));
   }
@@ -450,73 +448,35 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
 
 namespace {
 
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-/// Writes the whole buffer.  Returns 0 on success, otherwise the errno of
-/// the failing send (EPIPE for a hung-up peer, EAGAIN for a send-timeout
-/// expiry under SO_SNDTIMEO); a zero-byte send with no errno maps to EIO so
-/// a short write can never masquerade as success.
-int send_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return n < 0 ? (errno != 0 ? errno : EIO) : EIO;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return 0;
-}
-
-int send_msg(int fd, MsgType type, std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  append_frame(frame, type, payload);
-  return send_all(fd, frame);
-}
-
-int send_error(int fd, ServeError code, std::string message,
-               std::uint32_t retry_after_ms = 0) {
-  ErrorResp e;
-  e.code = static_cast<std::uint8_t>(code);
-  e.retry_after_ms = retry_after_ms;
-  e.message = std::move(message);
-  return send_msg(fd, MsgType::kRespError, e.encode());
+const char* bad_frame_reason(DecodeStatus st) {
+  return st == DecodeStatus::kBadMagic  ? "bad magic"
+         : st == DecodeStatus::kOversize ? "payload exceeds kMaxFramePayload"
+                                         : "unknown message type";
 }
 
 }  // namespace
 
 bool SocketServer::reply(int fd, MsgType type, std::string_view payload) {
-  if (send_msg(fd, type, payload) != 0) {
-    core_.note_reply_failure();
-    return false;
-  }
-  return true;
+  std::string frame;
+  frame.reserve(kFrameHeaderSize + payload.size());
+  append_frame(frame, type, payload);
+  if (send_all(fd, frame).err == 0) return true;
+  core_.note_reply_failure();
+  return false;
 }
 
 bool SocketServer::reply_error(int fd, ServeError code, std::string message,
                                std::uint32_t retry_after_ms) {
-  if (send_error(fd, code, std::move(message), retry_after_ms) != 0) {
-    core_.note_reply_failure();
-    return false;
-  }
-  return true;
+  ErrorResp e;
+  e.code = static_cast<std::uint8_t>(code);
+  e.retry_after_ms = retry_after_ms;
+  e.message = std::move(message);
+  return reply(fd, MsgType::kRespError, e.encode());
 }
 
 SocketServer::SocketServer(ServerCore& core, std::string socket_path)
     : core_(core), path_(std::move(socket_path)) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path_.empty() || path_.size() >= sizeof(addr.sun_path))
-    throw std::runtime_error("socket path empty or too long: '" + path_ + "'");
-  std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
-
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("socket(AF_UNIX)");
+  const sockaddr_un addr = unix_address(path_);
   // A stale socket file from a killed daemon must not block the restart —
   // but blindly unlinking would also clobber a LIVE daemon's socket,
   // stranding it listening on an fd no client can ever reach.  Probe
@@ -531,23 +491,20 @@ SocketServer::SocketServer(ServerCore& core, std::string socket_path)
         probe, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
     const int probe_errno = rc == 0 ? 0 : errno;
     ::close(probe);
-    if (rc == 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
+    if (rc == 0)
       throw std::runtime_error("live daemon already serving on '" + path_ +
                                "' (refusing to clobber its socket)");
-    }
     if (probe_errno == ECONNREFUSED) ::unlink(path_.c_str());
   }
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) throw_errno("socket(AF_UNIX)");
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     ::close(listen_fd_);
-    listen_fd_ = -1;
     throw_errno("bind(" + path_ + ")");
   }
   if (::listen(listen_fd_, 64) != 0) {
     ::close(listen_fd_);
-    listen_fd_ = -1;
     ::unlink(path_.c_str());
     throw_errno("listen(" + path_ + ")");
   }
@@ -563,28 +520,43 @@ SocketServer::~SocketServer() {
   ::unlink(path_.c_str());
 }
 
+void SocketServer::reap_finished() {
+  std::lock_guard<std::mutex> lk(conn_mu_);
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->fd >= 0) {
+      ++it;
+      continue;
+    }
+    // The handler set fd = -1 under this mutex as its last act, so this
+    // join cannot deadlock.
+    it->thread.join();
+    it = connections_.erase(it);
+  }
+}
+
 void SocketServer::close_connections() {
+  std::list<Connection> conns;
   {
     // Half-close every live connection so its thread's blocking recv
-    // returns 0 and the handler unwinds.  The fd itself is closed by
-    // handle_connection (which also removes it from live_fds_ first, under
-    // this same mutex — so nothing here can shut down a recycled fd).
+    // returns 0 and the handler unwinds.  A handler closes its own fd and
+    // marks it -1 under this same mutex, so nothing here can shut down a
+    // recycled fd.
     std::lock_guard<std::mutex> lk(conn_mu_);
-    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lk(conn_mu_);
+    for (const Connection& c : connections_)
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
     conns.swap(connections_);
   }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
+  for (Connection& c : conns)
+    if (c.thread.joinable()) c.thread.join();  // not if its spawn threw
 }
 
 void SocketServer::run_until_shutdown(const std::atomic<bool>* external_stop) {
   std::uint64_t next_client = 0;
   while (!stop_.load() &&
          (external_stop == nullptr || !external_stop->load())) {
+    // Join the handlers that have finished, so a stream of short-lived
+    // connections (merlin_stat --watch) does not pile up thread stacks.
+    reap_finished();
     pollfd pfd{};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -600,9 +572,16 @@ void SocketServer::run_until_shutdown(const std::atomic<bool>* external_stop) {
     if (fd < 0) continue;
     const std::uint64_t client_id = ++next_client;
     std::lock_guard<std::mutex> lk(conn_mu_);
-    live_fds_.push_back(fd);
-    connections_.emplace_back(
-        [this, fd, client_id] { handle_connection(fd, client_id); });
+    Connection& c = connections_.emplace_back();
+    c.fd = fd;
+    c.thread = std::thread([this, &c, fd, client_id] {
+      handle_connection(fd, client_id);
+      // Close and mark done under the mutex, so close_connections never
+      // shuts down a recycled fd number.
+      std::lock_guard<std::mutex> done(conn_mu_);
+      ::close(fd);
+      c.fd = -1;
+    });
   }
   // Graceful drain: admission closes, queued and in-flight jobs run to
   // completion (their clients get real results), THEN the connections are
@@ -629,56 +608,23 @@ void SocketServer::handle_connection(int fd, std::uint64_t client_id) {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   }
   std::string buf;
-  char tmp[4096];
-  bool open = true;
-  while (open) {
-    // Drain every complete frame already buffered before reading more.
-    for (;;) {
-      Frame frame;
-      std::size_t consumed = 0;
-      const DecodeStatus st = decode_frame(buf, frame, consumed);
-      if (st == DecodeStatus::kNeedMore) break;
-      if (st != DecodeStatus::kFrame) {
-        // Framing violations are unrecoverable on a stream: the reader can
-        // no longer find the next boundary.  One diagnostic, then hang up.
-        const char* what = st == DecodeStatus::kBadMagic ? "bad magic"
-                           : st == DecodeStatus::kOversize
-                               ? "payload exceeds kMaxFramePayload"
-                               : "unknown message type";
-        reply_error(fd, ServeError::kBadFrame, what);
-        open = false;
-        break;
-      }
-      buf.erase(0, consumed);
-      if (!handle_frame(frame, client_id, fd)) {
-        open = false;
-        break;
-      }
-    }
-    if (!open) break;
-    const ssize_t n = ::recv(fd, tmp, sizeof tmp, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // SO_RCVTIMEO expired.  A half-delivered frame still buffered means
-      // the peer stalled mid-request: hang up.  An empty buffer is just an
-      // idle keep-alive connection — keep waiting (unless we're stopping).
-      if (!buf.empty() || stop_.load()) break;
+  for (;;) {
+    Frame frame;
+    const ReadResult r = read_frame(fd, buf, frame);
+    if (r.status == ReadStatus::kFrame) {
+      if (!handle_frame(frame, client_id, fd)) return;
       continue;
     }
-    if (n <= 0) break;  // peer closed (or the server is tearing down)
-    buf.append(tmp, static_cast<std::size_t>(n));
-  }
-  {
-    // Deregister BEFORE closing: close_connections only shuts down fds
-    // still in live_fds_, so a recycled fd number can never be hit.
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    for (auto it = live_fds_.begin(); it != live_fds_.end(); ++it) {
-      if (*it == fd) {
-        live_fds_.erase(it);
-        break;
-      }
-    }
-    ::close(fd);
+    // SO_RCVTIMEO expired.  A half-delivered frame still buffered means the
+    // peer stalled mid-request: hang up.  An empty buffer is just an idle
+    // keep-alive connection — keep waiting (unless we're stopping).
+    if (r.status == ReadStatus::kTimedOut && buf.empty() && !stop_.load())
+      continue;
+    // Framing violations are unrecoverable on a stream: the reader can no
+    // longer find the next boundary.  One diagnostic, then hang up.
+    if (r.status == ReadStatus::kBadFrame)
+      reply_error(fd, ServeError::kBadFrame, bad_frame_reason(r.decode));
+    return;  // peer closed, stalled, failed, or the server is tearing down
   }
 }
 

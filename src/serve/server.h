@@ -24,6 +24,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -206,8 +207,6 @@ class ServerCore {
  private:
   struct JobRecord {
     JobState state = JobState::kQueued;
-    std::uint64_t client = 0;
-    JobSpec spec;
     std::int64_t admit_ns = 0;
     JobOutcome outcome;
   };
@@ -301,17 +300,25 @@ class SocketServer {
   bool reply(int fd, MsgType type, std::string_view payload);
   bool reply_error(int fd, ServeError code, std::string message,
                    std::uint32_t retry_after_ms = 0);
+  /// Joins the connection threads whose handlers have returned.
+  void reap_finished();
   /// Wakes every connection thread parked in recv (shutdown(2) on the live
   /// fds) and joins them — idle clients must not block a drain forever.
   void close_connections();
+
+  /// One accepted connection; `fd` turns -1 (under conn_mu_) once its
+  /// handler has returned and closed it, which makes the thread reapable.
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+  };
 
   ServerCore& core_;
   std::string path_;
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
-  std::vector<int> live_fds_;  ///< fds of connections not yet torn down
+  std::list<Connection> connections_;
 };
 
 }  // namespace merlin

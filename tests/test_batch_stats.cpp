@@ -58,7 +58,9 @@ TEST(BatchStats, CountsAndOrderingMatchPerNetResults) {
 
   std::size_t trivial = 0;
   for (std::size_t i = 0; i < r.nets.size(); ++i) {
-    if (i > 0) EXPECT_LT(r.nets[i - 1].net_id, r.nets[i].net_id);  // sorted
+    if (i > 0) {
+      EXPECT_LT(r.nets[i - 1].net_id, r.nets[i].net_id);  // sorted
+    }
     if (r.nets[i].trivial) ++trivial;
   }
   EXPECT_EQ(r.stats.det.trivial_nets, trivial);

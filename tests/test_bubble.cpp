@@ -119,7 +119,9 @@ TEST(Bubble, RootCurveIsNonInferior) {
   const BubbleResult r = bubble_construct(net, lib, tsp_order(net), fast_cfg());
   for (const Solution& a : r.root_curve)
     for (const Solution& b : r.root_curve)
-      if (&a != &b) EXPECT_FALSE(a.dominated_by(b));
+      if (&a != &b) {
+        EXPECT_FALSE(a.dominated_by(b));
+      }
 }
 
 TEST(Bubble, StrictCaTreeWhenUnbufferedGroupsDisabled) {

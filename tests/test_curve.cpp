@@ -43,7 +43,9 @@ TEST(Prune, RemovesDominatedKeepsFrontier) {
   EXPECT_EQ(c.size(), 2u);
   for (const Solution& s : c)
     for (const Solution& t : c)
-      if (&s != &t) EXPECT_FALSE(s.dominated_by(t));
+      if (&s != &t) {
+        EXPECT_FALSE(s.dominated_by(t));
+      }
 }
 
 TEST(Prune, EmptyAndSingleton) {

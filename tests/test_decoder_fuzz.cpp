@@ -1,21 +1,25 @@
-// Fuzz suite for every decoder of untrusted bytes except the netfile
-// reader (test_netfile_fuzz): MRLN frames (decode_frame) and all nine
-// payload decoders, MSNP snapshot restore (load_cache_snapshot), the
-// flight-recorder loader (FlightRecorder::load), and the stats-JSON parser
-// with the histogram rebuild (json_parse + hist_from_json).
+// Fuzz suite for every decoder of untrusted bytes: MRLN frames
+// (decode_frame) and all nine payload decoders, MSNP snapshot restore
+// (load_cache_snapshot), the flight-recorder loader (FlightRecorder::load),
+// the stats-JSON parser with the histogram rebuild (json_parse +
+// hist_from_json), and the .net text reader (read_net), with the netfile
+// regressions this fuzzing surfaced (NetfileFuzz).
 //
-// Inputs are the fixed encodings of format_corpus.h, mutated by the
-// seeded mutator of fuzz_mutate.h, so every run feeds the same bytes.
-// Each input must decode or be rejected cleanly — false, kCorrupt (or
-// kVersionMismatch), or std::invalid_argument — and must never crash,
+// Inputs are the fixed encodings of format_corpus.h and a small valid net,
+// mutated by the seeded mutator of fuzz_mutate.h, so every run feeds the
+// same bytes.  Each input must decode or be rejected cleanly — false,
+// kCorrupt (or kVersionMismatch), std::invalid_argument, or (read_net)
+// std::runtime_error — and must never crash,
 // which the asan and ubsan CI jobs enforce by running this file with
 // the rest of the suite.  The budget is fixed and small on purpose.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -26,6 +30,8 @@
 #include "cache/snapshot.h"
 #include "format_corpus.h"
 #include "fuzz_mutate.h"
+#include "io/netfile.h"
+#include "net/rng.h"
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
@@ -351,6 +357,126 @@ TEST(DecoderFuzz, DeepJsonNestingThrowsInsteadOfExhaustingTheStack) {
   EXPECT_NO_THROW((void)json_parse(nest(kJsonMaxDepth)));
   EXPECT_THROW((void)json_parse(nest(kJsonMaxDepth + 1)),
                std::invalid_argument);
+}
+
+// -- netfile text -----------------------------------------------------------
+
+// The finiteness checks in src/io/netfile.cpp exist because this fuzzing
+// surfaced that streams happily parse "nan"/"inf" into loads, required
+// times, RC parameters and driver coefficients.
+
+const char* kValid =
+    "net fuzz\n"
+    "wire 0.08 0.2\n"
+    "driver DRV 50 0.5 100 0.1\n"
+    "source 10 20\n"
+    "sink 100 200 12.5 1500\n"
+    "sink 300 50 8.0 1200\n"
+    "sink 40 400 20.0 1800\n";
+
+// Feeds `text` to the parser; returns true iff a net came back.  Any
+// std::runtime_error is the accepted failure mode; anything else escapes to
+// the test harness as a failure (and a crash kills the process outright).
+bool parse(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    const Net net = read_net(in);
+    // Whatever parses must be internally sane.
+    EXPECT_FALSE(net.sinks.empty());
+    for (const Sink& s : net.sinks) {
+      EXPECT_TRUE(std::isfinite(s.load));
+      EXPECT_TRUE(std::isfinite(s.req_time));
+      EXPECT_GE(s.load, 0.0);
+    }
+    EXPECT_TRUE(std::isfinite(net.wire.res_per_um));
+    EXPECT_TRUE(std::isfinite(net.wire.cap_per_um));
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+// Token soup: the netfile's own alphabet with no structure.  Spliced with
+// the valid net it yields half-sensible lines that reach every directive.
+const char* kTokenSoup = "news ir dk-+.0123456789\n\t# nan inf 1e500 -0.2";
+
+TEST(DecoderFuzz, NetfileTextParsesOrThrowsRuntimeError) {
+  Tally tally;
+  fuzz({kValid, kTokenSoup}, 0xF022'0006, [&](const std::string& text) {
+    const bool ok = parse(text);
+    tally.note(ok);
+    // A net needs a source and a sink: text that lost either never parses.
+    if (text.find("source") == std::string::npos ||
+        text.find("sink") == std::string::npos) {
+      EXPECT_FALSE(ok) << text;
+    }
+  });
+  EXPECT_GT(tally.accepted, 0);
+  EXPECT_GT(tally.rejected, 0);
+}
+
+TEST(NetfileFuzz, ValidBaselineParses) { EXPECT_TRUE(parse(kValid)); }
+
+TEST(NetfileFuzz, OversizedInputsAreHandled) {
+  // A very long comment line, a huge token, and thousands of sinks.
+  std::string big = "net big\nsource 0 0\n# ";
+  big.append(200000, 'x');
+  big += "\n";
+  for (int i = 0; i < 5000; ++i)
+    big += "sink " + std::to_string(i) + " " + std::to_string(i) + " 1.0 100\n";
+  EXPECT_TRUE(parse(big));
+
+  std::string huge_token = "net ";
+  huge_token.append(100000, 'n');
+  huge_token += "\nsource 0 0\nsink 1 1 1 1\n";
+  EXPECT_TRUE(parse(huge_token));
+}
+
+TEST(NetfileFuzz, NumericOverflowThrowsCleanly) {
+  EXPECT_FALSE(parse("source 99999999999999999999 0\nsink 1 1 1 1\n"));
+  EXPECT_FALSE(parse("source 0 0\nsink 1e500 1 1 1\n"));
+}
+
+// Regression tests for the bug this fuzzer surfaced: iostreams accept
+// "nan"/"inf" as doubles, and the pre-fix parser passed them through.
+TEST(NetfileFuzz, NonFiniteValuesAreRejected) {
+  EXPECT_FALSE(parse("source 0 0\nsink 1 1 nan 100\n"));
+  EXPECT_FALSE(parse("source 0 0\nsink 1 1 1.0 inf\n"));
+  EXPECT_FALSE(parse("source 0 0\nsink 1 1 -nan 100\n"));
+  EXPECT_FALSE(parse("wire nan 0.2\nsource 0 0\nsink 1 1 1 1\n"));
+  EXPECT_FALSE(parse("wire 0.08 inf\nsource 0 0\nsink 1 1 1 1\n"));
+  EXPECT_FALSE(parse("driver D nan 1 1 1\nsource 0 0\nsink 1 1 1 1\n"));
+  EXPECT_FALSE(parse("driver D 1 1 1 -inf\nsource 0 0\nsink 1 1 1 1\n"));
+}
+
+TEST(NetfileFuzz, NegativeWireParametersAreRejected) {
+  EXPECT_FALSE(parse("wire -0.08 0.2\nsource 0 0\nsink 1 1 1 1\n"));
+  EXPECT_FALSE(parse("wire 0.08 -0.2\nsource 0 0\nsink 1 1 1 1\n"));
+}
+
+TEST(NetfileFuzz, RoundTripSurvivesMutationRounds) {
+  // Anything that parses must re-serialize and re-parse to the same net.
+  Rng rng(0xCAFEULL);
+  const std::string valid = kValid;
+  for (int round = 0; round < 100; ++round) {
+    std::string s = valid;
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(s.size()) - 1));
+    s[pos] = static_cast<char>(rng.uniform_int(32, 126));
+    std::istringstream in(s);
+    Net net;
+    try {
+      net = read_net(in);
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    std::ostringstream out;
+    write_net(out, net);
+    std::istringstream in2(out.str());
+    const Net again = read_net(in2);
+    EXPECT_EQ(again.sinks.size(), net.sinks.size());
+    EXPECT_EQ(again.source, net.source);
+  }
 }
 
 }  // namespace

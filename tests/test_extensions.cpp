@@ -106,7 +106,9 @@ TEST(CacheSession, MerlinReportsCacheEffect) {
   cfg.bubble = fast_cfg();
   cfg.reuse_subproblems = true;
   const MerlinResult r = merlin_optimize(net, lib, tsp_order(net), cfg);
-  if (r.iterations > 1) EXPECT_GT(r.cache_hits, 0u);
+  if (r.iterations > 1) {
+    EXPECT_GT(r.cache_hits, 0u);
+  }
 
   MerlinConfig off = cfg;
   off.reuse_subproblems = false;

@@ -153,7 +153,9 @@ TEST(LTTree, CurveIsNonInferior) {
   const LTTreeResult r = lttree_optimize(net, required_time_order(net), lib, {});
   for (const Solution& a : r.root_curve)
     for (const Solution& b : r.root_curve)
-      if (&a != &b) EXPECT_FALSE(a.dominated_by(b));
+      if (&a != &b) {
+        EXPECT_FALSE(a.dominated_by(b));
+      }
 }
 
 TEST(LTTree, RejectsBadInput) {

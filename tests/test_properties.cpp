@@ -330,7 +330,9 @@ TEST_P(PruneLaw, QuantizedPruneBinsTheExactPrune) {
       SolutionCurve exact = curve_of(input);
       exact.prune();
       SolutionCurve want = curve_of(bins_of(exact, cfg));
-      if (shape == 2) EXPECT_LT(want.size(), exact.size() / 2);
+      if (shape == 2) {
+        EXPECT_LT(want.size(), exact.size() / 2);
+      }
       want.prune(cap_only);
       SolutionCurve got = curve_of(input);
       got.prune(cfg);

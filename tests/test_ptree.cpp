@@ -112,7 +112,9 @@ TEST(PTree, RootCurveIsNonInferior) {
   const PTreeResult r = ptree_route(net, tsp_order(net), small_cfg());
   for (const Solution& a : r.root_curve)
     for (const Solution& b : r.root_curve)
-      if (&a != &b) EXPECT_FALSE(a.dominated_by(b));
+      if (&a != &b) {
+        EXPECT_FALSE(a.dominated_by(b));
+      }
 }
 
 TEST(PTree, BetterOrdersCanOnlyHelpTotalDelay) {

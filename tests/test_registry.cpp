@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -368,6 +372,30 @@ TEST(Flight, LoadRejectsGarbageAndUnarmedRecordIsANoOp) {
   FlightRecorder rec;  // never opened
   EXPECT_FALSE(rec.armed());
   rec.record(FlightEvent::kAdmit, 1, 1);  // unarmed: a safe no-op
+  std::remove(dir.c_str());
+}
+
+TEST(Flight, LoadRejectsABadHeaderWithoutReadingTheBody) {
+  // A 256 MiB sparse file of zeros: its all-zero header is rejected after
+  // 24 bytes, so the load's peak RSS barely moves (reading the whole file
+  // first peaked at about 258 MB).
+  const std::string dir = flight_dir();
+  const std::string path = dir + "/zeros.ring";
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, off_t{256} << 20), 0);
+  ::close(fd);
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  FlightDump dump;
+  std::string err;
+  EXPECT_FALSE(FlightRecorder::load(path, &dump, &err));
+  EXPECT_NE(err.find("bad header"), std::string::npos) << err;
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024)  // KiB
+      << "peak RSS grew by " << after.ru_maxrss - before.ru_maxrss << " KiB";
+  std::remove(path.c_str());
   std::remove(dir.c_str());
 }
 

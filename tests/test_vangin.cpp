@@ -96,7 +96,9 @@ TEST(VanGinneken, RootCurveIsNonInferior) {
   const VanGinnekenResult r = vangin_insert(net, direct_tree(net), lib, {});
   for (const Solution& a : r.root_curve)
     for (const Solution& b : r.root_curve)
-      if (&a != &b) EXPECT_FALSE(a.dominated_by(b));
+      if (&a != &b) {
+        EXPECT_FALSE(a.dominated_by(b));
+      }
 }
 
 TEST(VanGinneken, FinerSegmentationHelps) {

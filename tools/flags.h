@@ -1,6 +1,6 @@
 #pragma once
-// Strict numeric flag operands, shared by merlin_cli, merlin_d,
-// merlin_stat and bench_serve.  The whole operand must be one number of the
+// Strict numeric flag operands, shared by merlin_cli, merlin_d and
+// merlin_stat.  The whole operand must be one number of the
 // target type: no sign on a count, no leading blanks or trailing junk, no
 // overflow, and no non-finite real.  Callers turn a false return into their usage exit,
 // so `--threads 4x` or `--queue-depth -1` fails loudly instead of parsing
