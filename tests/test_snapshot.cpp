@@ -31,16 +31,17 @@ namespace {
 struct SnapDir {
   SnapDir() {
     char tmpl[] = "/tmp/merlin_snaptest_XXXXXX";
-    dir = mkdtemp(tmpl);
-    EXPECT_NE(dir, nullptr);
-    path = std::string(dir) + "/cache.snap";
+    const char* d = mkdtemp(tmpl);
+    EXPECT_NE(d, nullptr);
+    if (d != nullptr) dir = d;  // copied: tmpl dies with the constructor
+    path = dir + "/cache.snap";
   }
   ~SnapDir() {
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
-    if (dir != nullptr) rmdir(dir);
+    if (!dir.empty()) rmdir(dir.c_str());
   }
-  const char* dir = nullptr;
+  std::string dir;
   std::string path;
 };
 
@@ -245,7 +246,7 @@ TEST(CacheSnapshotHostile, TruncationAtEveryByteColdStartsCleanly) {
   ASSERT_TRUE(save_cache_snapshot(src, snap.path));
   const std::string bytes = read_file(snap.path);
   ASSERT_GT(bytes.size(), 0u);
-  const std::string cut_path = std::string(snap.dir) + "/cut.snap";
+  const std::string cut_path = snap.dir + "/cut.snap";
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     write_file(cut_path, bytes.substr(0, cut));
     SubproblemCache dst(big_config());
@@ -265,7 +266,7 @@ TEST(CacheSnapshotHostile, BitFlipAtEveryByteIsDetected) {
   populate(src, 2);
   ASSERT_TRUE(save_cache_snapshot(src, snap.path));
   const std::string bytes = read_file(snap.path);
-  const std::string flip_path = std::string(snap.dir) + "/flip.snap";
+  const std::string flip_path = snap.dir + "/flip.snap";
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::string mutant = bytes;
     mutant[i] = static_cast<char>(mutant[i] ^ 0xFF);
