@@ -145,9 +145,11 @@ const CacheEntry* CacheSession::find(const CacheKey& key, bool* shared_hit) {
 
 void CacheSession::insert(const CacheKey& key,
                           std::span<const SolutionCurve> curves,
-                          const SolutionArena& arena) {
+                          const SolutionArena& arena,
+                          std::uint32_t merlin_loops) {
   const auto idx = static_cast<std::uint32_t>(entries_.size());
   entries_.push_back(LocalEntry{intern_entry(key, curves, arena), true});
+  entries_.back().entry.merlin_loops = merlin_loops;
   map_.insert_or_assign(key, idx);
 }
 

@@ -163,8 +163,9 @@ class CacheSession {
 
   /// Interns `curves` (copying their provenance out of `arena`) into the
   /// local table and stages the entry for publication at the next flush.
+  /// `merlin_loops` is CacheEntry::merlin_loops (0 for a Gamma group).
   void insert(const CacheKey& key, std::span<const SolutionCurve> curves,
-              const SolutionArena& arena);
+              const SolutionArena& arena, std::uint32_t merlin_loops = 0);
 
   /// Drops local entries, the touch log and the counters; keeps the shared
   /// attachment and allocations.  Called at the start of every

@@ -17,6 +17,11 @@ constexpr std::uint32_t kSectionMeta = 1;
 constexpr std::uint32_t kSectionShard = 2;
 constexpr std::uint32_t kSectionEnd = 3;
 
+// Top bit of an entry's curve count: a net-memo entry, whose u32 loop count
+// (CacheEntry::merlin_loops) follows the count.  A Gamma group entry never
+// sets it, so a group-only store keeps its v1 bytes.
+constexpr std::uint32_t kMemoEntryFlag = 0x80000000u;
+
 // -- CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) -----------------
 
 std::uint32_t crc32(std::string_view data) {
@@ -41,7 +46,11 @@ std::uint32_t crc32(std::string_view data) {
 void encode_entry(std::string& out, const CacheEntry& e) {
   ByteWriter w(out);
   w.u64(e.key.hi).u64(e.key.lo);
-  w.u32(static_cast<std::uint32_t>(e.curves.size()));
+  const auto ncurves = static_cast<std::uint32_t>(e.curves.size());
+  if (e.merlin_loops == 0)
+    w.u32(ncurves);
+  else
+    w.u32(ncurves | kMemoEntryFlag).u32(e.merlin_loops);
   for (const std::vector<Solution>& curve : e.curves) {
     w.u32(static_cast<std::uint32_t>(curve.size()));
     for (const Solution& s : curve)
@@ -60,7 +69,13 @@ void encode_entry(std::string& out, const CacheEntry& e) {
 bool decode_entry(ByteReader& r, CacheEntry& e) {
   e.key.hi = r.u64();
   e.key.lo = r.u64();
-  const std::uint32_t ncurves = r.u32();
+  std::uint32_t ncurves = r.u32();
+  e.merlin_loops = 0;
+  if ((ncurves & kMemoEntryFlag) != 0) {
+    ncurves &= ~kMemoEntryFlag;
+    e.merlin_loops = r.u32();
+    if (e.merlin_loops == 0) return false;  // the flag promises a real count
+  }
   e.curves.clear();
   // Every curve costs at least 4 bytes of payload; a count beyond that is a
   // hostile length — reject before reserving anything.
@@ -177,27 +192,41 @@ SnapshotLoadResult load_cache_snapshot(SubproblemCache& cache,
     return fail_cold(cache, SnapshotLoadStatus::kDisabled,
                      "cache has no capacity; snapshot not restored");
 
+  // The 8-byte header first: a file that is not a v1 snapshot costs 8
+  // bytes, however big.  The body read that follows is not capped — a
+  // snapshot from a larger cache legitimately exceeds anything this cache's
+  // capacity implies (it restores truncated), and zero-node entries cost no
+  // budget at all, so no bound on the file follows from the configuration.
   std::string file;
   std::string io_error;
-  if (!read_file(path, file, &io_error))
+  const auto read_failed = [&] {
     return fail_cold(cache,
                      errno == ENOENT ? SnapshotLoadStatus::kMissing
                                      : SnapshotLoadStatus::kCorrupt,
                      io_error);
+  };
+  if (!read_file_head(path, file, 8, &io_error)) return read_failed();
+  {
+    ByteReader head(file);
+    if (head.u32() != kSnapshotMagic)
+      return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
+                       "bad snapshot magic");
+    const std::uint32_t version = head.u32();
+    if (!head.ok())
+      return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
+                       "truncated snapshot header");
+    if (version != kSnapshotVersion)
+      return fail_cold(cache, SnapshotLoadStatus::kVersionMismatch,
+                       "snapshot version " + std::to_string(version) +
+                           " (expected " + std::to_string(kSnapshotVersion) +
+                           ")");
+  }
+  if (!read_file(path, file, &io_error)) return read_failed();
 
   ByteReader in(file);
-  if (in.u32() != kSnapshotMagic)
+  if (in.u32() != kSnapshotMagic || in.u32() != kSnapshotVersion)
     return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
-                     "bad snapshot magic");
-  const std::uint32_t version = in.u32();
-  if (!in.ok())
-    return fail_cold(cache, SnapshotLoadStatus::kCorrupt,
-                     "truncated snapshot header");
-  if (version != kSnapshotVersion)
-    return fail_cold(cache, SnapshotLoadStatus::kVersionMismatch,
-                     "snapshot version " + std::to_string(version) +
-                         " (expected " + std::to_string(kSnapshotVersion) +
-                         ")");
+                     "snapshot header changed while loading");
 
   // Walk the sections: framing first (tag/length in bounds), then the CRC,
   // and only then the payload parse — hostile bytes are rejected before

@@ -20,6 +20,13 @@
 //     payload
 //   ...ending with a zero-length kSectionEnd sentinel.
 //
+// A shard payload is a u64 entry count and the entries, each: the 128-bit
+// key, a u32 curve count, the curves (u32 point count, then per point
+// req_time/load/area/wirelen f64 and a u32 node), a u32 node count and the
+// nodes.  A net-memo entry (CacheEntry::merlin_loops > 0) sets bit 31 of
+// its curve count and writes its u32 loop count right after it; Gamma
+// group entries never do, so their bytes are those of the first v1 files.
+//
 // Robustness contract (tests/test_snapshot.cpp holds the loader to it):
 //
 //   * save is atomic: the image is written with write_file_atomic
@@ -106,7 +113,9 @@ bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
 /// the cache's own budget still governs — a snapshot larger than the
 /// configured capacity restores to a truncated (most-recent) working set.
 /// Never throws: any corruption, truncation or version skew reports via
-/// the returned status and leaves the cache cold.  Also removes the stale
+/// the returned status and leaves the cache cold.  The 8-byte header is
+/// read and checked before the rest, so a file that is not a v1 snapshot
+/// costs 8 bytes of reading however large it is.  Also removes the stale
 /// temp file a save that died mid-write left behind.
 SnapshotLoadResult load_cache_snapshot(SubproblemCache& cache,
                                        const std::string& path);

@@ -45,6 +45,10 @@ struct CacheEntry {
   /// (the paper's Lemma 7) is preserved — a node reachable from several
   /// solutions appears once.
   std::vector<SolNode> nodes;
+  /// Net-memo entries only (flow/batch.h, net_memo_key): the MERLIN
+  /// iteration count of the memoized net, which its one-point curve cannot
+  /// carry.  Always >= 1 there; 0 marks a Gamma group entry.
+  std::uint32_t merlin_loops = 0;
 
   /// Eviction-budget cost of this entry, in provenance nodes.
   [[nodiscard]] std::size_t node_cost() const { return nodes.size(); }

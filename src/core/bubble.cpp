@@ -379,6 +379,41 @@ void enumerate_layer_sequences(const std::vector<Terminal>& base,
 
 }  // namespace
 
+void mix_bubble_context(SigHasher& h, const BufferLibrary& lib,
+                        const WireModel& wire, std::span<const Point> pts,
+                        const BubbleConfig& cfg) {
+  h.mix(lib.size());
+  for (const Buffer& b : lib) {
+    h.mix_double(b.input_cap);
+    h.mix_double(b.area);
+    h.mix_double(b.delay.p0);
+    h.mix_double(b.delay.p1);
+    h.mix_double(b.delay.p2);
+    h.mix_double(b.delay.p3);
+  }
+  h.mix_double(wire.res_per_um);
+  h.mix_double(wire.cap_per_um);
+  if (cfg.wire_widths.empty()) h.mix_double(1.0);  // the default 1x width
+  for (const double w : cfg.wire_widths) h.mix_double(w);
+  h.mix(pts.size());
+  for (const Point& pt : pts) {
+    h.mix_i32(pt.x);
+    h.mix_i32(pt.y);
+  }
+  h.mix(cfg.alpha);
+  for (const PruneConfig* pc : {&cfg.inner_prune, &cfg.group_prune}) {
+    h.mix_double(pc->load_quantum);
+    h.mix_double(pc->area_quantum);
+    h.mix(pc->max_solutions);
+    h.mix_double(pc->ref_res);
+  }
+  h.mix_bool(cfg.allow_unbuffered_groups);
+  h.mix(cfg.buffer_stride);
+  h.mix(cfg.extension_neighbors);
+  h.mix_bool(cfg.enable_bubbling);
+  h.mix(std::min<std::size_t>(cfg.max_internal_children, 2));
+}
+
 BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
                               const Order& order, const BubbleConfig& cfg_in,
                               CacheSession* cache, SolutionArena* arena_opt) {
@@ -407,46 +442,12 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
 
   Workspace ws(net, lib, cfg, order, arena, route_candidates(net, cfg.candidates));
 
-  // Context signature for cache keys (cache/signature.h): everything a
-  // stored group curve depends on besides the group itself — library cells,
-  // wire model, the realized candidate-location set (contents, not policy:
-  // two configs yielding the same points share entries), and every DP knob
-  // that shapes what survives into Gamma.  Mixed once per run; per-group
-  // keys fork from this digest.  Objective/obs/guard are deliberately
-  // excluded: they affect extraction and accounting, never stored curves.
+  // Context signature for cache keys (cache/signature.h): mixed once per
+  // run (mix_bubble_context); per-group keys fork from this digest.
   CacheKey ctx{};
   if (cache != nullptr) {
     SigHasher h;
-    h.mix(lib.size());
-    for (const Buffer& b : lib) {
-      h.mix_double(b.input_cap);
-      h.mix_double(b.area);
-      h.mix_double(b.delay.p0);
-      h.mix_double(b.delay.p1);
-      h.mix_double(b.delay.p2);
-      h.mix_double(b.delay.p3);
-    }
-    h.mix_double(net.wire.res_per_um);
-    h.mix_double(net.wire.cap_per_um);
-    if (cfg.wire_widths.empty()) h.mix_double(1.0);  // the default 1x width
-    for (const double w : cfg.wire_widths) h.mix_double(w);
-    h.mix(ws.k);
-    for (const Point& pt : ws.pts) {
-      h.mix_i32(pt.x);
-      h.mix_i32(pt.y);
-    }
-    h.mix(cfg.alpha);
-    for (const PruneConfig* pc : {&cfg.inner_prune, &cfg.group_prune}) {
-      h.mix_double(pc->load_quantum);
-      h.mix_double(pc->area_quantum);
-      h.mix(pc->max_solutions);
-      h.mix_double(pc->ref_res);
-    }
-    h.mix_bool(cfg.allow_unbuffered_groups);
-    h.mix(cfg.buffer_stride);
-    h.mix(cfg.extension_neighbors);
-    h.mix_bool(cfg.enable_bubbling);
-    h.mix(std::min<std::size_t>(cfg.max_internal_children, 2));
+    mix_bubble_context(h, lib, net.wire, ws.pts, cfg);
     ctx = h.digest();
   }
 

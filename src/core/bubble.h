@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "buflib/library.h"
@@ -37,6 +38,7 @@ namespace merlin {
 
 class NetGuard;      // runtime/guard.h
 class CacheSession;  // cache/shard.h
+class SigHasher;     // cache/signature.h
 class ThreadPool;    // runtime/pool.h
 
 /// Which variant of the problem to solve (paper section III.1).
@@ -136,6 +138,18 @@ struct BubbleResult {
   std::size_t layer_calls = 0;      ///< (Omega, omega) pairs processed
   std::size_t solutions_stored = 0; ///< curve points surviving in Gamma
 };
+
+/// Mixes into `h` the context a cached Gamma group curve depends on besides
+/// the group itself: the library cells, the wire model, the realized
+/// candidate-location set `pts` (contents, not policy: two configs yielding
+/// the same points share entries) and every DP knob of `cfg` that shapes
+/// what survives into Gamma.  The objective and the obs/guard/pool pointers
+/// are left out: they affect extraction and accounting, never stored curves.
+/// bubble_construct keys its groups from this digest; the batch engine's
+/// per-net memo (flow/batch.h, net_memo_key) starts from it too.
+void mix_bubble_context(SigHasher& h, const BufferLibrary& lib,
+                        const WireModel& wire, std::span<const Point> pts,
+                        const BubbleConfig& cfg);
 
 /// Runs BUBBLE_CONSTRUCT for `net` with initial order `order`.  `cache`, if
 /// given, is the run's CacheSession (cache/shard.h): sub-problem groups are

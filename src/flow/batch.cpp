@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "cache/shard.h"
+#include "ptree/range_dp.h"
 #include "runtime/pool.h"
 #include "tree/evaluate.h"
 
@@ -137,6 +138,62 @@ std::uint64_t batch_net_seed(std::uint64_t base_seed, std::uint32_t net_id) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
+}
+
+namespace {
+
+/// First word of every net-memo key: no Gamma group key starts its stream
+/// with it (theirs start from the library size), so the two key families
+/// never meet.  "NETMEMO1" in ASCII.
+constexpr std::uint64_t kNetMemoTag = 0x4E45544D454D4F31ULL;
+
+// Adding a field to one of these structs changes its size and stops the
+// build here until net_memo_key hashes the field (or the comment there says
+// why it cannot reach a Flow III result).
+static_assert(sizeof(void*) != 8 || sizeof(FlowConfig) == 352);
+static_assert(sizeof(void*) != 8 || sizeof(MerlinConfig) == 256);
+static_assert(sizeof(void*) != 8 || sizeof(BubbleConfig) == 224);
+static_assert(sizeof(PruneConfig) == 32 + sizeof(void*));
+static_assert(sizeof(CandidateOptions) == 24);
+static_assert(sizeof(Objective) == 24);
+static_assert(sizeof(GuardConfig) == 24);
+static_assert(sizeof(Sink) == 24);
+static_assert(sizeof(DelayParams) == 32);
+static_assert(sizeof(WireModel) == 16);
+
+}  // namespace
+
+CacheKey net_memo_key(const Net& net, const BufferLibrary& lib,
+                      const FlowConfig& cfg, const GuardConfig& guard) {
+  // Not hashed, because no Flow III result depends on them: engine_prune
+  // (PTREE, LTTREE and van Ginneken only), merlin.bubble.candidates
+  // (run_flow3 overwrites it with cfg.candidates, whose realized set is
+  // hashed), the arena/obs/guard/pool/session pointers, the driver's name
+  // and output-slew model, and the guard's wall-clock deadline.
+  SigHasher h;
+  h.mix(kNetMemoTag);
+  const MerlinConfig& m = cfg.merlin;
+  mix_bubble_context(h, lib, net.wire, route_candidates(net, cfg.candidates).pts,
+                     m.bubble);
+  h.mix(static_cast<std::uint64_t>(m.bubble.objective.mode));
+  h.mix_double(m.bubble.objective.area_limit);
+  h.mix_double(m.bubble.objective.req_target);
+  h.mix(m.max_iterations);
+  h.mix_bool(m.reuse_subproblems);
+  h.mix_i32(net.source.x);
+  h.mix_i32(net.source.y);
+  const DelayParams& d = net.driver.delay;
+  for (const double p : {d.p0, d.p1, d.p2, d.p3}) h.mix_double(p);
+  h.mix(net.sinks.size());
+  for (const Sink& s : net.sinks) {
+    h.mix_i32(s.pos.x);
+    h.mix_i32(s.pos.y);
+    h.mix_double(s.load);
+    h.mix_double(s.req_time);
+  }
+  h.mix(guard.step_budget);
+  h.mix(guard.arena_node_cap);
+  return h.digest();
 }
 
 BatchRunner::BatchRunner(const BufferLibrary& lib, BatchOptions opts)
@@ -327,6 +384,34 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
           return ok;
         };
 
+        // A memo hit rebuilds the net's FlowResult from the stored chosen
+        // solution, materialized into the worker arena: the tree, its
+        // evaluation and the loop count, bit-identical to the run that
+        // published it.  The session's touch log records the key, so the
+        // publish refreshes its LRU slot.
+        const auto memo_hit = [&](CacheSession& ses, const CacheKey& key) {
+          const CacheEntry* hit = ses.find(key);
+          if (hit == nullptr || hit->curves.size() != 1 ||
+              hit->curves[0].size() != 1)
+            return false;
+          const auto th = Clock::now();
+          const std::uint32_t loops = hit->merlin_loops;
+          arena.reset();
+          const std::vector<SolutionCurve> mat = materialize_entry(*hit, arena);
+          FlowResult& r = slot.result;
+          r = FlowResult{};
+          r.chosen = mat[0][0];
+          r.tree = build_routing_tree(job.net, arena, r.chosen.node);
+          r.eval = evaluate_tree(job.net, r.tree, lib_);
+          r.merlin_loops = loops;
+          r.cache_hits = ses.hits();
+          r.cache_misses = ses.misses();
+          r.runtime_ms = ms_since(th);
+          obs_add(sink, Counter::kNetMemoHits);
+          obs_add(sink, Counter::kBuffersInserted, r.eval.buffer_count);
+          return true;
+        };
+
         const auto run_configured = [&](NetGuard* g, const FlowConfig* cfg_override,
                                         FlowKind flow) {
           if (opts_.custom_flow != nullptr && cfg_override == nullptr) {
@@ -354,14 +439,34 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
           switch (flow) {
             case FlowKind::kFlow1: slot.result = run_flow1(job.net, lib_, cfg); break;
             case FlowKind::kFlow2: slot.result = run_flow2(job.net, lib_, cfg); break;
-            case FlowKind::kFlow3:
+            case FlowKind::kFlow3: {
               // Worker-local cache session: reuses allocation from net to
               // net, owned by exactly one thread, and (when a shared cache
               // is attached) serves published sub-problems from earlier
               // batches while staging this net's writes privately.
-              cfg.merlin.cache_session = &sessions[pool.worker_index()];
+              CacheSession& ses = sessions[pool.worker_index()];
+              cfg.merlin.cache_session = &ses;
+              // The per-net memo (net_memo_key): first attempts only, with
+              // a shared store attached and no injector armed, so ladder
+              // rungs and chaos runs always exercise the DP.
+              const bool memo = cfg_override == nullptr && inject == nullptr &&
+                                ses.shared() != nullptr;
+              CacheKey key{};
+              if (memo) {
+                key = net_memo_key(job.net, lib_, cfg, opts_.guard);
+                if (memo_hit(ses, key)) break;
+              }
               slot.result = run_flow3(job.net, lib_, cfg);
+              if (memo) {
+                // Staged like the net's group entries; only a kOk net's
+                // stagings reach the serial publish.
+                SolutionCurve chosen;
+                chosen.push(slot.result.chosen);
+                ses.insert(key, std::span<const SolutionCurve>(&chosen, 1), arena,
+                           static_cast<std::uint32_t>(slot.result.merlin_loops));
+              }
               break;
+            }
           }
         };
 

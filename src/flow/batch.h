@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "buflib/library.h"
+#include "cache/signature.h"
 #include "flow/circuit.h"
 #include "flow/flows.h"
 #include "net/rng.h"
@@ -44,6 +45,26 @@ class SubproblemCache;  // cache/shard.h
 
 /// Which of the paper's flows the batch runs on every net.
 enum class FlowKind { kFlow1 = 1, kFlow2 = 2, kFlow3 = 3 };
+
+/// The per-net memo key of a Flow III net: its full input signature under
+/// `cfg` (the per-net FlowConfig run_flow3 would get) and the deterministic
+/// caps of `guard`.  It covers the source, the driver's delay model, every
+/// sink (position, load, required time) in index order, the wire model,
+/// the library cells, the realized candidate set, every FlowConfig field
+/// Flow III reads (the objective and max_iterations included) and
+/// step_budget / arena_node_cap, so a warm run trips exactly where a cold
+/// one would; the wall-clock deadline is left out.  The net id is not in
+/// the key (Flow III draws no RNG), so the same net inside another circuit
+/// keys the same.  A domain tag keeps it apart from every Gamma group key.
+///
+/// With a shared SubproblemCache attached, BatchRunner looks each Flow III
+/// net's key up before running it: a hit rebuilds the net's result from
+/// the stored chosen solution and skips MERLIN; a miss runs the flow and
+/// stages the result for the serial publish.  The memo is bypassed on
+/// degradation-ladder rungs, for custom flows and Flows I/II, and while a
+/// FaultInjector is armed.
+CacheKey net_memo_key(const Net& net, const BufferLibrary& lib,
+                      const FlowConfig& cfg, const GuardConfig& guard);
 
 /// Seed of the RNG stream handed to the constructor of net `net_id`.
 /// Depends only on (base_seed, net_id) — the scheduling-independence anchor.

@@ -232,6 +232,7 @@ FlowResult run_flow3(const Net& net, const BufferLibrary& lib,
   res.merlin_loops = mr.iterations;
   res.cache_hits = mr.cache_hits;
   res.cache_misses = mr.cache_misses;
+  res.chosen = mr.best.chosen;
   // Arena gauges are recorded by bubble_construct itself (it sees the arena
   // whether scratch or private); the flow only adds the final buffer count.
   obs_add(cfg.obs, Counter::kBuffersInserted, res.eval.buffer_count);

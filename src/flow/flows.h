@@ -66,6 +66,10 @@ struct FlowResult {
   std::size_t merlin_loops = 0;  ///< flow III only: Table 1 "Loops" column
   std::size_t cache_hits = 0;    ///< flow III only: CacheSession statistics
   std::size_t cache_misses = 0;  ///< (batch runs report circuit-wide totals)
+  /// Flow III only: the root-curve point the tree was extracted from.  Its
+  /// provenance resolves in FlowConfig::scratch_arena until that arena is
+  /// next reset (the batch engine's per-net memo interns it from there).
+  Solution chosen{};
 };
 
 /// Flow I: LTTREE + per-group PTREE.

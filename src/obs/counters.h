@@ -42,6 +42,10 @@ enum class Counter : std::uint16_t {
   kCacheEntriesStaged,
   kCacheEntriesFlushed,
   kCacheEntriesEvicted,
+  // The same store one grain up: whole Flow III nets served from the
+  // batch engine's per-net memo (flow/batch.h, net_memo_key) without
+  // running MERLIN at all.
+  kNetMemoHits,
   // The same sharing one level down: *PTREE terminal ranges within one
   // BUBBLE_CONSTRUCT (core/bubble.cpp RangeMemo), counted per range.
   kRangeReuseHits,       ///< ranges copied from an earlier layer call
@@ -127,6 +131,7 @@ inline constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCoun
     case Counter::kCacheEntriesStaged: return "cache_entries_staged";
     case Counter::kCacheEntriesFlushed: return "cache_entries_flushed";
     case Counter::kCacheEntriesEvicted: return "cache_entries_evicted";
+    case Counter::kNetMemoHits: return "net_memo_hits";
     case Counter::kRangeReuseHits: return "range_reuse_hits";
     case Counter::kRangeReuseMisses: return "range_reuse_misses";
     case Counter::kArenaNodesAllocated: return "arena_nodes_allocated";

@@ -185,6 +185,7 @@ std::string stats_to_json(const ObsSink& sink, const RuntimeInfo& rt,
     w.key("hits"); w.num(hits);
     w.key("misses"); w.num(misses);
     w.key("shared_hits"); w.num(sink.counters.get(Counter::kCacheSharedHits));
+    w.key("net_memo_hits"); w.num(sink.counters.get(Counter::kNetMemoHits));
     w.key("entries_staged");
     w.num(sink.counters.get(Counter::kCacheEntriesStaged));
     w.key("entries_flushed");

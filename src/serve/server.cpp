@@ -233,14 +233,18 @@ bool ServerCore::dump_metrics(std::string* error) {
   return write_file_atomic(opts_.metrics_out, metrics_json(), error);
 }
 
-const JobOutcome* ServerCore::wait(std::uint64_t job_id) {
+std::shared_ptr<const JobOutcome> ServerCore::wait(std::uint64_t job_id) {
   std::unique_lock<std::mutex> lk(jobs_mu_);
-  const auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) return nullptr;
-  jobs_cv_.wait(lk, [&] { return it->second.state == JobState::kDone; });
-  // Map nodes are address-stable and records are never erased once their
-  // job ran, so the pointer stays valid for the core's lifetime.
-  return &it->second.outcome;
+  // Finished records are dropped oldest first, so the record is looked up
+  // afresh after every wake-up rather than held across the wait.
+  std::shared_ptr<const JobOutcome> out;
+  jobs_cv_.wait(lk, [&] {
+    const auto it = jobs_.find(job_id);
+    if (it == jobs_.end()) return true;
+    out = it->second.outcome;
+    return it->second.state == JobState::kDone;
+  });
+  return out;
 }
 
 JobState ServerCore::status(std::uint64_t job_id,
@@ -260,7 +264,7 @@ std::optional<std::string> ServerCore::stats_json(std::uint64_t job_id) const {
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end() || it->second.state != JobState::kDone)
     return std::nullopt;
-  return it->second.outcome.stats_json;
+  return it->second.outcome->stats_json;
 }
 
 void ServerCore::begin_drain() {
@@ -308,10 +312,18 @@ void ServerCore::scheduler_loop() {
     {
       std::lock_guard<std::mutex> lk(jobs_mu_);
       JobRecord& rec = jobs_.at(job->job_id);
-      rec.outcome = std::move(outcome);
+      const double w = outcome.wall_ms;
+      rec.outcome = std::make_shared<const JobOutcome>(std::move(outcome));
       rec.state = JobState::kDone;
-      const double w = rec.outcome.wall_ms;
       wall_ewma_ms_ = wall_ewma_ms_ > 0.0 ? 0.7 * wall_ewma_ms_ + 0.3 * w : w;
+      // Bounded history: a status or stats query for a dropped job answers
+      // unknown.  A waiter picks its outcome up when it wakes, long before
+      // kFinishedJobsKept later jobs could finish.
+      finished_.push_back(job->job_id);
+      if (finished_.size() > kFinishedJobsKept) {
+        jobs_.erase(finished_.front());
+        finished_.pop_front();
+      }
     }
     jobs_completed_.fetch_add(1);
     jobs_cv_.notify_all();
@@ -669,7 +681,7 @@ bool SocketServer::handle_frame(const Frame& frame, std::uint64_t client_id,
                            admitted.retry_after_ms);
       // Synchronous protocol: the submitting connection blocks until its
       // job retires (concurrency = multiple connections).
-      const JobOutcome* oc = core_.wait(admitted.job_id);
+      const std::shared_ptr<const JobOutcome> oc = core_.wait(admitted.job_id);
       if (oc == nullptr)
         return reply_error(fd, ServeError::kInternal, "job record vanished");
       if (oc->deadline_expired)

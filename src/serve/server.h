@@ -24,6 +24,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <map>
 #include <memory>
@@ -131,8 +132,15 @@ class ServerCore {
   /// current backlog) or err.draining.
   SubmitOutcome submit(std::uint64_t client, JobSpec spec);
 
-  /// Blocks until `job_id` completes; nullptr for a job never admitted.
-  [[nodiscard]] const JobOutcome* wait(std::uint64_t job_id);
+  /// Finished job records kept for status and stats queries; past this the
+  /// oldest-finished record is dropped, so the daemon's memory does not
+  /// grow with its request count.  A dropped job reads as never admitted.
+  static constexpr std::size_t kFinishedJobsKept = 1024;
+
+  /// Blocks until `job_id` completes and returns its outcome (shared, so it
+  /// outlives the record); nullptr for a job never admitted or already
+  /// dropped from the finished records.
+  [[nodiscard]] std::shared_ptr<const JobOutcome> wait(std::uint64_t job_id);
 
   /// Non-blocking state probe; `position` is filled when queued.
   [[nodiscard]] JobState status(std::uint64_t job_id,
@@ -208,7 +216,7 @@ class ServerCore {
   struct JobRecord {
     JobState state = JobState::kQueued;
     std::int64_t admit_ns = 0;
-    JobOutcome outcome;
+    std::shared_ptr<const JobOutcome> outcome;  ///< set once kDone
   };
 
   void scheduler_loop();
@@ -229,6 +237,7 @@ class ServerCore {
   mutable std::mutex jobs_mu_;
   std::condition_variable jobs_cv_;
   std::map<std::uint64_t, JobRecord> jobs_;
+  std::deque<std::uint64_t> finished_;  ///< done job ids, oldest first
   std::uint64_t next_job_id_ = 1;
   double wall_ewma_ms_ = 0.0;  ///< recent job wall time (retry-after hint)
 

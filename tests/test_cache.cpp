@@ -382,21 +382,36 @@ TEST(CacheDeterminism, WarmRerunHitsSharedStoreWithIdenticalStructure) {
     const std::uint64_t nodes = shared.node_cost();
     EXPECT_GT(entries, 0u);
 
+    std::size_t memo_entries = 0;
+    shared.for_each_entry_oldest_first([&](std::size_t, const CacheEntry& e) {
+      if (e.merlin_loops > 0) ++memo_entries;
+    });
+    const std::size_t searched =
+        cold.stats.det.net_count - cold.stats.det.trivial_nets;
+    // One memo entry per searched net, next to its group entries.
+    EXPECT_EQ(memo_entries, searched);
+
     ObsSink sink;
     const BatchResult warm = run_cached(ckt, &shared, 2, &sink);
     const std::uint64_t shared_hits =
         sink.counters.get(Counter::kCacheSharedHits);
-    // The warm run recomputes less (strictly more hits)...
-    EXPECT_GT(warm.stats.det.cache_hits, cold.stats.det.cache_hits);
-    EXPECT_GT(shared_hits, 0u);
+    const std::uint64_t memo_hits = sink.counters.get(Counter::kNetMemoHits);
+    // The warm run recomputes nothing: every searched net hits its memo
+    // entry, so no Gamma lookup misses (the cold run missed)...
+    EXPECT_EQ(memo_hits, searched);
+    EXPECT_EQ(warm.stats.det.cache_misses, 0u);
+    EXPECT_GT(cold.stats.det.cache_misses, 0u);
+    EXPECT_EQ(shared_hits, 0u);
     // ...but produces the exact same trees, evals and circuit outcome.
     EXPECT_TRUE(batch_results_equivalent(cold, warm));
 
     if (ckt.name == pinned.name) {
-      // Publish is serial and keys are canonical, so these are exact.
-      EXPECT_EQ(entries, 272u);
-      EXPECT_EQ(nodes, 27092u);
-      EXPECT_EQ(shared_hits, 272u);
+      // Publish is serial and keys are canonical, so these are exact: the
+      // 272 group entries (27,092 nodes) plus 9 memo entries (73 nodes).
+      EXPECT_EQ(entries, 281u);
+      EXPECT_EQ(nodes, 27165u);
+      EXPECT_EQ(memo_entries, 9u);
+      EXPECT_EQ(memo_hits, 9u);
     }
   }
 }

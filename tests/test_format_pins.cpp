@@ -1,7 +1,8 @@
 // Byte-exact pins of the three on-disk / on-wire formats: MRLN frames
-// (wire revision 3), the MSNP cache snapshot (v1) and the flight-recorder
-// ring (v1).  The expected values were recorded from the encoders before
-// they moved onto the shared byte layer (io/bytes.h); any change to a
+// (wire revision 3), the MSNP cache snapshot (v1, group and net-memo
+// entries) and the flight-recorder ring (v1).  The expected values were
+// recorded from the encoders before they moved onto the shared byte layer
+// (io/bytes.h), the net-memo entry's when it was added; any change to a
 // field's width, order or endianness moves one of them.  A deliberate
 // format change bumps the format's version and re-records the pin.
 
@@ -112,6 +113,43 @@ TEST(FormatPins, MsnpFileOfAFixedSmallCacheIsByteStable) {
   EXPECT_EQ(fnv1a64(bytes), 0x9E89FD84CBF19CADull);
   // The container header: "MSNP", version 1, then the meta section's tag.
   EXPECT_EQ(hex(bytes.substr(0, 12)), "4d534e500100000001000000");
+}
+
+TEST(FormatPins, MsnpNetMemoEntryAddsOnlyItsFlagAndLoopCount) {
+  // The same entry saved as a Gamma group and as a net-memo entry
+  // (merlin_loops > 0): the memo record sets bit 31 of its curve count and
+  // carries the u32 loop count right after it, 4 bytes more and nothing
+  // else, so group-only files (the pin above) keep their v1 bytes.
+  TempDir tmp;
+  CacheConfig one;
+  one.capacity_nodes = 1u << 16;
+  one.shards = 1;
+  const auto saved = [&](std::uint32_t loops, const std::string& name) {
+    SubproblemCache cache(one);
+    FlushBatch batch;
+    batch.staged.push_back(corpus::sample_entry(1));
+    batch.staged.back().merlin_loops = loops;
+    (void)cache.apply(std::move(batch));
+    const std::string path = tmp.file(name);
+    EXPECT_TRUE(save_cache_snapshot(cache, path));
+    return path;
+  };
+  const std::string group = corpus::read_bytes(saved(0, "group.snap"));
+  const std::string memo_path = saved(3, "memo.snap");
+  const std::string memo = corpus::read_bytes(memo_path);
+  // header 8 + meta section 48 + shard section header 16 + entry count 8 +
+  // key 16: the curve count sits at byte 96.
+  EXPECT_EQ(memo.size(), group.size() + 4);
+  EXPECT_EQ(hex(group.substr(96, 4)), "02000000");
+  EXPECT_EQ(hex(memo.substr(96, 8)), "0200008003000000");
+  EXPECT_EQ(group.substr(100), memo.substr(104));
+  EXPECT_EQ(fnv1a64(memo), 0x19FCDBFA27F8B36Cull);
+
+  SubproblemCache back(one);
+  ASSERT_TRUE(load_cache_snapshot(back, memo_path).loaded());
+  CacheEntry e;
+  ASSERT_TRUE(back.lookup(corpus::sample_entry(1).key, e));
+  EXPECT_EQ(e.merlin_loops, 3u);
 }
 
 TEST(FormatPins, FixedRingFileLoadsToItsEvents) {

@@ -290,7 +290,7 @@ TEST(ServeCore, ColdDaemonRunIsBitIdenticalToOneShotRun) {
   ServerCore core(so);
   const SubmitOutcome sub = core.submit(1, circuit_spec(20, 7));
   ASSERT_TRUE(sub.accepted);
-  const JobOutcome* oc = core.wait(sub.job_id);
+  const auto oc = core.wait(sub.job_id);
   ASSERT_NE(oc, nullptr);
   ASSERT_TRUE(oc->ok) << oc->error;
   ASSERT_NE(oc->result, nullptr);
@@ -307,11 +307,11 @@ TEST(ServeCore, WarmRerunsAreEquivalentAndDigestIdentical) {
   ServerCore core(so);
   const SubmitOutcome a = core.submit(1, circuit_spec(16, 3));
   ASSERT_TRUE(a.accepted);
-  const JobOutcome* oa = core.wait(a.job_id);
+  const auto oa = core.wait(a.job_id);
   ASSERT_TRUE(oa->ok);
   const SubmitOutcome b = core.submit(1, circuit_spec(16, 3));
   ASSERT_TRUE(b.accepted);
-  const JobOutcome* ob = core.wait(b.job_id);
+  const auto ob = core.wait(b.job_id);
   ASSERT_TRUE(ob->ok);
   // The warm rerun serves sub-problems from the shared store — cache
   // counters shift (hence "equivalent", not "identical") but structure,
@@ -342,7 +342,7 @@ TEST(ServeCore, StatsJsonCarriesTheRequestIdentity) {
   ServerCore core(ServeOptions{});
   const SubmitOutcome sub = core.submit(42, circuit_spec(16, 5));
   ASSERT_TRUE(sub.accepted);
-  const JobOutcome* oc = core.wait(sub.job_id);
+  const auto oc = core.wait(sub.job_id);
   ASSERT_TRUE(oc->ok);
   const JsonValue doc = json_parse(oc->stats_json);
   EXPECT_EQ(doc.at("schema").string, "merlin.stats");
@@ -374,7 +374,7 @@ TEST(ServeCore, NetJobsRunTheNetfileGrammar) {
   js.net_text = text.str();
   const SubmitOutcome sub = core.submit(1, std::move(js));
   ASSERT_TRUE(sub.accepted);
-  const JobOutcome* oc = core.wait(sub.job_id);
+  const auto oc = core.wait(sub.job_id);
   ASSERT_TRUE(oc->ok) << oc->error;
   EXPECT_EQ(oc->nets, 1u);
 
@@ -391,7 +391,7 @@ TEST(ServeCore, MalformedNetTextFailsTheJobNotTheDaemon) {
   js.net_text = "this is not a net file";
   const SubmitOutcome sub = core.submit(1, std::move(js));
   ASSERT_TRUE(sub.accepted);
-  const JobOutcome* oc = core.wait(sub.job_id);
+  const auto oc = core.wait(sub.job_id);
   ASSERT_NE(oc, nullptr);
   EXPECT_FALSE(oc->ok);
   EXPECT_FALSE(oc->error.empty());
@@ -417,7 +417,7 @@ TEST(ServeCore, DrainRejectsNewSubmitsButFinishesAdmittedJobs) {
   EXPECT_EQ(rejected.error, ServeError::kDraining);
   // Every job admitted before the drain still completes.
   for (const std::uint64_t id : admitted) {
-    const JobOutcome* oc = core.wait(id);
+    const auto oc = core.wait(id);
     ASSERT_NE(oc, nullptr);
     EXPECT_TRUE(oc->ok);
   }
@@ -451,13 +451,46 @@ TEST(ServeCore, UnknownJobsReportUnknown) {
   EXPECT_EQ(core.wait(12345), nullptr);
 }
 
+TEST(ServeCore, FinishedRecordsAreKeptBoundedOldestFirst) {
+  // One more finished job than the daemon keeps: the first one's record is
+  // dropped (status, stats and wait all read it as unknown), the second
+  // and the last are still there.
+  const BufferLibrary lib = make_standard_library();
+  NetSpec spec;
+  spec.n_sinks = 1;  // a trivial net: no DP, so the jobs stay tiny
+  spec.seed = 5;
+  std::ostringstream text;
+  write_net(text, make_random_net(spec, lib));
+  ServerCore core(ServeOptions{});
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i <= ServerCore::kFinishedJobsKept; ++i) {
+    JobSpec js;
+    js.kind = JobSpec::Kind::kNet;
+    js.net_text = text.str();
+    const SubmitOutcome sub = core.submit(1, std::move(js));
+    ASSERT_TRUE(sub.accepted);
+    const auto oc = core.wait(sub.job_id);
+    ASSERT_NE(oc, nullptr);
+    ASSERT_TRUE(oc->ok) << oc->error;
+    ids.push_back(sub.job_id);
+  }
+  std::uint64_t pos = 0;
+  EXPECT_EQ(core.stats_json(ids.front()), std::nullopt);
+  EXPECT_EQ(core.status(ids.front(), pos), JobState::kUnknown);
+  EXPECT_EQ(core.wait(ids.front()), nullptr);
+  EXPECT_TRUE(core.stats_json(ids[1]).has_value());
+  ASSERT_TRUE(core.stats_json(ids.back()).has_value());
+  EXPECT_FALSE(core.stats_json(ids.back())->empty());
+  EXPECT_EQ(core.status(ids.back(), pos), JobState::kDone);
+}
+
 // -- ServeSurvivability: deadlines, shedding, snapshots ---------------------
 
 TEST(ServeSurvivability, StatsJsonCarriesTheServeSection) {
   ServerCore core(ServeOptions{});
   const SubmitOutcome sub = core.submit(1, circuit_spec(16, 5));
   ASSERT_TRUE(sub.accepted);
-  const JobOutcome* oc = core.wait(sub.job_id);
+  const auto oc = core.wait(sub.job_id);
   ASSERT_TRUE(oc->ok);
   const JsonValue doc = json_parse(oc->stats_json);
   const JsonValue& serve = doc.at("serve");
@@ -481,7 +514,7 @@ TEST(ServeSurvivability, ExpiredDeadlineRejectsWithoutRunningAndKeepsServing) {
   doomed.deadline_ms = 1;
   const SubmitOutcome sub = core.submit(1, std::move(doomed));
   ASSERT_TRUE(sub.accepted);
-  const JobOutcome* oc = core.wait(sub.job_id);
+  const auto oc = core.wait(sub.job_id);
   ASSERT_NE(oc, nullptr);
   EXPECT_FALSE(oc->ok);
   EXPECT_TRUE(oc->deadline_expired);
@@ -504,7 +537,7 @@ TEST(ServeSurvivability, GenerousDeadlineDoesNotChangeTheResult) {
   relaxed.deadline_ms = 10 * 60 * 1000;  // ten minutes: will never bind
   const SubmitOutcome a = core.submit(1, std::move(relaxed));
   ASSERT_TRUE(a.accepted);
-  const JobOutcome* oa = core.wait(a.job_id);
+  const auto oa = core.wait(a.job_id);
   ASSERT_TRUE(oa->ok);
 
   ServeOptions fo;
@@ -512,7 +545,7 @@ TEST(ServeSurvivability, GenerousDeadlineDoesNotChangeTheResult) {
   ServerCore fresh(fo);
   const SubmitOutcome b = fresh.submit(1, circuit_spec(16, 5));
   ASSERT_TRUE(b.accepted);
-  const JobOutcome* ob = fresh.wait(b.job_id);
+  const auto ob = fresh.wait(b.job_id);
   ASSERT_TRUE(ob->ok);
   EXPECT_EQ(oa->digest, ob->digest);
 }
@@ -577,7 +610,7 @@ TEST(ServeSurvivability, WarmRestartFromSnapshotIsDigestIdenticalAndWarm) {
     ServerCore core(so);
     const SubmitOutcome sub = core.submit(1, circuit_spec(18, 5));
     ASSERT_TRUE(sub.accepted);
-    const JobOutcome* oc = core.wait(sub.job_id);
+    const auto oc = core.wait(sub.job_id);
     ASSERT_TRUE(oc->ok);
     first_digest = oc->digest;
     // Destruction drains, and the drain persists the warm cache.
@@ -588,16 +621,20 @@ TEST(ServeSurvivability, WarmRestartFromSnapshotIsDigestIdenticalAndWarm) {
     ServerCore core(so);
     const SubmitOutcome sub = core.submit(1, circuit_spec(18, 5));
     ASSERT_TRUE(sub.accepted);
-    const JobOutcome* oc = core.wait(sub.job_id);
+    const auto oc = core.wait(sub.job_id);
     ASSERT_TRUE(oc->ok);
     // Bit-identical answer from the restored store...
     EXPECT_EQ(oc->digest, first_digest);
-    // ...and it genuinely ran warm: the restored entries were adopted.
-    // MERLIN_CACHE=off detaches the store from every run, so nothing is
-    // published or adopted and only the digest identity applies.
+    // ...and it genuinely ran warm: every searched net was answered by its
+    // restored memo entry.  MERLIN_CACHE=off detaches the store from every
+    // run, so nothing is published or hit and only the digest identity
+    // applies.
     const JsonValue doc = json_parse(oc->stats_json);
     if (!cache_env_off()) {
-      EXPECT_GT(doc.at("counters").at("cache_shared_hits").number, 0.0);
+      const JsonValue& c = doc.at("counters");
+      EXPECT_GT(c.at("net_memo_hits").number, 0.0);
+      EXPECT_EQ(c.at("net_memo_hits").number,
+                c.at("nets_processed").number - c.at("trivial_nets").number);
     }
     EXPECT_EQ(doc.at("serve").at("snapshot_loads").number, 1.0);
     EXPECT_NE(core.snapshot_note().find("loaded"), std::string::npos)
@@ -631,7 +668,7 @@ TEST(ServeSurvivability, CorruptSnapshotColdStartsTheDaemon) {
   ServerCore core(so);  // must not crash
   EXPECT_NE(core.snapshot_note().find("corrupt"), std::string::npos)
       << core.snapshot_note();
-  const JobOutcome* oc = core.wait(core.submit(1, circuit_spec(16, 3)).job_id);
+  const auto oc = core.wait(core.submit(1, circuit_spec(16, 3)).job_id);
   ASSERT_NE(oc, nullptr);
   EXPECT_TRUE(oc->ok);  // cold but serving
   const JsonValue doc = json_parse(oc->stats_json);
@@ -670,7 +707,7 @@ TEST(ServeCliDifferential, DaemonDigestMatchesCliDigest) {
   ServerCore core(so);
   const SubmitOutcome sub = core.submit(1, circuit_spec(20, 7));
   ASSERT_TRUE(sub.accepted);
-  const JobOutcome* oc = core.wait(sub.job_id);
+  const auto oc = core.wait(sub.job_id);
   ASSERT_TRUE(oc->ok);
   EXPECT_EQ(oc->digest, cli_digest);
 }
@@ -785,11 +822,15 @@ TEST(ServeSocket, WarmSubmissionsShareTheDaemonCache) {
   const SubmitReply warm = client.submit_circuit(18, 5);
   ASSERT_TRUE(warm.ok);
   EXPECT_EQ(cold.result.digest, warm.result.digest);
-  // The warm job adopted what the cold one published.  MERLIN_CACHE=off
-  // detaches the store, so only the digest identity applies there.
+  // Every searched net of the warm job hit the memo entry the cold one
+  // published.  MERLIN_CACHE=off detaches the store, so only the digest
+  // identity applies there.
   const JsonValue doc = json_parse(client.stats(warm.result.job_id).json);
   if (!cache_env_off()) {
-    EXPECT_GT(doc.at("counters").at("cache_shared_hits").number, 0.0);
+    const JsonValue& c = doc.at("counters");
+    EXPECT_GT(c.at("net_memo_hits").number, 0.0);
+    EXPECT_EQ(c.at("net_memo_hits").number,
+              c.at("nets_processed").number - c.at("trivial_nets").number);
   }
   fx.shutdown_and_join();
 }

@@ -16,6 +16,8 @@
 #include <tuple>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "cache/shard.h"
@@ -290,6 +292,27 @@ TEST(CacheSnapshotHostile, GarbageAndEmptyFilesColdStart) {
   EXPECT_EQ(load_cache_snapshot(dst, snap.path).status,
             SnapshotLoadStatus::kCorrupt);
   EXPECT_EQ(dst.entry_count(), 0u);
+}
+
+TEST(CacheSnapshotHostile, ABadHeaderIsRejectedWithoutReadingTheBody) {
+  // A 256 MiB sparse file of zeros: its all-zero header is rejected after
+  // 8 bytes, so the load's peak RSS barely moves (reading the whole file
+  // first would peak near 256 MB).
+  SnapDir snap;
+  const int fd = ::open(snap.path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, off_t{256} << 20), 0);
+  ::close(fd);
+  SubproblemCache dst(big_config());
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  const SnapshotLoadResult r = load_cache_snapshot(dst, snap.path);
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  EXPECT_EQ(r.status, SnapshotLoadStatus::kCorrupt);
+  EXPECT_EQ(r.detail, "bad snapshot magic");
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 32 * 1024)  // KiB
+      << "peak RSS grew by " << after.ru_maxrss - before.ru_maxrss << " KiB";
 }
 
 // -- the atomic write protocol ----------------------------------------------
