@@ -68,9 +68,9 @@ bool is_injected(const std::exception& e) {
 // BatchContext — warm pool + per-worker scratch, reused across runs.
 
 struct BatchContext::Impl {
-  // Same declaration order as run_jobs' per-run locals: sessions and arenas
-  // before the pool, so the pool's draining destructor (which may still run
-  // tasks referencing them) fires first during teardown.
+  // Sessions and arenas before the pool, so the pool's draining destructor
+  // (which may still run tasks referencing them) fires first during
+  // teardown.  run_jobs builds one for the run when no context is given.
   SubproblemCache* cache = nullptr;
   std::vector<CacheSession> sessions;
   std::vector<SolutionArena> arenas;
@@ -236,33 +236,6 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
     ContextLease lease(ctx);
     const std::size_t n_threads =
         ctx != nullptr ? ctx->pool.size() : resolve_threads(opts_.threads);
-    // Per-worker scratch; constructed before the pool so that if an
-    // exception unwinds this scope, the pool's draining destructor (which
-    // may still run tasks referencing the sessions/arenas) fires first.
-    // Each worker owns one CacheSession, one SolutionArena and (when the
-    // caller wants observability) one ObsSink: no provenance allocation,
-    // and no stats recording, is ever shared across threads.  The shared
-    // SubproblemCache (if any) is only ever *read* during the parallel
-    // phase — sessions stage writes privately and the publish happens
-    // serially below.
-    SubproblemCache* shared_cache =
-        ctx != nullptr
-            ? ctx->cache
-            : ((opts_.cache != nullptr && opts_.cache->enabled() &&
-                !cache_env_off())
-                   ? opts_.cache
-                   : nullptr);
-    std::vector<CacheSession> local_sessions;
-    std::vector<SolutionArena> local_arenas(ctx != nullptr ? 0 : n_threads);
-    if (ctx == nullptr) {
-      local_sessions.reserve(n_threads);
-      for (std::size_t w = 0; w < n_threads; ++w)
-        local_sessions.emplace_back(shared_cache);
-    }
-    std::vector<CacheSession>& sessions =
-        ctx != nullptr ? ctx->sessions : local_sessions;
-    std::vector<SolutionArena>& arenas =
-        ctx != nullptr ? ctx->arenas : local_arenas;
     std::vector<FlushBatch> flushes(jobs.size());
     std::vector<ObsSink> sinks;
     if (opts_.obs != nullptr) {
@@ -278,11 +251,26 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
         sinks[w].set_span_capacity(opts_.obs->span_capacity());
       }
     }
-    std::optional<ThreadPool> local_pool;
-    if (ctx == nullptr) local_pool.emplace(n_threads);
-    ThreadPool& pool = ctx != nullptr ? ctx->pool : *local_pool;
+    // Per-worker scratch and the pool: a warm context's, or for a
+    // context-free run the same state built for this run only.  Each
+    // worker owns one CacheSession, one SolutionArena and (when the caller
+    // wants observability) one ObsSink: no provenance allocation, and no
+    // stats recording, is ever shared across threads.  The shared
+    // SubproblemCache (if any) is only ever *read* during the parallel
+    // phase — sessions stage writes privately and the publish happens
+    // serially below.  `local` is declared after `flushes` and `sinks`, and
+    // Impl declares its pool after its sessions and arenas, so if an
+    // exception unwinds this scope the pool's draining destructor (which
+    // may still run tasks referencing all of them) fires first.
+    std::optional<BatchContext::Impl> local;
+    BatchContext::Impl& state =
+        ctx != nullptr ? *ctx : local.emplace(n_threads, opts_.cache);
+    SubproblemCache* const shared_cache = state.cache;
+    std::vector<CacheSession>& sessions = state.sessions;
+    std::vector<SolutionArena>& arenas = state.arenas;
+    ThreadPool& pool = state.pool;
     const bool tracing = !sinks.empty() && opts_.obs->spans_armed();
-    if (tracing && ctx == nullptr) {
+    if (tracing && local.has_value()) {
       // Bridge the pool's scheduling events onto the worker timelines.
       // Callbacks run on worker w's own thread and only touch sinks[w], so
       // they race with nothing; `sinks` outlives the pool by construction

@@ -3,7 +3,7 @@
 //
 // Every name here is a *contract*: it appears verbatim as a JSON key in the
 // `--stats-json` export, it is documented (in paper terms) in
-// docs/OBSERVABILITY.md, and tools/check_docs.sh fails CI when the two drift
+// docs/OBSERVABILITY.md, and tests/test_docs.cpp fails when the two drift
 // apart.  Counters are monotonic and deterministic — for a fixed workload
 // their aggregate totals are identical across thread counts and runs, which
 // is what lets EXPERIMENTS.md cite them as measurements rather than

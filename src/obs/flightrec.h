@@ -27,7 +27,7 @@ namespace merlin {
 
 /// Event vocabulary.  Names (flight_event_name) are a documented contract:
 /// the table in docs/OBSERVABILITY.md must list exactly these
-/// (tools/check_docs.sh gate).
+/// (tests/test_docs.cpp).
 enum class FlightEvent : std::uint8_t {
   kAdmit,     ///< job accepted into the admission queue (arg: client id)
   kDispatch,  ///< scheduler handed the job to the engine (arg: queue depth)

@@ -17,7 +17,7 @@
 //     net) — these merge to bit-identical quantiles across thread counts
 //     (tests/test_registry.cpp proves it).
 // Canonical names come from lifetime_hist_name() below; the table in
-// docs/OBSERVABILITY.md must match (tools/check_docs.sh gate).
+// docs/OBSERVABILITY.md must match (tests/test_docs.cpp).
 //
 // It also keeps a small ring of per-interval window samples (jobs
 // completed, req/s, queue depth at roll, shed count) so the overload

@@ -42,7 +42,7 @@ class ObsSink;
 
 /// Every span the engines emit.  Names are dotted `subsystem.what` — the
 /// vocabulary is documented (with paper anchors) in docs/OBSERVABILITY.md's
-/// span table, which tools/check_docs.sh stale-checks against this header.
+/// span table, which tests/test_docs.cpp checks against span_name().
 enum class SpanName : std::uint8_t {
   kBatchNet,         ///< one batch task: a net end-to-end (arg = fanout)
   kBatchReduce,      ///< post-drain serial merge of the worker sinks
@@ -61,8 +61,10 @@ enum class SpanName : std::uint8_t {
   kPoolSteal,        ///< instant: the next task was stolen (FIFO victim)
   kServeQueue,       ///< daemon job admission→dispatch wait (arg = job id)
   kServeRequest,     ///< daemon job dispatch→completion (arg = job id)
+  kCount,
 };
-inline constexpr std::size_t kSpanNameCount = 17;
+inline constexpr std::size_t kSpanNameCount =
+    static_cast<std::size_t>(SpanName::kCount);
 
 [[nodiscard]] constexpr const char* span_name(SpanName s) {
   switch (s) {
@@ -83,6 +85,7 @@ inline constexpr std::size_t kSpanNameCount = 17;
     case SpanName::kPoolSteal: return "pool.steal";
     case SpanName::kServeQueue: return "serve.queue";
     case SpanName::kServeRequest: return "serve.request";
+    case SpanName::kCount: break;
   }
   return "unknown";
 }

@@ -30,8 +30,8 @@ namespace merlin {
 
 /// Named fault sites.  The order is the registry order; names come from
 /// fault_site_name() and are documented in docs/ROBUSTNESS.md (the injection
-/// site registry table there is checked against this list by
-/// tools/check_docs.sh).
+/// site registry table there is checked against this list, both ways, by
+/// tests/test_docs.cpp).
 enum class FaultSite : std::uint8_t {
   kBatchNet,     ///< start of a per-net construction attempt (batch worker)
   kBubbleLayer,  ///< BUBBLE_CONSTRUCT *PTREE layer call

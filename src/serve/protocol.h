@@ -15,10 +15,8 @@
 // (perfbench's daemon_eco clients do exactly that).
 //
 // The message and error vocabularies below are dotted `kind.what` names,
-// documented in docs/SERVING.md's wire tables, which tools/check_docs.sh
-// (gate 7) stale-checks against this header in both directions.  Keep the
-// dotted return-string literals in this file confined to msg_type_name and
-// serve_error_name — the gate greps the whole header for that pattern.
+// documented in docs/SERVING.md's wire tables, which tests/test_docs.cpp
+// checks against msg_type_name / serve_error_name in both directions.
 //
 // Versioning: kWireVersion is carried in every pong; bump it on any frame
 // or payload layout change and document the migration in docs/SERVING.md.

@@ -255,8 +255,8 @@ TEST(Trace, EverySpanNameIsUniqueAndDotted) {
   for (std::size_t i = 0; i < kSpanNameCount; ++i) {
     const std::string n = span_name(static_cast<SpanName>(i));
     EXPECT_TRUE(seen.insert(n).second) << "duplicate span name " << n;
-    // subsystem.what: exactly one dot, lowercase elsewhere — the shape
-    // tools/check_docs.sh greps for.
+    // subsystem.what: exactly one dot, lowercase elsewhere — the row shape
+    // tests/test_docs.cpp reads from the span table.
     EXPECT_EQ(std::count(n.begin(), n.end(), '.'), 1) << n;
     for (char c : n)
       EXPECT_TRUE((c >= 'a' && c <= 'z') || c == '.' || c == '_') << n;
