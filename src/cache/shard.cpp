@@ -1,114 +1,79 @@
 #include "cache/shard.h"
 
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 
 namespace merlin {
 
-SubproblemCache::SubproblemCache(CacheConfig cfg) : cfg_(cfg) {
-  if (cfg_.shards == 0) cfg_.shards = 1;
-  shards_ = std::vector<Shard>(cfg_.shards);
-  shard_budget_ = cfg_.capacity_nodes / cfg_.shards;
-}
-
 bool SubproblemCache::lookup(const CacheKey& key, CacheEntry& out) const {
   if (!enabled()) return false;
-  Shard& sh = shard_for(key);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.map.find(key);
-  if (it == sh.map.end()) return false;
-  out = sh.store.get(it->second.id);  // deep copy under the shard lock
+  const auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  out = *it->second;  // deep copy: the session owns what it adopts
   return true;
 }
 
 CacheApplyOutcome SubproblemCache::apply(FlushBatch&& batch) {
+  assert(!read_phase_ && "SubproblemCache: apply during a read phase");
   CacheApplyOutcome oc;
   oc.staged = batch.staged.size();
   if (!enabled()) return oc;
 
-  const auto refresh = [](Shard& sh, const CacheKey& key) {
-    const auto it = sh.map.find(key);
-    if (it == sh.map.end()) return false;
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second.lru_it);
+  const auto refresh = [this](const CacheKey& key) {
+    const auto it = map_.find(key);
+    if (it == map_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it->second);
     return true;
   };
 
   // Touch refreshes first: a net that *used* an entry outranks the entries
   // it merely produced, so hot shared sub-problems survive eviction.
-  for (const CacheKey& key : batch.touched) {
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lock(sh.mu);
-    refresh(sh, key);
-  }
+  for (const CacheKey& key : batch.touched) refresh(key);
 
   for (CacheEntry& entry : batch.staged) {
-    const CacheKey key = entry.key;
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (refresh(sh, key)) {  // an earlier net already published this key
+    if (refresh(entry.key)) {  // an earlier net already published this key
       ++oc.duplicates;
       continue;
     }
-    if (entry.node_cost() > shard_budget_) {  // can never fit
+    if (entry.node_cost() > cfg_.capacity_nodes) {  // can never fit
       ++oc.rejected;
       continue;
     }
-    sh.lru.push_front(key);
-    Slot slot;
-    slot.id = sh.store.put(std::move(entry));
-    slot.lru_it = sh.lru.begin();
-    sh.map.emplace(key, slot);
+    node_cost_ += entry.node_cost();
+    lru_.push_front(std::move(entry));
+    map_.emplace(lru_.front().key, lru_.begin());
     ++oc.inserted;
-    while (sh.store.node_cost() > shard_budget_) {
-      const CacheKey victim = sh.lru.back();
-      sh.lru.pop_back();
-      const auto vit = sh.map.find(victim);
-      sh.store.erase(vit->second.id);
-      sh.map.erase(vit);
+    while (node_cost_ > cfg_.capacity_nodes) {  // never the entry just added
+      node_cost_ -= lru_.back().node_cost();
+      map_.erase(lru_.back().key);
+      lru_.pop_back();
       ++oc.evicted;
     }
   }
   return oc;
 }
 
-std::size_t SubproblemCache::entry_count() const {
-  std::size_t n = 0;
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    n += sh.store.entry_count();
-  }
-  return n;
-}
-
-std::uint64_t SubproblemCache::node_cost() const {
-  std::uint64_t n = 0;
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    n += sh.store.node_cost();
-  }
-  return n;
-}
-
 void SubproblemCache::for_each_entry_oldest_first(
     const std::function<void(std::size_t, const CacheEntry&)>& fn) const {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = shards_[i];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    // lru front = most recent; walk back-to-front so the oldest entry is
-    // reported (and later re-inserted) first.
-    for (auto it = sh.lru.rbegin(); it != sh.lru.rend(); ++it)
-      fn(i, sh.store.get(sh.map.at(*it).id));
-  }
+  assert(!read_phase_ && "SubproblemCache: walk during a read phase");
+  // lru_ front = most recent; walk back-to-front so the oldest entry is
+  // reported (and later re-inserted) first.
+  std::size_t ordinal = 0;
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) fn(ordinal++, *it);
 }
 
 void SubproblemCache::clear() {
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    sh.map.clear();
-    sh.store.clear();
-    sh.lru.clear();
-  }
+  assert(!read_phase_ && "SubproblemCache: clear during a read phase");
+  map_.clear();
+  lru_.clear();
+  node_cost_ = 0;
+}
+
+void SubproblemCache::open_read_phase() noexcept {
+  assert(!read_phase_ && "SubproblemCache: read phases do not nest");
+  read_phase_ = true;
 }
 
 bool cache_env_off() {

@@ -1,13 +1,13 @@
 #pragma once
-// SubproblemCache + CacheSession: the concurrent cross-net cache front end.
+// SubproblemCache + CacheSession: the cross-net cache front end.
 //
 // Ownership / lifetime model (replaces the old run-scoped GammaCache):
 //
 //   * SubproblemCache is process-scoped.  It owns every cached curve
-//     outright (CurveStore entries are arena-decoupled, see cache/store.h),
-//     so it outlives any bubble_construct run, any SolutionArena, and any
-//     batch — the enabling layer for server mode, where one warm cache
-//     serves many requests.
+//     outright (CacheEntry is arena-decoupled, see cache/store.h), so it
+//     outlives any bubble_construct run, any SolutionArena, and any batch —
+//     the enabling layer for server mode, where one warm cache serves many
+//     requests.
 //   * CacheSession is the single-threaded handle the engines use.  It keeps
 //     a per-run local table (the paper's section III.4 cross-iteration
 //     reuse) and *stages* every insert privately; nothing it does touches
@@ -16,8 +16,8 @@
 // Determinism contract (the batch engine's bit-identity invariant):
 //
 //   * During a parallel phase the shared store is READ-ONLY.  Sessions copy
-//     entries out under a shard lock on first use (adoption) and record the
-//     key in a touch log; they never mutate shared state.
+//     entries out on first use (adoption) and record the key in a touch
+//     log; they never mutate shared state.
 //   * All writes — LRU refreshes from the touch logs, staged inserts,
 //     evictions — happen in SubproblemCache::apply(FlushBatch), which the
 //     batch runner calls serially in ascending net id after the pool
@@ -25,8 +25,16 @@
 //     reduction).  The store's end state (content, LRU order, eviction
 //     victims) is therefore a pure function of the workload, identical at
 //     any thread count.
-//   * Eviction is cost-aware LRU, budgeted in provenance nodes
-//     (CacheConfig::capacity_nodes) and applied per shard during flush.
+//   * Eviction is cost-aware LRU over one list, budgeted in provenance
+//     nodes (CacheConfig::capacity_nodes) and applied during the publish.
+//
+// One writer, no locks: lookup() may run beside other lookups; apply(),
+// clear() and for_each_entry_oldest_first() never overlap any other call.
+// The batch runner brackets its parallel phase with open_read_phase() /
+// close_read_phase(), and the three exclusive calls assert that no read
+// phase is open (live in Debug and sanitizer builds, compiled out in
+// Release).  merlin_d serializes its snapshot saves against running jobs
+// with one store lock (serve/server.h).
 //
 // Capacity 0 disables the shared store entirely: every lookup misses and
 // apply() drops its batch, reducing behavior to per-worker scratch caching
@@ -36,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -48,12 +55,9 @@ namespace merlin {
 
 /// cache-entry: CacheConfig
 struct CacheConfig {
-  /// Total provenance-node budget across all shards (one node is one
-  /// SolNode, ~48 bytes).  0 = shared store disabled.
+  /// Provenance-node budget of the store (one node is one SolNode, ~48
+  /// bytes).  0 = shared store disabled.
   std::uint64_t capacity_nodes = 0;
-  /// Shard count (each shard has its own mutex, map, CurveStore and LRU
-  /// list; a key's shard is a pure function of its hash).  Clamped >= 1.
-  std::size_t shards = 8;
 };
 
 /// cache-entry: FlushBatch
@@ -73,65 +77,58 @@ struct CacheApplyOutcome {
   std::uint64_t inserted = 0;    ///< entries actually published
   std::uint64_t duplicates = 0;  ///< offered keys already present (refreshed)
   std::uint64_t evicted = 0;     ///< LRU victims removed to hold the budget
-  std::uint64_t rejected = 0;    ///< entries larger than a whole shard budget
+  std::uint64_t rejected = 0;    ///< entries larger than the whole budget
 };
 
 /// cache-entry: SubproblemCache
 class SubproblemCache {
  public:
-  explicit SubproblemCache(CacheConfig cfg = {});
+  explicit SubproblemCache(CacheConfig cfg = {}) : cfg_(cfg) {}
   SubproblemCache(const SubproblemCache&) = delete;
   SubproblemCache& operator=(const SubproblemCache&) = delete;
 
   [[nodiscard]] bool enabled() const { return cfg_.capacity_nodes > 0; }
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
-  /// Read side (safe under concurrency): copies the entry for `key` into
-  /// `out` and returns true, or returns false on miss.  Never mutates LRU
-  /// state — recency is recorded by the caller's touch log and applied at
-  /// flush, keeping reads order-independent.
+  /// Read side (may run beside other lookups): copies the entry for `key`
+  /// into `out` and returns true, or returns false on miss.  Never mutates
+  /// LRU state — recency is recorded by the caller's touch log and applied
+  /// at flush, keeping reads order-independent.
   [[nodiscard]] bool lookup(const CacheKey& key, CacheEntry& out) const;
 
   /// Write side: applies one net's staged writes — touch refreshes first
   /// (in log order), then inserts (in insertion order, duplicates refresh
-  /// instead), evicting LRU tails whenever a shard exceeds its budget.
+  /// instead), evicting LRU tails whenever the store exceeds its budget.
   /// The batch runner calls this serially in ascending net id.
   CacheApplyOutcome apply(FlushBatch&& batch);
 
-  [[nodiscard]] std::size_t entry_count() const;
-  [[nodiscard]] std::uint64_t node_cost() const;
+  [[nodiscard]] std::size_t entry_count() const { return map_.size(); }
+  [[nodiscard]] std::uint64_t node_cost() const { return node_cost_; }
 
-  /// Deterministic enumeration for cache/snapshot.h: `fn(shard, entry)` for
-  /// every entry — shards in index order, each shard's entries in LRU order
-  /// oldest first — each shard walked under its own lock.  Re-inserting the
-  /// entries in callback order through apply() reproduces the exact
-  /// content AND recency order, which is what makes a snapshot roundtrip
-  /// bit-identical.
+  /// Deterministic enumeration for cache/snapshot.h: `fn(ordinal, entry)`
+  /// for every entry in LRU order, oldest first (`ordinal` counts from 0).
+  /// Re-inserting the entries in callback order through apply() reproduces
+  /// the exact content AND recency order, which is what makes a snapshot
+  /// roundtrip bit-identical.
   void for_each_entry_oldest_first(
       const std::function<void(std::size_t, const CacheEntry&)>& fn) const;
 
-  /// Drops every entry in every shard (capacity budget unchanged).
+  /// Drops every entry (capacity budget unchanged).
   void clear();
 
- private:
-  struct Slot {
-    EntryId id = kNullEntry;
-    std::list<CacheKey>::iterator lru_it;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<CacheKey, Slot, CacheKeyHash> map;
-    CurveStore store;
-    std::list<CacheKey> lru;  ///< front = most recently used
-  };
+  /// Brackets a phase in which only lookup() may run (the batch runner's
+  /// parallel phase).  Phases do not nest.
+  void open_read_phase() noexcept;
+  void close_read_phase() noexcept { read_phase_ = false; }
 
-  [[nodiscard]] Shard& shard_for(const CacheKey& key) const {
-    return shards_[key.hi % shards_.size()];
-  }
+ private:
+  using Lru = std::list<CacheEntry>;
 
   CacheConfig cfg_;
-  std::uint64_t shard_budget_ = 0;  ///< capacity_nodes / shard count
-  mutable std::vector<Shard> shards_;
+  Lru lru_;  ///< front = most recently used; entries never move
+  std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> map_;
+  std::uint64_t node_cost_ = 0;
+  bool read_phase_ = false;  ///< between open_read_phase and close_read_phase
 };
 
 /// cache-entry: cache_env_off

@@ -30,7 +30,7 @@ namespace merlin {
 
 /// cache-entry: CacheKey
 /// A fixed-width (128-bit) cache key.  Value-comparable and trivially
-/// copyable; the high word doubles as the shard selector.
+/// copyable.
 struct CacheKey {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;

@@ -146,32 +146,24 @@ SnapshotLoadResult fail_cold(SubproblemCache& cache, SnapshotLoadStatus status,
 
 bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
                          SnapshotStats* stats, std::string* error) {
-  const std::size_t shard_count = cache.config().shards == 0
-                                      ? 1
-                                      : cache.config().shards;
-  std::vector<std::string> shard_payloads(shard_count);
-  std::vector<std::uint64_t> shard_entries(shard_count, 0);
+  // One shard section holding every entry, oldest first.
+  std::string entries;
+  ByteWriter(entries).u64(cache.entry_count());
   SnapshotStats st;
-  cache.for_each_entry_oldest_first(
-      [&](std::size_t shard, const CacheEntry& e) {
-        encode_entry(shard_payloads[shard], e);
-        ++shard_entries[shard];
-        ++st.entries;
-        st.nodes += e.nodes.size();
-      });
+  cache.for_each_entry_oldest_first([&](std::size_t, const CacheEntry& e) {
+    encode_entry(entries, e);
+    ++st.entries;
+    st.nodes += e.nodes.size();
+  });
 
   std::string meta;
-  ByteWriter(meta).u64(cache.config().capacity_nodes).u64(shard_count)
+  ByteWriter(meta).u64(cache.config().capacity_nodes).u64(1)
       .u64(st.entries).u64(st.nodes);
 
   std::string file;
   ByteWriter(file).u32(kSnapshotMagic).u32(kSnapshotVersion);
   append_section(file, kSectionMeta, meta);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    std::string payload;
-    ByteWriter(payload).u64(shard_entries[i]).bytes(shard_payloads[i]);
-    append_section(file, kSectionShard, payload);
-  }
+  append_section(file, kSectionShard, entries);
   append_section(file, kSectionEnd, {});
   st.bytes = file.size();
 
@@ -258,7 +250,7 @@ SnapshotLoadResult load_cache_snapshot(SubproblemCache& cache,
                          "duplicate meta section");
       ByteReader r(payload);
       (void)r.u64();  // saved capacity — informational; ours governs
-      (void)r.u64();  // saved shard count — keys re-shard on restore
+      (void)r.u64();  // saved shard-section count — sections load in order
       declared_entries = r.u64();
       (void)r.u64();  // saved node total
       if (!r.exhausted())
@@ -304,7 +296,8 @@ SnapshotLoadResult load_cache_snapshot(SubproblemCache& cache,
   // saved oldest-first, so sequential inserts (each pushing to the LRU
   // front) reproduce the exact recency order, and the cache's own budget
   // evicts from the oldest end if this configuration is smaller than the
-  // one that saved.
+  // one that saved.  Files of the earlier sharded writer hold one section
+  // per shard; their entries restore in file order, shard after shard.
   cache.clear();
   const CacheApplyOutcome oc = cache.apply(std::move(batch));
   SnapshotLoadResult r;

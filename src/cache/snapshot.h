@@ -1,8 +1,8 @@
 #pragma once
 // Crash-safe persistence for the shared SubproblemCache.
 //
-// A snapshot is the daemon's warm state on disk: every CacheEntry of every
-// shard (cache/store.h — already arena-decoupled, so serialization is a
+// A snapshot is the daemon's warm state on disk: every CacheEntry of the
+// store (cache/store.h — already arena-decoupled, so serialization is a
 // plain field walk), in deterministic LRU order, wrapped in a checksummed,
 // versioned container.  merlin_d saves one on drain, on a background
 // cadence, and on the req.snapshot admin frame; on start it loads the file
@@ -19,6 +19,12 @@
 //     u32 crc      CRC-32 (IEEE, reflected) of the payload
 //     payload
 //   ...ending with a zero-length kSectionEnd sentinel.
+//
+// The writer emits one meta section (u64 capacity, u64 shard-section count
+// = 1, u64 entries, u64 nodes) and one shard section with every entry,
+// oldest first.  The loader accepts any number of shard sections and
+// restores them in file order, so files of the earlier sharded writer
+// (one section per shard) still load.
 //
 // A shard payload is a u64 entry count and the entries, each: the 128-bit
 // key, a u32 curve count, the curves (u32 point count, then per point
@@ -98,18 +104,18 @@ struct SnapshotLoadResult {
 };
 
 /// cache-entry: save_cache_snapshot
-/// Serializes every entry of `cache` (shards in index order, entries oldest
-/// first) into an atomically-replaced snapshot at `path`.  Returns false
-/// with `error` filled on any I/O failure; the previous snapshot (if any)
-/// survives every failure mode.  Safe to call concurrently with lookups
-/// and applies — each shard is walked under its own lock.
+/// Serializes every entry of `cache` (oldest first) into an
+/// atomically-replaced snapshot at `path`.  Returns false with `error`
+/// filled on any I/O failure; the previous snapshot (if any) survives every
+/// failure mode.  Walks the store, so it must not overlap a batch run or an
+/// apply on `cache` (merlin_d holds its store lock across both).
 bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
                          SnapshotStats* stats = nullptr,
                          std::string* error = nullptr);
 
 /// cache-entry: load_cache_snapshot
 /// Verifies and restores the snapshot at `path` into `cache` (which is
-/// cleared first).  Entries re-shard and re-enter LRU order as saved, and
+/// cleared first).  Entries re-enter LRU order as saved, and
 /// the cache's own budget still governs — a snapshot larger than the
 /// configured capacity restores to a truncated (most-recent) working set.
 /// Never throws: any corruption, truncation or version skew reports via

@@ -1,6 +1,5 @@
 #include "cache/store.h"
 
-#include <stdexcept>
 #include <unordered_map>
 
 namespace merlin {
@@ -78,36 +77,6 @@ std::vector<SolutionCurve> materialize_entry(const CacheEntry& entry,
     }
   }
   return out;
-}
-
-EntryId CurveStore::put(CacheEntry entry) {
-  node_cost_ += entry.node_cost();
-  ++live_;
-  if (!free_.empty()) {
-    const EntryId id = free_.back();
-    free_.pop_back();
-    slots_[id] = std::move(entry);
-    return id;
-  }
-  if (slots_.size() >= kNullEntry)
-    throw std::length_error("CurveStore: entry handle space exhausted");
-  slots_.push_back(std::move(entry));
-  return static_cast<EntryId>(slots_.size() - 1);
-}
-
-void CurveStore::erase(EntryId id) {
-  CacheEntry& slot = slots_[id];
-  node_cost_ -= slot.node_cost();
-  --live_;
-  slot = CacheEntry{};  // release curve/node memory; the slot itself stays
-  free_.push_back(id);
-}
-
-void CurveStore::clear() {
-  slots_.clear();
-  free_.clear();
-  live_ = 0;
-  node_cost_ = 0;
 }
 
 }  // namespace merlin

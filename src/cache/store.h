@@ -10,17 +10,11 @@
 // child-before-parent order.  Entries therefore outlive any single
 // bubble_construct run, survive arena compaction untouched, and can be
 // materialized back into *any* arena later (intern_entry / the inverse
-// materialize_entry below).
-//
-// The CurveStore keeps entries in a std::deque — slab-backed, so grown
-// slots never move — addressed by stable 32-bit EntryIds with a free list
-// recycling evicted slots (the nesfab impl_deque/handle idiom: index-
-// addressed, never pointer-addressed).  Cost accounting is in provenance
-// nodes, the same unit the arena and its guard budgets use.
+// materialize_entry below).  Cost accounting is in provenance nodes, the
+// same unit the arena and its guard budgets use.
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -72,33 +66,5 @@ CacheEntry intern_entry(const CacheKey& key,
 /// handles.  The returned curves are bit-identical to the ones interned.
 std::vector<SolutionCurve> materialize_entry(const CacheEntry& entry,
                                              SolutionArena& arena);
-
-/// Stable 32-bit handle into a CurveStore.
-using EntryId = std::uint32_t;
-inline constexpr EntryId kNullEntry = 0xFFFFFFFFu;
-
-/// cache-entry: CurveStore
-/// Slab-deque entry pool.  put() hands out a stable EntryId (recycling
-/// erased slots first); erase() returns the slot to the free list.  Live
-/// entries never move, so references stay valid across further puts.
-class CurveStore {
- public:
-  EntryId put(CacheEntry entry);
-  void erase(EntryId id);
-  [[nodiscard]] const CacheEntry& get(EntryId id) const { return slots_[id]; }
-
-  [[nodiscard]] std::size_t entry_count() const { return live_; }
-  /// Total provenance nodes held by live entries (the eviction budget unit).
-  [[nodiscard]] std::uint64_t node_cost() const { return node_cost_; }
-
-  /// Drops every entry and the free list (capacity released).
-  void clear();
-
- private:
-  std::deque<CacheEntry> slots_;
-  std::vector<EntryId> free_;
-  std::size_t live_ = 0;
-  std::uint64_t node_cost_ = 0;
-};
 
 }  // namespace merlin

@@ -116,6 +116,22 @@ struct ContextLease {
   BatchContext::Impl* impl_;
 };
 
+/// The pool's parallel phase on the shared cache (lookups only), closed on
+/// any exit path — the bracket SubproblemCache's apply() asserts against.
+struct CacheReadPhase {
+  explicit CacheReadPhase(SubproblemCache* cache) : cache_(cache) {
+    if (cache_ != nullptr) cache_->open_read_phase();
+  }
+  ~CacheReadPhase() { close(); }
+  void close() noexcept {
+    if (cache_ != nullptr) cache_->close_read_phase();
+    cache_ = nullptr;
+  }
+  CacheReadPhase(const CacheReadPhase&) = delete;
+  CacheReadPhase& operator=(const CacheReadPhase&) = delete;
+  SubproblemCache* cache_;
+};
+
 }  // namespace
 
 BatchContext::BatchContext(std::size_t threads, SubproblemCache* cache)
@@ -257,11 +273,12 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
     // wants observability) one ObsSink: no provenance allocation, and no
     // stats recording, is ever shared across threads.  The shared
     // SubproblemCache (if any) is only ever *read* during the parallel
-    // phase — sessions stage writes privately and the publish happens
-    // serially below.  `local` is declared after `flushes` and `sinks`, and
-    // Impl declares its pool after its sessions and arenas, so if an
-    // exception unwinds this scope the pool's draining destructor (which
-    // may still run tasks referencing all of them) fires first.
+    // phase (CacheReadPhase below brackets it) — sessions stage writes
+    // privately and the publish happens serially after it.  `local` is
+    // declared after `flushes` and `sinks`, and Impl declares its pool
+    // after its sessions and arenas, so if an exception unwinds this scope
+    // the pool's draining destructor (which may still run tasks
+    // referencing all of them) fires first.
     std::optional<BatchContext::Impl> local;
     BatchContext::Impl& state =
         ctx != nullptr ? *ctx : local.emplace(n_threads, opts_.cache);
@@ -308,6 +325,7 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
 
     std::vector<std::future<void>> done;
     done.reserve(jobs.size());
+    CacheReadPhase read_phase(shared_cache);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       done.push_back(pool.submit([&, i] {
         const CircuitNet& job = jobs[i];
@@ -574,6 +592,7 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
         if (!first_unexpected) first_unexpected = std::current_exception();
       }
     }
+    read_phase.close();  // every task joined: the serial publish may follow
     if (first_unexpected) std::rethrow_exception(first_unexpected);
 
     // Abort policy: every net ran, every future joined — now rethrow the

@@ -35,7 +35,7 @@ inline constexpr std::uint32_t kWireMagic = 0x4E4C524Du;
 /// and err.deadline / err.overloaded / err.no_snapshot joined the error
 /// vocabulary (docs/SERVING.md, "Protocol revision 2").  v3: req.metrics /
 /// resp.metrics joined the vocabulary — the daemon's process-lifetime
-/// telemetry in both merlin.stats v6 JSON and Prometheus text form
+/// telemetry in both merlin.stats JSON and Prometheus text form
 /// (docs/SERVING.md, "Protocol revision 3").
 inline constexpr std::uint32_t kWireVersion = 3;
 /// Frame header bytes: u32 magic + u8 type + u32 payload length.
@@ -253,7 +253,7 @@ struct StatsResp {
 };
 
 /// resp.metrics — the daemon's process-lifetime telemetry, rendered both
-/// ways at once: a merlin.stats v6 document whose `lifetime` section is
+/// ways at once: a merlin.stats v8 document whose `lifetime` section is
 /// populated (the `counters`/`nets` sections describe no single job and
 /// stay empty), and the same registry snapshot in Prometheus text
 /// exposition format for scrapers.  req.metrics carries no payload.  v3.

@@ -195,19 +195,23 @@ bool ServerCore::save_snapshot(std::string* error) {
     if (error != nullptr) *error = "no snapshot path configured";
     return false;
   }
-  // One writer at a time: the cadence thread, a req.snapshot frame and the
-  // drain-time save may race, and the atomic temp+rename protocol assumes a
-  // single in-flight temp file per path.
-  std::lock_guard<std::mutex> lk(snapshot_mu_);
-  if (!save_cache_snapshot(*cache_, opts_.snapshot_path, nullptr, error))
-    return false;
+  // The store lock (server.h).  The count rises outside it (it only holds
+  // the scheduler back) and falls under it, before the notify.
+  saves_waiting_.fetch_add(1);
+  std::unique_lock<std::mutex> store(store_mu_);
+  saves_waiting_.fetch_sub(1);
+  const bool saved =
+      save_cache_snapshot(*cache_, opts_.snapshot_path, nullptr, error);
+  store.unlock();
+  store_cv_.notify_all();
+  if (!saved) return false;
   snapshot_saves_.fetch_add(1);
   flightrec_.record(FlightEvent::kSnapshot, 0, snapshot_saves_.load());
   return true;
 }
 
 std::string ServerCore::metrics_json() const {
-  // A merlin.stats v6 document about the PROCESS, not any one job: the
+  // A merlin.stats v8 document about the PROCESS, not any one job: the
   // per-job sections (counters/nets/latency_us...) come from an empty sink
   // and stay zero; `lifetime` carries the registry and `serve` the
   // survivability rollup.  request.source "serve" with job id 0.
@@ -297,6 +301,9 @@ void ServerCore::scheduler_loop() {
   // is also what keeps each job's parallelism (its own nets across the full
   // pool) identical to a one-shot run's.
   while (auto job = queue_.pop_blocking()) {
+    // The store lock until the job has published; a waiting save goes first.
+    std::unique_lock<std::mutex> store(store_mu_);
+    store_cv_.wait(store, [this] { return saves_waiting_.load() == 0; });
     const std::int64_t dispatch_ns = now_ns();
     std::int64_t admit_ns = dispatch_ns;
     {
@@ -309,6 +316,7 @@ void ServerCore::scheduler_loop() {
     const double queue_ms = ns_to_ms(dispatch_ns - admit_ns);
     flightrec_.record(FlightEvent::kDispatch, job->job_id, queue_.size());
     JobOutcome outcome = run_one(*job, queue_ms, admit_ns);
+    store.unlock();
     {
       std::lock_guard<std::mutex> lk(jobs_mu_);
       JobRecord& rec = jobs_.at(job->job_id);

@@ -106,7 +106,7 @@ struct JobOutcome {
   std::uint64_t digest = 0;   ///< batch_result_digest of the full result
   double queue_ms = 0.0;      ///< admission → dispatch wait
   double wall_ms = 0.0;       ///< dispatch → completion
-  std::string stats_json;     ///< merlin.stats v6 (request.id = job id)
+  std::string stats_json;     ///< merlin.stats v8 (request.id = job id)
   /// Full result, only under ServeOptions::keep_results.
   std::shared_ptr<const BatchResult> result;
 };
@@ -171,9 +171,9 @@ class ServerCore {
     return !opts_.snapshot_path.empty() && cache_ && cache_->enabled();
   }
   /// Saves the warm-cache snapshot now (req.snapshot, the cadence timer and
-  /// the end-of-drain save all land here; serialized by an internal mutex).
-  /// False with `error` filled when not armed or the write failed — the
-  /// previous snapshot on disk survives every failure.
+  /// the end-of-drain save all land here; waits for a running job to
+  /// publish).  False with `error` filled when not armed or the write
+  /// failed — the previous snapshot on disk survives every failure.
   bool save_snapshot(std::string* error = nullptr);
   /// Human-readable one-liner describing the construction-time snapshot
   /// load ("restored N entries...", "corrupt (cold start): ...", empty when
@@ -193,7 +193,7 @@ class ServerCore {
   /// The process-lifetime telemetry registry (every completed job is folded
   /// in by the scheduler; tests read it directly).
   [[nodiscard]] const MetricsRegistry& registry() const { return registry_; }
-  /// The req.metrics JSON: a merlin.stats v6 document whose `lifetime`
+  /// The req.metrics JSON: a merlin.stats v8 document whose `lifetime`
   /// section carries the registry snapshot (no per-job sections).
   [[nodiscard]] std::string metrics_json() const;
   /// The same registry snapshot in Prometheus text exposition format.
@@ -265,9 +265,15 @@ class ServerCore {
   std::string flightrec_note_;
   std::mutex metrics_out_mu_;
 
-  // Snapshot persistence: one save at a time; the cadence thread parks on
-  // the cv so drain can stop it promptly.
-  std::mutex snapshot_mu_;
+  // The store lock: held by the scheduler across each job and by
+  // save_snapshot across its walk, so the two never overlap.  A save
+  // waiting for it is counted, and the scheduler lets it in first.
+  std::mutex store_mu_;
+  std::condition_variable store_cv_;
+  std::atomic<std::uint32_t> saves_waiting_{0};
+
+  // Snapshot persistence: the cadence thread parks on the cv so drain can
+  // stop it promptly.
   std::string snapshot_note_;
   std::thread snapshot_thread_;
   std::mutex snapshot_cv_mu_;

@@ -1,12 +1,13 @@
 #pragma once
 // Fixed sample encodings of every binary format the daemon reads or writes:
-// one MRLN payload per message type, a small MSNP cache, and a flight-ring
-// file.  test_format_pins pins their exact bytes (so a codec refactor that
+// one MRLN payload per message type, a small MSNP cache (and the same cache
+// as the earlier two-shard writer saved it), and a flight-ring file.  test_format_pins pins their exact bytes (so a codec refactor that
 // moves one byte fails), and test_decoder_fuzz seeds its mutator from them.
 // The values mirror the round-trip tests in test_serve, test_snapshot and
 // test_registry.  Built only through public encoders and a local
 // little-endian appender, so the corpus never depends on the codec it pins.
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -133,11 +134,10 @@ inline CacheEntry sample_entry(std::uint64_t seed) {
   return e;
 }
 
-/// Two shards, three entries: the sample cache whose MSNP file is pinned.
+/// Three entries: the sample cache whose MSNP file is pinned.
 inline CacheConfig sample_cache_config() {
   CacheConfig cc;
   cc.capacity_nodes = 1u << 16;
-  cc.shards = 2;
   return cc;
 }
 
@@ -146,6 +146,76 @@ inline void populate_sample_cache(SubproblemCache& cache) {
   for (std::uint64_t i = 0; i < 3; ++i)
     batch.staged.push_back(sample_entry(i + 1));
   (void)cache.apply(std::move(batch));
+}
+
+/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF): the MSNP section
+/// checksum, computed bitwise here rather than borrowed from the codec.
+inline std::uint32_t crc32(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+/// One MSNP entry record (cache/snapshot.h): key, curves, nodes.
+inline void put_entry(std::string& out, const CacheEntry& e) {
+  put_le(out, e.key.hi, 8);
+  put_le(out, e.key.lo, 8);
+  put_le(out, e.curves.size(), 4);
+  for (const std::vector<Solution>& curve : e.curves) {
+    put_le(out, curve.size(), 4);
+    for (const Solution& s : curve) {
+      for (const double v : {s.req_time, s.load, s.area, s.wirelen})
+        put_le(out, std::bit_cast<std::uint64_t>(v), 8);
+      put_le(out, s.node, 4);
+    }
+  }
+  put_le(out, e.nodes.size(), 4);
+  for (const SolNode& n : e.nodes) {
+    put_le(out, static_cast<std::uint8_t>(n.kind), 1);
+    for (const std::int32_t v : {n.idx, n.at.x, n.at.y})
+      put_le(out, static_cast<std::uint32_t>(v), 4);
+    put_le(out, std::bit_cast<std::uint64_t>(n.wire_width), 8);
+    put_le(out, n.a, 4);
+    put_le(out, n.b, 4);
+  }
+}
+
+/// One MSNP section: u32 tag, u64 length, u32 CRC-32, payload.
+inline void put_section(std::string& out, std::uint32_t tag,
+                        std::string_view payload) {
+  put_le(out, tag, 4);
+  put_le(out, payload.size(), 8);
+  put_le(out, crc32(payload), 4);
+  out.append(payload);
+}
+
+/// The sample cache as the earlier two-shard writer saved it: "MSNP" v1, a
+/// meta section (capacity, 2 shard sections, 3 entries, 12 nodes), one shard
+/// section per shard (a key's shard was key.hi % 2, so entries 1 and 3 in
+/// shard 0 and entry 2 in shard 1, each shard oldest first), then the end
+/// sentinel.  888 bytes; the loader must keep accepting it.
+inline std::string sample_two_shard_snapshot() {
+  std::string meta;
+  for (const std::uint64_t v : {std::uint64_t{1} << 16, std::uint64_t{2},
+                                std::uint64_t{3}, std::uint64_t{12}})
+    put_le(meta, v, 8);
+  std::string out;
+  put_le(out, 0x504E534Du, 4);  // "MSNP"
+  put_le(out, 1, 4);            // container version
+  put_section(out, 1, meta);
+  for (const std::vector<std::uint64_t>& seeds :
+       {std::vector<std::uint64_t>{1, 3}, std::vector<std::uint64_t>{2}}) {
+    std::string shard;
+    put_le(shard, seeds.size(), 8);
+    for (const std::uint64_t seed : seeds) put_entry(shard, sample_entry(seed));
+    put_section(out, 2, shard);
+  }
+  put_section(out, 3, {});
+  return out;
 }
 
 /// One ring slot in its on-disk form: u64 ns, u64 job_id, u64 arg, u8

@@ -128,13 +128,13 @@ TEST(BatchDifferential, SharedCacheSerialVsParallelBitIdentical) {
       opts.cache = cache;
       return BatchRunner(lib, opts).run(ckt);
     };
-    SubproblemCache serial_cache(CacheConfig{1u << 22, 8});
+    SubproblemCache serial_cache(CacheConfig{1u << 22});
     const BatchResult serial_cold = run(&serial_cache, 1);
     const std::size_t serial_entries = serial_cache.entry_count();
     const std::uint64_t serial_nodes = serial_cache.node_cost();
     const BatchResult serial_warm = run(&serial_cache, 1);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      SubproblemCache par_cache(CacheConfig{1u << 22, 8});
+      SubproblemCache par_cache(CacheConfig{1u << 22});
       const BatchResult par_cold = run(&par_cache, threads);
       EXPECT_TRUE(batch_results_identical(serial_cold, par_cold))
           << "circuit " << i << ": cold cached run diverged at " << threads

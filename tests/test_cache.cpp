@@ -1,7 +1,7 @@
 // Tests for the src/cache/ subsystem: canonical signatures, arena-decoupled
-// entry storage, the sharded shared store's deterministic publish/eviction,
-// and the batch-level bit-identity contract with the cache armed
-// (cache/shard.h documents the full contract).
+// entry storage, the shared store's deterministic publish/eviction and its
+// read-phase checks, and the batch-level bit-identity contract with the
+// cache armed (cache/shard.h documents the full contract).
 
 #include <gtest/gtest.h>
 
@@ -150,26 +150,6 @@ TEST(CacheStore, InternMaterializeRoundTripsBitIdentically) {
   EXPECT_EQ(out[1][0].node, kNullSol);
 }
 
-TEST(CacheStore, FreeListRecyclesSlots) {
-  CurveStore store;
-  const EntryId a = store.put(chain_entry(key_of(1), 3));
-  const EntryId b = store.put(chain_entry(key_of(2), 5));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(store.entry_count(), 2u);
-  EXPECT_EQ(store.node_cost(), 8u);
-
-  store.erase(a);
-  EXPECT_EQ(store.entry_count(), 1u);
-  EXPECT_EQ(store.node_cost(), 5u);
-
-  const EntryId c = store.put(chain_entry(key_of(3), 2));
-  EXPECT_EQ(c, a);  // recycled slot
-  EXPECT_EQ(store.entry_count(), 2u);
-  EXPECT_EQ(store.node_cost(), 7u);
-  EXPECT_EQ(store.get(b).key, key_of(2));  // b untouched by the recycle
-  EXPECT_EQ(store.get(c).key, key_of(3));
-}
-
 // ---------------------------------------------------------------------------
 // CacheSession interface (the GammaCache const-correctness fix).
 // ---------------------------------------------------------------------------
@@ -198,11 +178,11 @@ TEST(CacheSession, FindIsExplicitlyMutating) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded shared store (cache/shard.h).
+// Shared store (cache/shard.h).
 // ---------------------------------------------------------------------------
 
 TEST(CacheShard, StagedInsertPublishesThroughApply) {
-  SubproblemCache shared(CacheConfig{1u << 20, 4});
+  SubproblemCache shared(CacheConfig{1u << 20});
   ASSERT_TRUE(shared.enabled());
 
   SolutionArena arena;
@@ -248,18 +228,18 @@ TEST(CacheShard, StagedInsertPublishesThroughApply) {
 }
 
 TEST(CacheShard, CapacityZeroDisablesSharing) {
-  SubproblemCache off(CacheConfig{0, 4});
+  SubproblemCache off(CacheConfig{0});
   EXPECT_FALSE(off.enabled());
   CacheSession ses(&off);
   EXPECT_EQ(ses.shared(), nullptr);  // detached: pure per-run scratch
 }
 
 TEST(CacheShard, EvictionIsCostAwareLruAndDeterministic) {
-  // One shard, budget 8 nodes.  Insert A(4), B(4), C(4): C's arrival
-  // overflows and the LRU tail (A) is evicted.
+  // Budget 8 nodes.  Insert A(4), B(4), C(4): C's arrival overflows and
+  // the LRU tail (A) is evicted.
   const CacheKey ka = key_of(1), kb = key_of(2), kc = key_of(3);
   const auto run = [&](bool touch_a) {
-    SubproblemCache cache(CacheConfig{8, 1});
+    SubproblemCache cache(CacheConfig{8});
     FlushBatch ab;
     ab.staged.push_back(chain_entry(ka, 4));
     ab.staged.push_back(chain_entry(kb, 4));
@@ -285,7 +265,7 @@ TEST(CacheShard, EvictionIsCostAwareLruAndDeterministic) {
 }
 
 TEST(CacheShard, DuplicateInsertsRefreshInsteadOfGrowing) {
-  SubproblemCache cache(CacheConfig{64, 1});
+  SubproblemCache cache(CacheConfig{64});
   FlushBatch first;
   first.staged.push_back(chain_entry(key_of(1), 3));
   (void)cache.apply(std::move(first));
@@ -299,8 +279,8 @@ TEST(CacheShard, DuplicateInsertsRefreshInsteadOfGrowing) {
 }
 
 TEST(CacheShard, OversizeEntriesAreRejected) {
-  // Budget 8 across 2 shards = 4 per shard; a 5-node entry can never fit.
-  SubproblemCache cache(CacheConfig{8, 2});
+  // Budget 4: a 5-node entry can never fit.
+  SubproblemCache cache(CacheConfig{4});
   FlushBatch fb;
   fb.staged.push_back(chain_entry(key_of(7), 5));
   const CacheApplyOutcome out = cache.apply(std::move(fb));
@@ -361,7 +341,7 @@ TEST(CacheDeterminism, ColdSharedCacheMatchesCacheOff) {
   // also holds under MERLIN_CACHE=off, where the armed run detaches.)
   const Circuit ckt = cache_circuit(501);
   const BatchResult off = run_cached(ckt, nullptr, 2);
-  SubproblemCache shared(CacheConfig{1u << 22, 8});
+  SubproblemCache shared(CacheConfig{1u << 22});
   const BatchResult on = run_cached(ckt, &shared, 2);
   EXPECT_TRUE(batch_results_identical(off, on));
 }
@@ -376,7 +356,7 @@ TEST(CacheDeterminism, WarmRerunHitsSharedStoreWithIdenticalStructure) {
   pinned.seed = 71;
   for (const Circuit& ckt :
        {cache_circuit(502), make_random_circuit(pinned, lib_ref())}) {
-    SubproblemCache shared(CacheConfig{1u << 22, 8});
+    SubproblemCache shared(CacheConfig{1u << 22});
     const BatchResult cold = run_cached(ckt, &shared, 2);
     const std::size_t entries = shared.entry_count();
     const std::uint64_t nodes = shared.node_cost();
@@ -420,11 +400,11 @@ TEST(CacheDeterminism, WarmRunsAreThreadCountInvariant) {
   // Cold and warm passes at 1 thread vs 4 threads: results AND the shared
   // store's end state must be bit-identical — the serial-publish contract.
   const Circuit ckt = cache_circuit(503);
-  SubproblemCache serial_cache(CacheConfig{1u << 22, 8});
+  SubproblemCache serial_cache(CacheConfig{1u << 22});
   const BatchResult serial_cold = run_cached(ckt, &serial_cache, 1);
   const BatchResult serial_warm = run_cached(ckt, &serial_cache, 1);
 
-  SubproblemCache par_cache(CacheConfig{1u << 22, 8});
+  SubproblemCache par_cache(CacheConfig{1u << 22});
   const BatchResult par_cold = run_cached(ckt, &par_cache, 4);
   const BatchResult par_warm = run_cached(ckt, &par_cache, 4);
 
@@ -438,9 +418,10 @@ TEST(CacheDeterminism, EvictionPressureKeepsRunsIdentical) {
   // A tiny budget forces constant eviction churn; determinism must hold
   // anyway (evictions happen in the serial publish, never during lookup).
   const Circuit ckt = cache_circuit(504);
-  SubproblemCache a(CacheConfig{512, 2});
-  SubproblemCache b(CacheConfig{512, 2});
-  const BatchResult ra1 = run_cached(ckt, &a, 1);
+  SubproblemCache a(CacheConfig{512});
+  SubproblemCache b(CacheConfig{512});
+  ObsSink sink;
+  const BatchResult ra1 = run_cached(ckt, &a, 1, &sink);
   const BatchResult rb1 = run_cached(ckt, &b, 4);
   EXPECT_TRUE(batch_results_identical(ra1, rb1));
   const BatchResult ra2 = run_cached(ckt, &a, 1);
@@ -448,6 +429,55 @@ TEST(CacheDeterminism, EvictionPressureKeepsRunsIdentical) {
   EXPECT_TRUE(batch_results_identical(ra2, rb2));
   EXPECT_EQ(a.entry_count(), b.entry_count());
   EXPECT_EQ(a.node_cost(), b.node_cost());
+  // ...and the budget really is under pressure (MERLIN_CACHE=off detaches
+  // the store, so nothing is published there).
+  if (!cache_env_off()) {
+    EXPECT_GT(sink.counters.get(Counter::kCacheEntriesEvicted), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The one-writer rule (cache/shard.h): inside a read phase only lookup()
+// may run.  The checks are assert()s, live in Debug and sanitizer builds.
+// ---------------------------------------------------------------------------
+
+#ifndef NDEBUG
+TEST(CachePhaseDeathTest, ApplyOrWalkDuringAReadPhaseAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SubproblemCache cache(CacheConfig{64});
+        cache.open_read_phase();
+        FlushBatch fb;
+        fb.staged.push_back(chain_entry(key_of(1), 3));
+        (void)cache.apply(std::move(fb));
+      },
+      "during a read phase");
+  EXPECT_DEATH(
+      {
+        SubproblemCache cache(CacheConfig{64});
+        cache.open_read_phase();
+        cache.for_each_entry_oldest_first(
+            [](std::size_t, const CacheEntry&) {});
+      },
+      "during a read phase");
+}
+#endif
+
+TEST(CacheShard, ReadPhaseAllowsLookupsAndClosesForThePublish) {
+  SubproblemCache cache(CacheConfig{64});
+  FlushBatch fb;
+  fb.staged.push_back(chain_entry(key_of(1), 3));
+  (void)cache.apply(std::move(fb));
+  cache.open_read_phase();
+  CacheEntry out;
+  EXPECT_TRUE(cache.lookup(key_of(1), out));
+  EXPECT_FALSE(cache.lookup(key_of(2), out));
+  cache.close_read_phase();
+  FlushBatch more;
+  more.staged.push_back(chain_entry(key_of(2), 3));
+  EXPECT_EQ(cache.apply(std::move(more)).inserted, 1u);
+  EXPECT_EQ(cache.entry_count(), 2u);
 }
 
 }  // namespace

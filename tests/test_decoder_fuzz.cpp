@@ -170,16 +170,6 @@ TEST(DecoderFuzz, MrlnFrameStreamsDecodeOrFailCleanly) {
 
 // -- MSNP -------------------------------------------------------------------
 
-std::uint32_t crc32(std::string_view data) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc ^= static_cast<unsigned char>(ch);
-    for (int k = 0; k < 8; ++k)
-      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 /// Rewrites the CRC of every section whose framing still fits the file, so
 /// a mutant reaches the entry decoder instead of stopping at the checksum.
 std::string reseal(std::string file) {
@@ -191,7 +181,7 @@ std::string reseal(std::string file) {
              << (8 * i);
     if (len > file.size() - pos - 16) break;
     const std::uint32_t crc =
-        crc32(std::string_view(file).substr(pos + 16, len));
+        corpus::crc32(std::string_view(file).substr(pos + 16, len));
     for (int i = 0; i < 4; ++i)
       file[pos + 12 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
     pos += 16 + len;
@@ -204,7 +194,9 @@ TEST(DecoderFuzz, MsnpSnapshotsRestoreOrColdStartCleanly) {
   SubproblemCache src(corpus::sample_cache_config());
   corpus::populate_sample_cache(src);
   ASSERT_TRUE(save_cache_snapshot(src, tmp.path));
-  const std::vector<std::string> seeds = {corpus::read_bytes(tmp.path)};
+  // Today's one-section file and the earlier writer's two-section one.
+  const std::vector<std::string> seeds = {corpus::read_bytes(tmp.path),
+                                          corpus::sample_two_shard_snapshot()};
   ASSERT_FALSE(seeds[0].empty());
 
   Tally tally;

@@ -11,7 +11,8 @@
 //     in the headers (no enum holds those names);
 //   * each tool's option parser, its usage() string and its flag table
 //     agree;
-//   * every stats schema version the docs state is the current one.
+//   * every stats schema version the docs and the src/ and tools/ comments
+//     state is the current one.
 //
 // Every failure names the offending entry and points at it as
 // "at FILE:LINE: text".  Compiled with MERLIN_SOURCE_DIR pointing at the
@@ -69,6 +70,18 @@ std::vector<std::string> files_in(const std::string& rel,
        fs::directory_iterator(std::string(MERLIN_SOURCE_DIR) + "/" + rel))
     if (e.path().extension() == ext)
       out.push_back(rel + "/" + e.path().filename().string());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Repo-relative paths of the .h and .cpp files anywhere under directory
+/// `rel`, sorted.
+std::vector<std::string> sources_under(const std::string& rel) {
+  std::vector<std::string> out;
+  const fs::path root(MERLIN_SOURCE_DIR);
+  for (const auto& e : fs::recursive_directory_iterator(root / rel))
+    if (e.path().extension() == ".h" || e.path().extension() == ".cpp")
+      out.push_back(fs::relative(e.path(), root).generic_string());
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -373,13 +386,16 @@ TEST(Docs, ObservabilityDocStatesTheCurrentSchemaVersion) {
       << "docs/OBSERVABILITY.md must show the current schema_version ("
       << kStatsSchemaVersion << ") in its worked example";
 
-  // Every version any doc states is the current one: each
-  // `"schema_version": N` literal and each `merlin.stats vN` that is not
-  // the start of a `vA → vB` migration note.
+  // Every version any doc or source comment states is the current one:
+  // each `"schema_version": N` literal and each `merlin.stats vN` that is
+  // not the start of a `vA → vB` migration note.
   static const std::regex version_re(
       "\"schema_version\":\\s*(\\d+)"
       "|merlin\\.stats`?\\s+\\**v(\\d+)\\**(\\s*(→|->)\\s*v\\d+)?");
-  for (const std::string& rel : files_in("docs", ".md")) {
+  std::vector<std::string> files = files_in("docs", ".md");
+  for (const char* dir : {"src", "tools"})
+    for (std::string& rel : sources_under(dir)) files.push_back(std::move(rel));
+  for (const std::string& rel : files) {
     const std::vector<std::string> lines = read_lines(rel);
     for (std::size_t i = 0; i < lines.size(); ++i)
       for (auto m = std::sregex_iterator(lines[i].begin(), lines[i].end(),

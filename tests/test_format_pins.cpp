@@ -2,9 +2,12 @@
 // (wire revision 3), the MSNP cache snapshot (v1, group and net-memo
 // entries) and the flight-recorder ring (v1).  The expected values were
 // recorded from the encoders before they moved onto the shared byte layer
-// (io/bytes.h), the net-memo entry's when it was added; any change to a
-// field's width, order or endianness moves one of them.  A deliberate
-// format change bumps the format's version and re-records the pin.
+// (io/bytes.h), the net-memo entry's when it was added, and the MSNP file's
+// again when the unsharded store began writing one shard section (the
+// two-section file the sharded writer produced is kept as a load pin); any
+// change to a field's width, order or endianness moves one of them.  A
+// deliberate format change bumps the format's version and re-records the
+// pin.
 
 #include <gtest/gtest.h>
 
@@ -108,9 +111,11 @@ TEST(FormatPins, MsnpFileOfAFixedSmallCacheIsByteStable) {
   std::string err;
   ASSERT_TRUE(save_cache_snapshot(cache, path, &st, &err)) << err;
   const std::string bytes = corpus::read_bytes(path);
-  EXPECT_EQ(bytes.size(), 888u);
+  // One shard section with all three entries: 8 header + 48 meta + 16
+  // section header + 8 count + 3 x 256 entry bytes + 16 end sentinel.
+  EXPECT_EQ(bytes.size(), 864u);
   EXPECT_EQ(st.bytes, bytes.size());
-  EXPECT_EQ(fnv1a64(bytes), 0x9E89FD84CBF19CADull);
+  EXPECT_EQ(fnv1a64(bytes), 0xF12E629D86EA42B2ull);
   // The container header: "MSNP", version 1, then the meta section's tag.
   EXPECT_EQ(hex(bytes.substr(0, 12)), "4d534e500100000001000000");
 }
@@ -123,7 +128,6 @@ TEST(FormatPins, MsnpNetMemoEntryAddsOnlyItsFlagAndLoopCount) {
   TempDir tmp;
   CacheConfig one;
   one.capacity_nodes = 1u << 16;
-  one.shards = 1;
   const auto saved = [&](std::uint32_t loops, const std::string& name) {
     SubproblemCache cache(one);
     FlushBatch batch;
@@ -150,6 +154,40 @@ TEST(FormatPins, MsnpNetMemoEntryAddsOnlyItsFlagAndLoopCount) {
   CacheEntry e;
   ASSERT_TRUE(back.lookup(corpus::sample_entry(1).key, e));
   EXPECT_EQ(e.merlin_loops, 3u);
+}
+
+TEST(FormatPins, MsnpFileOfTheEarlierTwoShardWriterStillLoads) {
+  // The bytes the sample cache saved as while the store had one section per
+  // shard (this size and FNV were that writer's pin), built by hand.  The
+  // loader restores its sections in file order.
+  TempDir tmp;
+  const std::string path = tmp.file("two_shards.snap");
+  const std::string bytes = corpus::sample_two_shard_snapshot();
+  EXPECT_EQ(bytes.size(), 888u);
+  EXPECT_EQ(fnv1a64(bytes), 0x9E89FD84CBF19CADull);
+  ASSERT_TRUE(corpus::write_bytes(path, bytes));
+
+  SubproblemCache cache(corpus::sample_cache_config());
+  const SnapshotLoadResult lr = load_cache_snapshot(cache, path);
+  ASSERT_TRUE(lr.loaded()) << lr.detail;
+  EXPECT_EQ(lr.stats.entries, 3u);
+  EXPECT_EQ(cache.node_cost(), 12u);
+  std::vector<CacheKey> order;
+  cache.for_each_entry_oldest_first(
+      [&](std::size_t, const CacheEntry& e) { order.push_back(e.key); });
+  const std::vector<CacheKey> saved = {corpus::sample_entry(1).key,
+                                       corpus::sample_entry(3).key,
+                                       corpus::sample_entry(2).key};
+  EXPECT_EQ(order, saved);
+  // Every field survives: each restored entry re-encodes to its record.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    CacheEntry e;
+    ASSERT_TRUE(cache.lookup(corpus::sample_entry(seed).key, e));
+    std::string want, got;
+    corpus::put_entry(want, corpus::sample_entry(seed));
+    corpus::put_entry(got, e);
+    EXPECT_EQ(hex(got), hex(want)) << "entry " << seed;
+  }
 }
 
 TEST(FormatPins, FixedRingFileLoadsToItsEvents) {

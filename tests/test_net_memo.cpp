@@ -69,7 +69,7 @@ std::size_t searched_nets(const BatchResult& r) {
   return r.stats.det.net_count - r.stats.det.trivial_nets;
 }
 
-CacheConfig memo_cache_config() { return CacheConfig{1u << 22, 8}; }
+CacheConfig memo_cache_config() { return CacheConfig{1u << 22}; }
 
 TEST(NetMemo, EveryKeyInputMovesTheKey) {
   const BufferLibrary& lib = lib_ref();

@@ -683,6 +683,71 @@ TEST(ServeSurvivability, SaveSnapshotRequiresAnArmedPath) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(ServeCore, SnapshotDuringARunningJobWaitsForItsPublish) {
+  // A save asked for while a job runs takes the store lock after the job's
+  // publish, so it already holds everything a save after wait() holds —
+  // and it never walks the cache beside the running batch.
+  SnapshotDir snap;
+  ServeOptions so;
+  so.threads = 2;
+  so.snapshot_path = snap.path;
+  ServerCore core(so);
+  const SubmitOutcome sub = core.submit(1, circuit_spec(26, 7));  // ~0.3 s
+  ASSERT_TRUE(sub.accepted);
+  std::uint64_t position = 0;
+  while (core.status(sub.job_id, position) == JobState::kQueued)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(core.status(sub.job_id, position), JobState::kRunning);
+  std::string err;
+  ASSERT_TRUE(core.save_snapshot(&err)) << err;
+  std::string during;
+  ASSERT_TRUE(read_file(snap.path, during));
+
+  ASSERT_TRUE(core.wait(sub.job_id)->ok);
+  ASSERT_TRUE(core.save_snapshot(&err)) << err;
+  std::string after;
+  ASSERT_TRUE(read_file(snap.path, after));
+  EXPECT_FALSE(during.empty());
+  EXPECT_EQ(during.size(), after.size());
+  EXPECT_TRUE(during == after) << "the mid-job save differs from the later one";
+  // The job published (MERLIN_CACHE=off detaches the store, so there both
+  // files are the empty snapshot).
+  SubproblemCache restored(CacheConfig{1u << 22});
+  ASSERT_TRUE(load_cache_snapshot(restored, snap.path).loaded());
+  if (!cache_env_off()) {
+    EXPECT_GT(restored.entry_count(), 0u);
+  }
+}
+
+TEST(ServeCore, ABacklogOfJobsCannotStarveASave) {
+  // The scheduler lets a waiting save take the store lock before the next
+  // job: with twelve never-seen circuits queued, a save asked for while the
+  // jobs run returns after the job that was running, not after the
+  // backlog.  (A plain mutex lets the scheduler re-take the lock first:
+  // without the hand-off such a save mostly waited for the whole backlog.)
+  SnapshotDir snap;
+  ServeOptions so;
+  so.threads = 2;
+  so.snapshot_path = snap.path;
+  ServerCore core(so);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const SubmitOutcome sub = core.submit(seed % 2, circuit_spec(16, seed));
+    ASSERT_TRUE(sub.accepted);
+    ids.push_back(sub.job_id);
+  }
+  std::uint64_t position = 0;
+  while (core.status(ids[0], position) == JobState::kQueued)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::uint64_t before = core.jobs_completed();
+  std::string err;
+  ASSERT_TRUE(core.save_snapshot(&err)) << err;
+  const std::uint64_t after = core.jobs_completed();
+  EXPECT_LT(after, ids.size()) << "the backlog drained before the save";
+  EXPECT_LE(after - before, 3u);
+  for (const std::uint64_t id : ids) ASSERT_TRUE(core.wait(id)->ok);
+}
+
 // -- ServeCliDifferential: against the real binary --------------------------
 
 #ifdef MERLIN_CLI_PATH

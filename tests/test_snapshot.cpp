@@ -103,12 +103,14 @@ bool entries_equal(const CacheEntry& a, const CacheEntry& b) {
   return true;
 }
 
-/// (shard, entry) walk in the cache's canonical deterministic order.
+/// (ordinal, entry) walk in the cache's canonical order, oldest first.
 std::vector<std::pair<std::size_t, CacheEntry>> dump(
     const SubproblemCache& cache) {
   std::vector<std::pair<std::size_t, CacheEntry>> out;
   cache.for_each_entry_oldest_first(
-      [&](std::size_t shard, const CacheEntry& e) { out.emplace_back(shard, e); });
+      [&](std::size_t ordinal, const CacheEntry& e) {
+        out.emplace_back(ordinal, e);
+      });
   return out;
 }
 
@@ -154,7 +156,7 @@ TEST(CacheSnapshotRoundtrip, RestoresContentProvenanceAndLruOrder) {
   const auto b = dump(dst);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first) << "shard divergence at " << i;
+    EXPECT_EQ(b[i].first, i) << "ordinal divergence at " << i;
     EXPECT_TRUE(entries_equal(a[i].second, b[i].second))
         << "entry divergence at " << i;
   }
@@ -196,7 +198,7 @@ TEST(CacheSnapshotRoundtrip, SmallerBudgetRestoresTheMostRecentSubset) {
   ASSERT_TRUE(save_cache_snapshot(src, snap.path));
 
   CacheConfig small;
-  small.capacity_nodes = 16 * 4;  // room for ~2 entries per shard
+  small.capacity_nodes = 16 * 4;  // room for 16 of the 40 4-node entries
   SubproblemCache dst(small);
   const SnapshotLoadResult lr = load_cache_snapshot(dst, snap.path);
   // The restoring cache's own budget governs: a verified snapshot larger
@@ -205,6 +207,12 @@ TEST(CacheSnapshotRoundtrip, SmallerBudgetRestoresTheMostRecentSubset) {
   EXPECT_GT(dst.entry_count(), 0u);
   EXPECT_LT(dst.entry_count(), src.entry_count());
   EXPECT_LE(dst.node_cost(), small.capacity_nodes);
+  // One LRU: exactly the 16 most recent entries survive.
+  EXPECT_EQ(dst.entry_count(), 16u);
+  CacheEntry e;
+  EXPECT_TRUE(dst.lookup(make_entry(39).key, e));
+  EXPECT_TRUE(dst.lookup(make_entry(24).key, e));
+  EXPECT_FALSE(dst.lookup(make_entry(23).key, e));
 }
 
 // -- hostile files ----------------------------------------------------------

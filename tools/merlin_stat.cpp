@@ -8,7 +8,7 @@
 //                      renders the lifetime tables (default mode)
 //     --watch [S]      re-poll and re-render every S seconds (default 2)
 //                      until interrupted
-//     --json           print the raw merlin.stats v6 JSON instead
+//     --json           print the raw merlin.stats v8 JSON instead
 //     --prom           print the Prometheus text exposition instead
 //     --flightrec FILE parse a flight-recorder ring (live, or left
 //                      behind by a dead daemon) and print its events,
