@@ -33,8 +33,8 @@
 // The batch runner brackets its parallel phase with open_read_phase() /
 // close_read_phase(), and the three exclusive calls assert that no read
 // phase is open (live in Debug and sanitizer builds, compiled out in
-// Release).  merlin_d serializes its snapshot saves against running jobs
-// with one store lock (serve/server.h).
+// Release).  merlin_d's scheduler thread makes its snapshot saves itself,
+// between jobs, so no save overlaps a running job (serve/server.h).
 //
 // Capacity 0 disables the shared store entirely: every lookup misses and
 // apply() drops its batch, reducing behavior to per-worker scratch caching

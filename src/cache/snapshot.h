@@ -4,10 +4,11 @@
 // A snapshot is the daemon's warm state on disk: every CacheEntry of the
 // store (cache/store.h — already arena-decoupled, so serialization is a
 // plain field walk), in deterministic LRU order, wrapped in a checksummed,
-// versioned container.  merlin_d saves one on drain, on a background
-// cadence, and on the req.snapshot admin frame; on start it loads the file
-// back so the first request after a restart hits a warm cache instead of
-// re-deriving every sub-problem (docs/SERVING.md, "Snapshot & recovery").
+// versioned container.  merlin_d's scheduler saves one between jobs: on
+// drain, on the --snapshot-every cadence and on the req.snapshot admin
+// frame.  On start the daemon loads the file back so the first request
+// after a restart hits a warm cache instead of re-deriving every
+// sub-problem (docs/SERVING.md, "Snapshot & recovery").
 //
 // Container layout (all integers little-endian):
 //
@@ -108,7 +109,7 @@ struct SnapshotLoadResult {
 /// atomically-replaced snapshot at `path`.  Returns false with `error`
 /// filled on any I/O failure; the previous snapshot (if any) survives every
 /// failure mode.  Walks the store, so it must not overlap a batch run or an
-/// apply on `cache` (merlin_d holds its store lock across both).
+/// apply on `cache` (merlin_d's scheduler saves only between jobs).
 bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
                          SnapshotStats* stats = nullptr,
                          std::string* error = nullptr);

@@ -37,8 +37,12 @@ class ByteWriter {
 
  private:
   ByteWriter& le(std::uint64_t v, int n) {
+    // One append per field: a push_back per byte re-checks capacity each
+    // time and was most of a snapshot's encode cost.
+    char buf[8];
     for (int i = 0; i < n; ++i)
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+      buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    out_.append(buf, static_cast<std::size_t>(n));
     return *this;
   }
   std::string& out_;

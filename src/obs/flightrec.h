@@ -10,11 +10,11 @@
 // msync(2), safe to call from a signal context.
 //
 // Writers: any thread (connection threads record admit/shed, the scheduler
-// records dispatch/complete/deadline/evict, the cadence thread records
-// snapshot).  A slot is reserved with one atomic fetch_add, filled with
-// plain stores, then the file header's next_seq is advanced with a
-// CAS-max — so a reader of a crashed ring sees at worst a torn final
-// record, which load() detects (event byte out of range) and drops.
+// records dispatch/complete/deadline/evict/snapshot).  A slot is reserved
+// with one atomic fetch_add, filled with plain stores, then the file
+// header's next_seq is advanced with a CAS-max — so a reader of a crashed
+// ring sees at worst a torn final record, which load() detects (event byte
+// out of range) and drops.
 
 #include <array>
 #include <atomic>

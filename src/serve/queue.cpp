@@ -7,30 +7,24 @@ namespace merlin {
 // lane after the mod.
 
 bool AdmissionQueue::try_push(QueuedJob job) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (closed_ || count_ >= capacity_) return false;
-    Lane* lane = nullptr;
-    for (Lane& l : lanes_)
-      if (l.client == job.client) {
-        lane = &l;
-        break;
-      }
-    if (lane == nullptr) {
-      lanes_.push_back(Lane{job.client, {}});
-      lane = &lanes_.back();
+  if (closed_ || count_ >= capacity_) return false;
+  Lane* lane = nullptr;
+  for (Lane& l : lanes_)
+    if (l.client == job.client) {
+      lane = &l;
+      break;
     }
-    lane->jobs.push_back(std::move(job));
-    ++count_;
+  if (lane == nullptr) {
+    lanes_.push_back(Lane{job.client, {}});
+    lane = &lanes_.back();
   }
-  cv_.notify_one();
+  lane->jobs.push_back(std::move(job));
+  ++count_;
   return true;
 }
 
-std::optional<QueuedJob> AdmissionQueue::pop_blocking() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return count_ > 0 || closed_; });
-  if (count_ == 0) return std::nullopt;  // closed and drained
+std::optional<QueuedJob> AdmissionQueue::pop() {
+  if (count_ == 0) return std::nullopt;
   if (cursor_ >= lanes_.size()) cursor_ = 0;
   Lane& lane = lanes_[cursor_];
   QueuedJob job = std::move(lane.jobs.front());
@@ -48,17 +42,8 @@ std::optional<QueuedJob> AdmissionQueue::pop_blocking() {
   return job;
 }
 
-void AdmissionQueue::close() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    closed_ = true;
-  }
-  cv_.notify_all();
-}
-
 std::optional<std::size_t> AdmissionQueue::position(
     std::uint64_t job_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
   // Replay the pop rotation on a copy of the lane shape; the k-th simulated
   // pop that would yield `job_id` is its dispatch distance.
   std::vector<std::deque<const QueuedJob*>> sim;
@@ -84,20 +69,9 @@ std::optional<std::size_t> AdmissionQueue::position(
 }
 
 std::size_t AdmissionQueue::lane_depth(std::uint64_t client) const {
-  std::lock_guard<std::mutex> lk(mu_);
   for (const Lane& l : lanes_)
     if (l.client == client) return l.jobs.size();
   return 0;
-}
-
-std::size_t AdmissionQueue::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return count_;
-}
-
-bool AdmissionQueue::closed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return closed_;
 }
 
 }  // namespace merlin

@@ -8,16 +8,13 @@
 // fails immediately (the backpressure signal the daemon converts into
 // err.queue_full + a retry-after hint).
 //
-// Thread model: every method takes the one internal mutex; pop_blocking
-// parks on a condition variable until a job, drain or close arrives.  One
-// scheduler thread popping and many connection threads pushing is the
-// intended shape.
+// Thread model: none of its own.  It is a plain data structure; ServerCore
+// reads and writes it only under its one mutex, and its scheduler thread
+// is the only caller of pop().
 
 #include <cstddef>
 #include <cstdint>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,21 +53,20 @@ class AdmissionQueue {
   /// which from its own drain flag).
   bool try_push(QueuedJob job);
 
-  /// Blocks until a job is available, returning it — or std::nullopt once
-  /// the queue is closed AND drained, the scheduler's exit signal.
-  std::optional<QueuedJob> pop_blocking();
+  /// The next job in round-robin order; std::nullopt when empty.
+  std::optional<QueuedJob> pop();
 
   /// Stops admission (try_push fails from now on) but keeps handing out
-  /// queued jobs; pop_blocking returns nullopt once empty.
-  void close();
+  /// queued jobs.
+  void close() { closed_ = true; }
 
   /// 0-based dispatch distance of a queued job (how many pops before it
   /// leaves), simulating the round-robin; std::nullopt when not queued.
   [[nodiscard]] std::optional<std::size_t> position(std::uint64_t job_id) const;
 
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] bool closed() const;
+  [[nodiscard]] bool closed() const { return closed_; }
 
   /// Queued jobs currently in `client`'s lane (0 when it has none).  The
   /// overload shedder compares this against its per-client lane cap before
@@ -86,8 +82,6 @@ class AdmissionQueue {
   };
 
   const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<Lane> lanes_;
   std::size_t cursor_ = 0;  ///< lane index the next pop serves
   std::size_t count_ = 0;

@@ -43,7 +43,7 @@ ServerCore::ServerCore(ServeOptions opts)
     : opts_(opts),
       lib_(make_standard_library()),
       queue_(opts.queue_capacity) {
-  if (opts_.cache_on && opts_.cache_mb > 0) {
+  if (opts_.cache_mb > 0) {
     // Same sizing rule as merlin_cli --cache-mb: the budget is provenance
     // nodes, converted from MB.  Sharing this construction is part of the
     // determinism contract — the daemon and the CLI must build the same
@@ -72,41 +72,21 @@ ServerCore::ServerCore(ServeOptions opts)
   ctx_ = std::make_unique<BatchContext>(opts_.threads,
                                         cache_ ? &*cache_ : nullptr);
   scheduler_ = std::thread([this] { scheduler_loop(); });
-  if (opts_.snapshot_every_s > 0 &&
-      (snapshot_armed() || !opts_.metrics_out.empty())) {
-    snapshot_thread_ = std::thread([this] {
-      std::unique_lock<std::mutex> lk(snapshot_cv_mu_);
-      const auto period = std::chrono::seconds(opts_.snapshot_every_s);
-      while (!snapshot_stop_) {
-        if (snapshot_cv_.wait_for(lk, period, [this] { return snapshot_stop_; }))
-          break;
-        lk.unlock();
-        // Failures are counted facts, not fatal.  The metrics dump shares
-        // the snapshot cadence by design (one periodic-writeout rhythm).
-        if (snapshot_armed()) save_snapshot();
-        if (!opts_.metrics_out.empty()) dump_metrics();
-        lk.lock();
-      }
-    });
-  }
 }
 
 ServerCore::~ServerCore() {
   begin_drain();
   wait_drained();
+  scheduler_.join();
 }
 
 SubmitOutcome ServerCore::submit(std::uint64_t client, JobSpec spec) {
   SubmitOutcome out;
-  if (draining_.load()) {
+  std::unique_lock<std::mutex> lk(mu_);
+  if (queue_.closed()) {
     jobs_rejected_.fetch_add(1);
     out.error = ServeError::kDraining;
     return out;
-  }
-  double ewma = 0.0;
-  {
-    std::lock_guard<std::mutex> lk(jobs_mu_);
-    ewma = wall_ewma_ms_;
   }
   const bool overloaded = overloaded_now();
   if (overloaded && opts_.shed_lane_cap > 0 &&
@@ -114,43 +94,35 @@ SubmitOutcome ServerCore::submit(std::uint64_t client, JobSpec spec) {
     // Under load, a client with a full lane of its own work queued gets
     // shed before admission — it is the fairest place to cut, because every
     // other client's latency is what its backlog is buying.
+    out.error = ServeError::kOverloaded;
+    out.retry_after_ms = retry_hint(2.0);
+    lk.unlock();
     jobs_rejected_.fetch_add(1);
     overload_rejections_.fetch_add(1);
     registry_.note_shed();
     flightrec_.record(FlightEvent::kShed, 0, client);
-    out.error = ServeError::kOverloaded;
-    out.retry_after_ms = retry_hint(ewma, 2.0);
     return out;
   }
   QueuedJob job;
+  job.job_id = next_job_id_;
   job.client = client;
   job.spec = std::move(spec);
-  {
-    std::lock_guard<std::mutex> lk(jobs_mu_);
-    job.job_id = next_job_id_++;
-    JobRecord rec;
-    rec.state = JobState::kQueued;
-    rec.admit_ns = now_ns();
-    jobs_.emplace(job.job_id, std::move(rec));
-  }
-  const std::uint64_t id = job.job_id;
   if (!queue_.try_push(std::move(job))) {
-    std::lock_guard<std::mutex> lk(jobs_mu_);
-    jobs_.erase(id);
     jobs_rejected_.fetch_add(1);
-    if (queue_.closed()) {
-      // Lost the race with a drain between the flag check and the push.
-      out.error = ServeError::kDraining;
-      return out;
-    }
     out.error = ServeError::kQueueFull;
     // Backpressure hint: recent mean job wall time scaled by the backlog a
     // retry would sit behind (doubled while shedding thresholds are
     // crossed).  A hint, not a promise — clients may retry sooner and
     // simply risk another rejection.
-    out.retry_after_ms = retry_hint(ewma, overloaded ? 2.0 : 1.0);
+    out.retry_after_ms = retry_hint(overloaded ? 2.0 : 1.0);
     return out;
   }
+  const std::uint64_t id = next_job_id_++;
+  JobRecord rec;
+  rec.admit_ns = now_ns();
+  jobs_.emplace(id, std::move(rec));
+  lk.unlock();
+  work_cv_.notify_one();
   jobs_admitted_.fetch_add(1);
   flightrec_.record(FlightEvent::kAdmit, id, client);
   out.accepted = true;
@@ -158,13 +130,18 @@ SubmitOutcome ServerCore::submit(std::uint64_t client, JobSpec spec) {
   return out;
 }
 
+std::size_t ServerCore::queued() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return queue_.size();
+}
+
 bool ServerCore::overloaded_now() const {
   // Off by default (threshold 0); a backlog at the threshold arms shedding.
   return opts_.shed_queue_depth > 0 && queue_.size() >= opts_.shed_queue_depth;
 }
 
-std::uint32_t ServerCore::retry_hint(double ewma_ms, double scale) const {
-  const double per_job = ewma_ms > 0.0 ? ewma_ms : 50.0;
+std::uint32_t ServerCore::retry_hint(double scale) const {
+  const double per_job = wall_ewma_ms_ > 0.0 ? wall_ewma_ms_ : 50.0;
   const double hint =
       per_job * static_cast<double>(queue_.size() + 1) * scale;
   return static_cast<std::uint32_t>(
@@ -181,11 +158,9 @@ ServeInfo ServerCore::serve_info() const {
   s.reply_failures = reply_failures_.load();
   s.snapshot_saves = snapshot_saves_.load();
   s.snapshot_loads = snapshot_loads_.load();
+  std::lock_guard<std::mutex> lk(mu_);
   s.queue_depth = queue_.size();
-  {
-    std::lock_guard<std::mutex> lk(jobs_mu_);
-    s.ewma_ms = wall_ewma_ms_;
-  }
+  s.ewma_ms = wall_ewma_ms_;
   s.overloaded = overloaded_now() ? 1 : 0;
   return s;
 }
@@ -195,19 +170,30 @@ bool ServerCore::save_snapshot(std::string* error) {
     if (error != nullptr) *error = "no snapshot path configured";
     return false;
   }
-  // The store lock (server.h).  The count rises outside it (it only holds
-  // the scheduler back) and falls under it, before the notify.
-  saves_waiting_.fetch_add(1);
-  std::unique_lock<std::mutex> store(store_mu_);
-  saves_waiting_.fetch_sub(1);
-  const bool saved =
-      save_cache_snapshot(*cache_, opts_.snapshot_path, nullptr, error);
-  store.unlock();
-  store_cv_.notify_all();
-  if (!saved) return false;
-  snapshot_saves_.fetch_add(1);
-  flightrec_.record(FlightEvent::kSnapshot, 0, snapshot_saves_.load());
+  std::unique_lock<std::mutex> lk(mu_);
+  if (!stopped_) {
+    const std::uint64_t ticket = ++saves_requested_;
+    work_cv_.notify_one();
+    done_cv_.wait(lk, [&] { return saves_served_ >= ticket; });
+  }
+  if (!last_save_ok_ && error != nullptr) *error = last_save_error_;
+  return last_save_ok_;
+}
+
+bool ServerCore::save_now(std::string* error) {
+  if (!save_cache_snapshot(*cache_, opts_.snapshot_path, nullptr, error))
+    return false;
+  flightrec_.record(FlightEvent::kSnapshot, 0,
+                    snapshot_saves_.fetch_add(1) + 1);
   return true;
+}
+
+bool ServerCore::write_periodic(std::string* error) {
+  // Failures are counted facts, not fatal.  The metrics dump shares the
+  // snapshot cadence by design (one periodic-writeout rhythm).
+  const bool saved = snapshot_armed() && save_now(error);
+  if (!opts_.metrics_out.empty()) dump_metrics();
+  return saved;
 }
 
 std::string ServerCore::metrics_json() const {
@@ -226,23 +212,16 @@ std::string ServerCore::metrics_prometheus() const {
   return stats_to_prometheus(registry_.snapshot(), serve_info());
 }
 
-bool ServerCore::dump_metrics(std::string* error) {
-  if (opts_.metrics_out.empty()) {
-    if (error != nullptr) *error = "no metrics-out path configured";
-    return false;
-  }
-  // Same single-writer discipline as save_snapshot: the cadence thread and
-  // the drain-time dump share one in-flight temp file per path.
-  std::lock_guard<std::mutex> lk(metrics_out_mu_);
-  return write_file_atomic(opts_.metrics_out, metrics_json(), error);
+void ServerCore::dump_metrics() {
+  (void)write_file_atomic(opts_.metrics_out, metrics_json());
 }
 
 std::shared_ptr<const JobOutcome> ServerCore::wait(std::uint64_t job_id) {
-  std::unique_lock<std::mutex> lk(jobs_mu_);
+  std::unique_lock<std::mutex> lk(mu_);
   // Finished records are dropped oldest first, so the record is looked up
   // afresh after every wake-up rather than held across the wait.
   std::shared_ptr<const JobOutcome> out;
-  jobs_cv_.wait(lk, [&] {
+  done_cv_.wait(lk, [&] {
     const auto it = jobs_.find(job_id);
     if (it == jobs_.end()) return true;
     out = it->second.outcome;
@@ -254,7 +233,7 @@ std::shared_ptr<const JobOutcome> ServerCore::wait(std::uint64_t job_id) {
 JobState ServerCore::status(std::uint64_t job_id,
                             std::uint64_t& position) const {
   position = 0;
-  std::lock_guard<std::mutex> lk(jobs_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return JobState::kUnknown;
   if (it->second.state == JobState::kQueued) {
@@ -264,65 +243,73 @@ JobState ServerCore::status(std::uint64_t job_id,
 }
 
 std::optional<std::string> ServerCore::stats_json(std::uint64_t job_id) const {
-  std::lock_guard<std::mutex> lk(jobs_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end() || it->second.state != JobState::kDone)
     return std::nullopt;
   return it->second.outcome->stats_json;
 }
 
+bool ServerCore::draining() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return queue_.closed();
+}
+
 void ServerCore::begin_drain() {
-  draining_.store(true);
-  queue_.close();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    queue_.close();
+  }
+  work_cv_.notify_one();
 }
 
 void ServerCore::wait_drained() {
-  std::lock_guard<std::mutex> lk(join_mu_);
-  if (scheduler_joined_) return;
-  scheduler_.join();
-  scheduler_joined_ = true;
-  {
-    std::lock_guard<std::mutex> clk(snapshot_cv_mu_);
-    snapshot_stop_ = true;
-  }
-  snapshot_cv_.notify_all();
-  if (snapshot_thread_.joinable()) snapshot_thread_.join();
-  // Final save with the scheduler retired and the cadence thread joined:
-  // the cache is quiescent, so the snapshot captures every admitted job's
-  // contribution.  This is the SIGTERM-drain persistence path.
-  if (snapshot_armed()) save_snapshot();
-  // Likewise the last metrics dump sees every job the daemon ever ran.
-  if (!opts_.metrics_out.empty()) dump_metrics();
+  std::unique_lock<std::mutex> lk(mu_);
+  done_cv_.wait(lk, [this] { return stopped_; });
 }
 
 void ServerCore::scheduler_loop() {
   // One job at a time, strictly in the queue's fair order — the warm
   // BatchContext serves one run at a time by contract, and serial dispatch
   // is also what keeps each job's parallelism (its own nets across the full
-  // pool) identical to a one-shot run's.
-  while (auto job = queue_.pop_blocking()) {
-    // The store lock until the job has published; a waiting save goes first.
-    std::unique_lock<std::mutex> store(store_mu_);
-    store_cv_.wait(store, [this] { return saves_waiting_.load() == 0; });
-    const std::int64_t dispatch_ns = now_ns();
-    std::int64_t admit_ns = dispatch_ns;
-    {
-      std::lock_guard<std::mutex> lk(jobs_mu_);
+  // pool) identical to a one-shot run's.  Between jobs: requested saves
+  // first, then the cadence, so a backlog cannot starve either.
+  const bool cadence = opts_.snapshot_every_s > 0 &&
+                       (snapshot_armed() || !opts_.metrics_out.empty());
+  const auto period = std::chrono::seconds(opts_.snapshot_every_s);
+  auto next_tick = Clock::now() + period;
+  std::unique_lock<std::mutex> lk(mu_);
+  for (;;) {
+    if (saves_served_ < saves_requested_) {
+      // One save answers every request taken before it starts.
+      const std::uint64_t serving = saves_requested_;
+      lk.unlock();
+      std::string err;
+      const bool ok = save_now(&err);
+      lk.lock();
+      last_save_ok_ = ok;
+      last_save_error_ = std::move(err);
+      saves_served_ = serving;
+      done_cv_.notify_all();
+    } else if (cadence && Clock::now() >= next_tick) {
+      lk.unlock();
+      (void)write_periodic(nullptr);
+      lk.lock();
+      next_tick = Clock::now() + period;
+    } else if (std::optional<QueuedJob> job = queue_.pop()) {
+      const std::int64_t dispatch_ns = now_ns();
       JobRecord& rec = jobs_.at(job->job_id);
       rec.state = JobState::kRunning;
-      admit_ns = rec.admit_ns;
-    }
-    jobs_cv_.notify_all();
-    const double queue_ms = ns_to_ms(dispatch_ns - admit_ns);
-    flightrec_.record(FlightEvent::kDispatch, job->job_id, queue_.size());
-    JobOutcome outcome = run_one(*job, queue_ms, admit_ns);
-    store.unlock();
-    {
-      std::lock_guard<std::mutex> lk(jobs_mu_);
-      JobRecord& rec = jobs_.at(job->job_id);
+      const std::int64_t admit_ns = rec.admit_ns;
+      const double queue_ms = ns_to_ms(dispatch_ns - admit_ns);
+      flightrec_.record(FlightEvent::kDispatch, job->job_id, queue_.size());
+      lk.unlock();
+      JobOutcome outcome = run_one(*job, queue_ms, admit_ns);
+      lk.lock();
+      JobRecord& done = jobs_.at(job->job_id);
       const double w = outcome.wall_ms;
-      rec.outcome = std::make_shared<const JobOutcome>(std::move(outcome));
-      rec.state = JobState::kDone;
+      done.outcome = std::make_shared<const JobOutcome>(std::move(outcome));
+      done.state = JobState::kDone;
       wall_ewma_ms_ = wall_ewma_ms_ > 0.0 ? 0.7 * wall_ewma_ms_ + 0.3 * w : w;
       // Bounded history: a status or stats query for a dropped job answers
       // unknown.  A waiter picks its outcome up when it wakes, long before
@@ -332,10 +319,28 @@ void ServerCore::scheduler_loop() {
         jobs_.erase(finished_.front());
         finished_.pop_front();
       }
+      jobs_completed_.fetch_add(1);
+      done_cv_.notify_all();
+    } else if (queue_.closed()) {
+      break;
+    } else if (cadence) {
+      work_cv_.wait_until(lk, next_tick);
+    } else {
+      work_cv_.wait(lk);
     }
-    jobs_completed_.fetch_add(1);
-    jobs_cv_.notify_all();
   }
+  // Drained: the last act is the final save and dump, so they capture
+  // every admitted job.  This is the SIGTERM-drain persistence path; a
+  // save asked for from now on gets this save's answer.
+  lk.unlock();
+  std::string err;
+  const bool ok = write_periodic(&err);
+  lk.lock();
+  last_save_ok_ = ok;
+  last_save_error_ = std::move(err);
+  saves_served_ = saves_requested_;
+  stopped_ = true;
+  done_cv_.notify_all();
 }
 
 JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
@@ -362,7 +367,7 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
                       static_cast<std::uint64_t>(queue_ms));
     // The job still counts into the lifetime registry (its sink carries
     // serve_deadline_expired); run stage is 0 — it never dispatched work.
-    registry_.note_job(sink, queue_ms, 0.0, queue_ms, queue_.size());
+    registry_.note_job(sink, queue_ms, 0.0, queue_ms, queued());
     RequestInfo req;
     req.id = job.job_id;
     req.source = "serve";
@@ -456,7 +461,7 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
   // not: the registry folds the merged sink in (counters/gauges/spans,
   // deterministic per-net histograms) plus the three wall-clock stages.
   registry_.note_job(sink, queue_ms, out.wall_ms, queue_ms + out.wall_ms,
-                     queue_.size());
+                     queued());
   if (const std::uint64_t ev = sink.counters.get(Counter::kCacheEntriesEvicted);
       ev > 0)
     flightrec_.record(FlightEvent::kEvict, job.job_id, ev);

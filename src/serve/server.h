@@ -11,6 +11,15 @@
 // socket-free, the whole admission/fairness/determinism surface is testable
 // in-process.
 //
+// The scheduler is also the only thread that touches the shared store
+// outside a batch's parallel phase: between jobs it serves requested
+// snapshot saves, then the --snapshot-every cadence (snapshot save and
+// metrics dump), then the next queued job; after the drain it makes the
+// final save and dump.  So a save never walks the store beside a running
+// job, with no lock of its own.  One mutex (mu_) guards the queue, the job
+// records, the drain flag and the save requests; it is never held while a
+// job or a save runs.
+//
 // SocketServer is the transport shell: a unix-domain stream listener, one
 // thread per connection, length-prefixed frames (serve/protocol.h), strictly
 // one response per request.  Malformed framing earns err.bad_frame and the
@@ -18,7 +27,8 @@
 // err.bad_request and the connection lives on.
 //
 // Lifecycle: warm (construction spawns pool + scheduler) → serving →
-// draining (admission closed, queued/in-flight jobs finish) → stopped.
+// draining (admission closed, queued/in-flight jobs finish, final save) →
+// stopped.
 // Drain is irreversible.  docs/SERVING.md is the user-facing reference.
 
 #include <atomic>
@@ -51,7 +61,6 @@ namespace merlin {
 struct ServeOptions {
   std::size_t threads = 1;        ///< batch workers (0 = all cores)
   std::size_t cache_mb = 64;      ///< shared-cache budget (0 disables)
-  bool cache_on = true;           ///< arm the shared SubproblemCache
   std::size_t queue_capacity = 64;  ///< admission-queue bound
   GuardConfig guard{};            ///< per-job NetGuard budgets
   FailPolicy fail_policy = FailPolicy::kDegrade;
@@ -65,7 +74,8 @@ struct ServeOptions {
   /// construction (corruption cold-starts, never crashes), saved when the
   /// drain completes, on the cadence below, and on a req.snapshot frame.
   std::string snapshot_path;
-  /// Background snapshot cadence in seconds (0 = only drain/req.snapshot).
+  /// Snapshot cadence in seconds (0 = only drain/req.snapshot); the
+  /// scheduler saves between jobs once a period has passed.
   std::uint32_t snapshot_every_s = 0;
 
   /// Per-connection socket recv/send timeout in ms (0 disables).  Bounds
@@ -153,11 +163,12 @@ class ServerCore {
   /// Stops admission.  Queued and in-flight jobs still complete; call
   /// wait_drained() to block until the scheduler retires the last one.
   void begin_drain();
-  /// Joins the scheduler (implies the queue has fully drained).  Must be
-  /// preceded by begin_drain().
+  /// Blocks until the scheduler has retired the last job and made the
+  /// final snapshot save and metrics dump.  Must be preceded by
+  /// begin_drain().
   void wait_drained();
 
-  [[nodiscard]] bool draining() const { return draining_.load(); }
+  [[nodiscard]] bool draining() const;
   [[nodiscard]] std::uint64_t jobs_completed() const {
     return jobs_completed_.load();
   }
@@ -170,10 +181,12 @@ class ServerCore {
   [[nodiscard]] bool snapshot_armed() const {
     return !opts_.snapshot_path.empty() && cache_ && cache_->enabled();
   }
-  /// Saves the warm-cache snapshot now (req.snapshot, the cadence timer and
-  /// the end-of-drain save all land here; waits for a running job to
-  /// publish).  False with `error` filled when not armed or the write
-  /// failed — the previous snapshot on disk survives every failure.
+  /// Asks the scheduler for a warm-cache snapshot save and waits until it
+  /// has served it: after the running job, if any, has published, and
+  /// before the next one dispatches.  Once the scheduler has exited, the
+  /// answer is the final save's, at once — the store cannot change after
+  /// it.  False with `error` filled when not armed or the write failed —
+  /// the previous snapshot on disk survives every failure.
   bool save_snapshot(std::string* error = nullptr);
   /// Human-readable one-liner describing the construction-time snapshot
   /// load ("restored N entries...", "corrupt (cold start): ...", empty when
@@ -198,11 +211,6 @@ class ServerCore {
   [[nodiscard]] std::string metrics_json() const;
   /// The same registry snapshot in Prometheus text exposition format.
   [[nodiscard]] std::string metrics_prometheus() const;
-  /// Writes metrics_json() to ServeOptions::metrics_out atomically and
-  /// durably (io/bytes.h write_file_atomic: temp + fsync + rename +
-  /// directory fsync).  False with `error` filled when unconfigured or the
-  /// write failed; a previous dump on disk survives every failure.
-  bool dump_metrics(std::string* error = nullptr);
 
   /// The crash black box (armed when ServeOptions::flightrec_path is set);
   /// merlin_d's signal handlers call its sigsync().
@@ -222,30 +230,50 @@ class ServerCore {
   void scheduler_loop();
   [[nodiscard]] JobOutcome run_one(const QueuedJob& job, double queue_ms,
                                    std::int64_t admit_ns);
-  /// Shedding predicate: the queue-depth trigger crossed?
+  /// Scheduler-only writers, called with mu_ released.  save_now counts
+  /// and rings a successful save; write_periodic is one cadence tick (or
+  /// the drain's last act): the snapshot save, then the metrics dump.
+  bool save_now(std::string* error);
+  bool write_periodic(std::string* error);
+  /// Writes metrics_json() to ServeOptions::metrics_out atomically and
+  /// durably (io/bytes.h write_file_atomic).  A failure is not fatal; a
+  /// previous dump on disk survives it.
+  void dump_metrics();
+  /// Queued jobs right now (takes mu_).
+  [[nodiscard]] std::size_t queued() const;
+  /// Shedding predicate: the queue-depth trigger crossed?  mu_ held.
   [[nodiscard]] bool overloaded_now() const;
   /// Backoff hint: recent mean job wall time scaled by the backlog, times
-  /// `scale` (2.0 under overload), clamped to [1 ms, 60 s].
-  [[nodiscard]] std::uint32_t retry_hint(double ewma_ms, double scale) const;
+  /// `scale` (2.0 under overload), clamped to [1 ms, 60 s].  mu_ held.
+  [[nodiscard]] std::uint32_t retry_hint(double scale) const;
 
   ServeOptions opts_;
   BufferLibrary lib_;
   std::optional<SubproblemCache> cache_;
   std::unique_ptr<BatchContext> ctx_;
-  AdmissionQueue queue_;
 
-  mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
+  // Everything below up to the atomics is guarded by mu_.  The scheduler
+  // waits on work_cv_ (a submit, a save request or the drain wakes it);
+  // wait(), save_snapshot() and wait_drained() wait on done_cv_.
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  AdmissionQueue queue_;  ///< closed() is the drain flag
   std::map<std::uint64_t, JobRecord> jobs_;
   std::deque<std::uint64_t> finished_;  ///< done job ids, oldest first
   std::uint64_t next_job_id_ = 1;
   double wall_ewma_ms_ = 0.0;  ///< recent job wall time (retry-after hint)
+  /// Save requests: save_snapshot() takes ticket ++saves_requested_ and
+  /// waits for saves_served_ to reach it; one save serves every ticket
+  /// taken before it started.  last_save_* is that save's answer.
+  std::uint64_t saves_requested_ = 0;
+  std::uint64_t saves_served_ = 0;
+  bool last_save_ok_ = false;
+  std::string last_save_error_;
+  bool stopped_ = false;  ///< the scheduler made its final save and exited
 
-  std::atomic<bool> draining_{false};
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::thread scheduler_;
-  bool scheduler_joined_ = false;
-  std::mutex join_mu_;
 
   // Survivability accounting (the v5 `serve` stats section).
   std::atomic<std::uint64_t> jobs_admitted_{0};
@@ -263,22 +291,7 @@ class ServerCore {
   MetricsRegistry registry_;
   FlightRecorder flightrec_;
   std::string flightrec_note_;
-  std::mutex metrics_out_mu_;
-
-  // The store lock: held by the scheduler across each job and by
-  // save_snapshot across its walk, so the two never overlap.  A save
-  // waiting for it is counted, and the scheduler lets it in first.
-  std::mutex store_mu_;
-  std::condition_variable store_cv_;
-  std::atomic<std::uint32_t> saves_waiting_{0};
-
-  // Snapshot persistence: the cadence thread parks on the cv so drain can
-  // stop it promptly.
   std::string snapshot_note_;
-  std::thread snapshot_thread_;
-  std::mutex snapshot_cv_mu_;
-  std::condition_variable snapshot_cv_;
-  bool snapshot_stop_ = false;
 };
 
 /// Unix-domain transport for a ServerCore.  One accept loop (poll with a

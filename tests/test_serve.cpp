@@ -12,6 +12,7 @@
 #include <fcntl.h>
 #include <regex.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -210,7 +211,7 @@ TEST(ServeQueue, RejectsWhenFull) {
   EXPECT_TRUE(q.try_push(make_job(1, 1)));
   EXPECT_TRUE(q.try_push(make_job(2, 1)));
   EXPECT_FALSE(q.try_push(make_job(3, 1)));  // backpressure
-  (void)q.pop_blocking();
+  (void)q.pop();
   EXPECT_TRUE(q.try_push(make_job(4, 1)));  // capacity freed by the pop
 }
 
@@ -223,7 +224,7 @@ TEST(ServeQueue, RoundRobinAcrossClientsInFirstArrivalOrder) {
   ASSERT_TRUE(q.try_push(make_job(4, 'B')));
   ASSERT_TRUE(q.try_push(make_job(5, 'C')));
   std::vector<std::uint64_t> order;
-  while (q.size() > 0) order.push_back(q.pop_blocking()->job_id);
+  while (q.size() > 0) order.push_back(q.pop()->job_id);
   EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 4, 5, 2, 3}));
 }
 
@@ -237,7 +238,7 @@ TEST(ServeQueue, PositionReportsDispatchDistance) {
   EXPECT_EQ(q.position(3), std::size_t{1});
   EXPECT_EQ(q.position(2), std::size_t{2});
   EXPECT_EQ(q.position(99), std::nullopt);
-  (void)q.pop_blocking();
+  (void)q.pop();
   EXPECT_EQ(q.position(3), std::size_t{0});
 }
 
@@ -247,9 +248,9 @@ TEST(ServeQueue, CloseStopsAdmissionButDrainsTheBacklog) {
   ASSERT_TRUE(q.try_push(make_job(2, 'B')));
   q.close();
   EXPECT_FALSE(q.try_push(make_job(3, 'A')));  // no new admissions
-  EXPECT_TRUE(q.pop_blocking().has_value());   // but the backlog drains
-  EXPECT_TRUE(q.pop_blocking().has_value());
-  EXPECT_EQ(q.pop_blocking(), std::nullopt);   // closed AND empty
+  EXPECT_TRUE(q.pop().has_value());  // but the backlog drains
+  EXPECT_TRUE(q.pop().has_value());
+  EXPECT_EQ(q.pop(), std::nullopt);  // closed AND empty
 }
 
 // -- ServeCore: the determinism contract ------------------------------------
@@ -684,9 +685,9 @@ TEST(ServeSurvivability, SaveSnapshotRequiresAnArmedPath) {
 }
 
 TEST(ServeCore, SnapshotDuringARunningJobWaitsForItsPublish) {
-  // A save asked for while a job runs takes the store lock after the job's
-  // publish, so it already holds everything a save after wait() holds —
-  // and it never walks the cache beside the running batch.
+  // A save asked for while a job runs is served by the scheduler after the
+  // job's publish, so it already holds everything a save after wait()
+  // holds — and it never walks the cache beside the running batch.
   SnapshotDir snap;
   ServeOptions so;
   so.threads = 2;
@@ -720,11 +721,9 @@ TEST(ServeCore, SnapshotDuringARunningJobWaitsForItsPublish) {
 }
 
 TEST(ServeCore, ABacklogOfJobsCannotStarveASave) {
-  // The scheduler lets a waiting save take the store lock before the next
-  // job: with twelve never-seen circuits queued, a save asked for while the
-  // jobs run returns after the job that was running, not after the
-  // backlog.  (A plain mutex lets the scheduler re-take the lock first:
-  // without the hand-off such a save mostly waited for the whole backlog.)
+  // The scheduler serves a requested save before the next job: with twelve
+  // never-seen circuits queued, a save asked for while the jobs run
+  // returns after the job that was running, not after the backlog.
   SnapshotDir snap;
   ServeOptions so;
   so.threads = 2;
@@ -746,6 +745,79 @@ TEST(ServeCore, ABacklogOfJobsCannotStarveASave) {
   EXPECT_LT(after, ids.size()) << "the backlog drained before the save";
   EXPECT_LE(after - before, 3u);
   for (const std::uint64_t id : ids) ASSERT_TRUE(core.wait(id)->ok);
+}
+
+TEST(ServeCore, CadenceWritesLandWhileIdleAndBetweenJobs) {
+  // The scheduler runs the --snapshot-every cadence itself: on an idle
+  // core it wakes for the tick, and under load it writes between jobs,
+  // not only once the queue is empty.
+  SnapshotDir snap;
+  const std::string metrics = snap.dir + "/metrics.json";
+  ServeOptions so;
+  so.snapshot_path = snap.path;
+  so.snapshot_every_s = 1;
+  so.metrics_out = metrics;
+  ServerCore core(so);
+  using std::filesystem::exists;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((!exists(snap.path) || !exists(metrics)) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_TRUE(exists(snap.path)) << "no cadence snapshot on an idle core";
+  EXPECT_TRUE(exists(metrics)) << "no cadence metrics dump on an idle core";
+
+  // Keep never-seen circuits queued until the next save lands: the queue
+  // never empties, so the save can only land between two jobs.
+  const std::uint64_t saves0 = core.serve_info().snapshot_saves;
+  std::vector<std::uint64_t> ids;
+  std::uint64_t seed = 1;
+  while (core.serve_info().snapshot_saves == saves0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (core.serve_info().queue_depth < 2) {
+      const SubmitOutcome sub = core.submit(1, circuit_spec(14, seed++));
+      ASSERT_TRUE(sub.accepted);
+      ids.push_back(sub.job_id);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(core.serve_info().snapshot_saves, saves0)
+      << "a queue that never empties starved the cadence save";
+  EXPECT_FALSE(ids.empty());
+  for (const std::uint64_t id : ids) ASSERT_TRUE(core.wait(id)->ok);
+  core.begin_drain();
+  core.wait_drained();
+  std::remove(metrics.c_str());
+}
+
+TEST(ServeCore, SaveAfterTheDrainReturnsTheFinalSave) {
+  // Once the scheduler has made its final save and exited, a save request
+  // is answered at once with that save's result; the store cannot change
+  // after it, so nothing is written again.
+  SnapshotDir snap;
+  ServeOptions so;
+  so.snapshot_path = snap.path;
+  ServerCore core(so);
+  ASSERT_TRUE(core.wait(core.submit(1, circuit_spec(16, 3)).job_id)->ok);
+  core.begin_drain();
+  core.wait_drained();
+  std::string drained;
+  ASSERT_TRUE(read_file(snap.path, drained));
+  struct stat before {};
+  ASSERT_EQ(::stat(snap.path.c_str(), &before), 0);
+  const std::uint64_t saves = core.serve_info().snapshot_saves;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string err;
+  EXPECT_TRUE(core.save_snapshot(&err)) << err;
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  std::string again;
+  ASSERT_TRUE(read_file(snap.path, again));
+  EXPECT_TRUE(again == drained) << "the drain's snapshot changed";
+  struct stat after {};
+  ASSERT_EQ(::stat(snap.path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino) << "the snapshot was rewritten";
+  EXPECT_EQ(core.serve_info().snapshot_saves, saves);
 }
 
 // -- ServeCliDifferential: against the real binary --------------------------

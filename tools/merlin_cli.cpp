@@ -13,10 +13,8 @@
 //                         run the chosen flow on every net (batch engine)
 //     --threads N         circuit mode: worker threads (0 = all cores)
 //     --cache-mb N        circuit mode: shared cross-net sub-problem cache
-//                         budget in MB (default 64; 0 disables the store)
-//     --cache on|off      circuit mode: arm or drop the shared cache
-//                         (--cache=off also accepted; default on — the
-//                         MERLIN_CACHE=off environment override still wins)
+//                         budget in MB (default 64; 0 disables the store,
+//                         as does MERLIN_CACHE=off in the environment)
 //     --stats-json FILE   write observability stats (counters, per-net
 //                         traces, latency percentiles) as JSON to FILE
 //     --trace-out FILE    write a Chrome trace-event timeline (open in
@@ -42,7 +40,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -79,7 +76,7 @@ constexpr int kExitGuardAbort = 5;
                "[--candidates K] [--svg FILE] [--print-tree] "
                "[--stats-json FILE] [--trace-out FILE]\n"
                "       merlin_cli --circuit G SEED [--flow 1|2|3] [--threads N] "
-               "[--cache-mb N] [--cache on|off] "
+               "[--cache-mb N] "
                "[--stats-json FILE] [--trace-out FILE] [--progress] "
                "[--net-step-budget N] [--net-deadline-ms T] "
                "[--fail-policy abort|skip|degrade] "
@@ -150,7 +147,6 @@ int main(int argc, char** argv) {
   std::uint64_t circuit_seed = 1;
   std::size_t threads = 1;
   std::size_t cache_mb = 64;
-  std::string cache_mode = "on";
   std::string stats_json_path;
   std::string trace_out_path;
   bool show_progress = false;
@@ -198,11 +194,6 @@ int main(int argc, char** argv) {
       count(threads);
     } else if (a == "--cache-mb") {
       count(cache_mb);
-    } else if (a == "--cache") {
-      need(1);
-      cache_mode = argv[++i];
-    } else if (a.rfind("--cache=", 0) == 0) {
-      cache_mode = a.substr(std::strlen("--cache="));
     } else if (a == "--stats-json") {
       need(1);
       stats_json_path = argv[++i];
@@ -272,16 +263,10 @@ int main(int argc, char** argv) {
       }
       // Shared cross-net sub-problem cache (src/cache/).  Budgeted in
       // provenance nodes; results are bit-identical with it on or off.
-      std::optional<SubproblemCache> cache;
-      if (cache_mode == "on") {
-        CacheConfig cc;
-        cc.capacity_nodes = cache_mb * 1024ull * 1024ull / sizeof(SolNode);
-        cache.emplace(cc);
-        opts.cache = &*cache;
-      } else if (cache_mode != "off") {
-        throw std::invalid_argument("unknown --cache '" + cache_mode +
-                                    "' (expected on or off)");
-      }
+      CacheConfig cc;
+      cc.capacity_nodes = cache_mb * 1024ull * 1024ull / sizeof(SolNode);
+      SubproblemCache cache(cc);
+      opts.cache = &cache;
       // One live stderr line, rewritten in place as nets retire.  The
       // callback runs on pool workers; the mutex serializes the ticker and
       // the max-done check drops out-of-order updates.
@@ -312,10 +297,10 @@ int main(int argc, char** argv) {
       if (print_digest)
         std::printf("digest=%016llx\n", static_cast<unsigned long long>(
                                             batch_result_digest(r)));
-      if (cache && cache->enabled()) {
+      if (cache.enabled()) {
         std::printf("cache: entries=%zu nodes=%llu budget=%lluMB%s\n",
-                    cache->entry_count(),
-                    static_cast<unsigned long long>(cache->node_cost()),
+                    cache.entry_count(),
+                    static_cast<unsigned long long>(cache.node_cost()),
                     static_cast<unsigned long long>(cache_mb),
                     cache_env_off() ? " (detached: MERLIN_CACHE=off)" : "");
       }

@@ -7,9 +7,8 @@
 //                         second daemon refuses to start, exit 6)
 //     --threads N         batch workers (0 = all cores; default 1)
 //     --cache-mb N        shared cross-net sub-problem cache budget in MB
-//                         (default 64; 0 disables the store)
-//     --cache on|off      arm or drop the shared cache (default on; the
-//                         MERLIN_CACHE=off environment override still wins)
+//                         (default 64; 0 disables the store, as does
+//                         MERLIN_CACHE=off in the environment)
 //     --queue-depth N     admission-queue bound (default 64); a submit
 //                         against a full queue earns err.queue_full plus a
 //                         retry-after hint instead of blocking
@@ -21,8 +20,9 @@
 //                         missing/torn/corrupt file cold-starts, never
 //                         crashes), rewritten atomically at drain, on
 //                         req.snapshot frames and on the cadence below
-//     --snapshot-every S  background snapshot cadence in seconds (0 =
-//                         drain/req.snapshot only; default 0)
+//     --snapshot-every S  snapshot cadence in seconds, served by the
+//                         scheduler between jobs (0 = drain/req.snapshot
+//                         only; default 0)
 //     --io-timeout-ms N   per-connection socket recv/send timeout (default
 //                         30000; 0 disables) — bounds how long a stalled
 //                         peer pins a connection thread mid-frame
@@ -78,7 +78,7 @@ constexpr int kExitServer = 6;
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: merlin_d --socket PATH [--threads N] [--cache-mb N] "
-               "[--cache on|off] [--queue-depth N] [--net-step-budget N] "
+               "[--queue-depth N] [--net-step-budget N] "
                "[--fail-policy abort|skip|degrade] [--trace-spans] "
                "[--snapshot PATH] [--snapshot-every SECONDS] "
                "[--io-timeout-ms N] [--shed-queue-depth N] [--shed-lane-cap N] "
@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
   std::string socket_path;
   std::size_t threads = 1;
   std::size_t cache_mb = 64;
-  std::string cache_mode = "on";
   std::size_t queue_depth = 64;
   std::uint64_t net_step_budget = 0;
   std::string fail_policy = "degrade";
@@ -142,9 +141,6 @@ int main(int argc, char** argv) {
       count(threads);
     } else if (a == "--cache-mb") {
       count(cache_mb);
-    } else if (a == "--cache") {
-      need(1);
-      cache_mode = argv[++i];
     } else if (a == "--queue-depth") {
       count(queue_depth);
     } else if (a == "--net-step-budget") {
@@ -194,14 +190,6 @@ int main(int argc, char** argv) {
     opts.metrics_out = metrics_out;
     opts.flightrec_path = flightrec_path;
     opts.flightrec_events = flightrec_events;
-    if (cache_mode == "on") {
-      opts.cache_on = true;
-    } else if (cache_mode == "off") {
-      opts.cache_on = false;
-    } else {
-      throw std::invalid_argument("unknown --cache '" + cache_mode +
-                                  "' (expected on or off)");
-    }
     if (fail_policy == "abort") {
       opts.fail_policy = FailPolicy::kAbort;
     } else if (fail_policy == "skip") {
@@ -237,10 +225,9 @@ int main(int argc, char** argv) {
     try {
       SocketServer server(core, socket_path);
       std::fprintf(stderr,
-                   "merlin_d: serving on %s (threads=%zu cache=%s%zuMB "
+                   "merlin_d: serving on %s (threads=%zu cache=%zuMB "
                    "queue=%zu)\n",
-                   socket_path.c_str(), core.threads(),
-                   opts.cache_on ? "" : "off ", cache_mb, queue_depth);
+                   socket_path.c_str(), core.threads(), cache_mb, queue_depth);
       server.run_until_shutdown(&g_stop);
     } catch (const std::runtime_error& e) {
       std::fprintf(stderr, "merlin_d: %s\n", e.what());
