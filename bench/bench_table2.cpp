@@ -16,6 +16,7 @@
 #include <string>
 
 #include "buflib/library.h"
+#include "flow/batch.h"
 #include "flow/circuit.h"
 #include "flow/flows.h"
 #include "flow/report.h"
@@ -64,22 +65,22 @@ int main(int argc, char** argv) {
   cfg.merlin.max_iterations = 3;
   cfg.engine_prune.max_solutions = 8;
 
-  // Pre-layout required-time estimates are stale by construction; compress
-  // their spread as production flows do (see run_circuit_flow's doc).
-  constexpr double kReqCompression = 0.5;
-
   // One sink per flow, accumulated over every circuit: the closing summary
-  // compares how hard each flow's DP prunes (run_circuit_flow is serial, so
-  // a shared sink per flow is safe).
+  // compares how hard each flow's DP prunes.  One thread, so the time
+  // ratios compare single-threaded runs.
   ObsSink obs1, obs2, obs3;
-  auto with_obs = [&](ObsSink& s) {
-    FlowConfig c = cfg;
-    c.obs = &s;
-    return c;
+  const auto run = [&](const Circuit& ckt, FlowKind flow, ObsSink& obs) {
+    BatchOptions opts;
+    opts.threads = 1;
+    opts.flow = flow;
+    opts.scaled_config = false;
+    opts.config = cfg;
+    // Pre-layout required-time estimates are stale by construction;
+    // compress their spread as production flows do (extract_circuit_nets).
+    opts.req_compression = 0.5;
+    opts.obs = &obs;
+    return BatchRunner(lib, opts).run(ckt).circuit;
   };
-  auto flow1 = [&](const Net& n, const BufferLibrary& l) { return run_flow1(n, l, with_obs(obs1)); };
-  auto flow2 = [&](const Net& n, const BufferLibrary& l) { return run_flow2(n, l, with_obs(obs2)); };
-  auto flow3 = [&](const Net& n, const BufferLibrary& l) { return run_flow3(n, l, with_obs(obs3)); };
 
   TextTable t({"circuit", "gates", "I:area", "I:delay(ns)", "I:time(s)",
                "II:area", "II:delay", "II:time",
@@ -98,9 +99,9 @@ int main(int argc, char** argv) {
     spec.seed = seed;
     const Circuit ckt = make_random_circuit(spec, lib);
 
-    const CircuitFlowResult r1 = run_circuit_flow(ckt, lib, flow1, kReqCompression);
-    const CircuitFlowResult r2 = run_circuit_flow(ckt, lib, flow2, kReqCompression);
-    const CircuitFlowResult r3 = run_circuit_flow(ckt, lib, flow3, kReqCompression);
+    const CircuitFlowResult r1 = run(ckt, FlowKind::kFlow1, obs1);
+    const CircuitFlowResult r2 = run(ckt, FlowKind::kFlow2, obs2);
+    const CircuitFlowResult r3 = run(ckt, FlowKind::kFlow3, obs3);
 
     const double t1 = std::max(r1.runtime_ms, 1e-3);
     t.begin_row();

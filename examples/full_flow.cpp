@@ -3,8 +3,10 @@
 // the post-"layout" circuit delay and area via static timing analysis.
 
 #include <cstdio>
+#include <utility>
 
 #include "buflib/library.h"
+#include "flow/batch.h"
 #include "flow/circuit.h"
 #include "flow/flows.h"
 #include "flow/report.h"
@@ -44,22 +46,20 @@ int main() {
 
   TextTable t({"flow", "area (x1000 lambda^2)", "delay (ns)", "buffers",
                "routing time (s)"});
-  struct Entry {
-    const char* name;
-    NetFlow flow;
+  const std::pair<const char*, FlowKind> flows[] = {
+      {"I: LTTREE+PTREE", FlowKind::kFlow1},
+      {"II: PTREE+vanGin", FlowKind::kFlow2},
+      {"III: MERLIN", FlowKind::kFlow3},
   };
-  const Entry entries[] = {
-      {"I: LTTREE+PTREE",
-       [&](const Net& n, const BufferLibrary& l) { return run_flow1(n, l, cfg); }},
-      {"II: PTREE+vanGin",
-       [&](const Net& n, const BufferLibrary& l) { return run_flow2(n, l, cfg); }},
-      {"III: MERLIN",
-       [&](const Net& n, const BufferLibrary& l) { return run_flow3(n, l, cfg); }},
-  };
-  for (const Entry& e : entries) {
-    const CircuitFlowResult r = run_circuit_flow(ckt, lib, e.flow);
+  for (const auto& [name, flow] : flows) {
+    BatchOptions opts;
+    opts.threads = 1;
+    opts.flow = flow;
+    opts.scaled_config = false;
+    opts.config = cfg;
+    const CircuitFlowResult r = BatchRunner(lib, opts).run(ckt).circuit;
     t.begin_row();
-    t.cell(std::string(e.name));
+    t.cell(std::string(name));
     t.cell(r.area, 0);
     t.cell(r.delay_ps / 1000.0, 2);
     t.cell(r.buffers_inserted);

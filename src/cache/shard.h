@@ -60,6 +60,14 @@ struct CacheConfig {
   std::uint64_t capacity_nodes = 0;
 };
 
+/// cache-entry: cache_config_mb
+/// A budget of `mb` megabytes of provenance nodes (0 = disabled): how
+/// merlin_cli and merlin_d both size the store from --cache-mb, so the
+/// daemon's cold runs stay digest-equal to the CLI's.
+inline CacheConfig cache_config_mb(std::uint64_t mb) {
+  return CacheConfig{mb * 1024ull * 1024ull / sizeof(SolNode)};
+}
+
 /// cache-entry: FlushBatch
 /// The staged writes of one net: shared keys it hit (in first-hit order,
 /// the LRU refresh sequence) and the entries it wants published (in

@@ -5,8 +5,8 @@ namespace merlin {
 namespace {
 
 /// SplitMix64 finalizer: a full-period bijection on 64-bit words with good
-/// avalanche, the same primitive batch_net_seed builds its per-net streams
-/// from.  Deterministic everywhere (pure integer arithmetic).
+/// avalanche, the same primitive net/rng.h's generator is built on.
+/// Deterministic everywhere (pure integer arithmetic).
 constexpr std::uint64_t splitmix(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;

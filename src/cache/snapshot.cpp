@@ -1,10 +1,11 @@
 #include "cache/snapshot.h"
 
-#include <array>
 #include <cerrno>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include <zlib.h>
 
 #include "io/bytes.h"
 
@@ -22,23 +23,10 @@ constexpr std::uint32_t kSectionEnd = 3;
 // sets it, so a group-only store keeps its v1 bytes.
 constexpr std::uint32_t kMemoEntryFlag = 0x80000000u;
 
-// -- CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) -----------------
-
+// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF), zlib's.
 std::uint32_t crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data)
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
+  return static_cast<std::uint32_t>(::crc32_z(
+      0, reinterpret_cast<const Bytef*>(data.data()), data.size()));
 }
 
 // -- entry codec ------------------------------------------------------------

@@ -31,8 +31,10 @@ SolNodeId SolutionArena::append(const SolNode& n) {
   if (size_ >= node_limit_)
     throw std::length_error("SolutionArena: node count exceeds the handle space");
   if (fault_armed_) {
-    if (fault_grants_ == 0)
+    if (fault_grants_ == 0) {
+      fault_fired_ = true;
       throw std::length_error("SolutionArena: injected allocation failure");
+    }
     --fault_grants_;
   }
   const std::size_t slab = size_ >> kSlabShift;

@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "curve/solution.h"
@@ -178,8 +179,13 @@ class SolutionArena {
     fault_armed_ = true;
     fault_grants_ = grants;
   }
-  /// Disarms the injected failure (end of the guarded attempt).
-  void clear_alloc_fault() { fault_armed_ = false; }
+  /// Disarms the injected failure (end of the guarded attempt) and reports
+  /// whether it fired since set_alloc_fault, so the batch runner can count
+  /// the drill without telling it apart from a genuine overflow by type.
+  bool clear_alloc_fault() {
+    fault_armed_ = false;
+    return std::exchange(fault_fired_, false);
+  }
 
  private:
   friend struct SolutionArenaTestPeer;  // lowers node_limit_ in tests
@@ -199,6 +205,7 @@ class SolutionArena {
   std::size_t size_ = 0;       // nodes currently live (bump pointer)
   Stats stats_;                // live_nodes/reserved_bytes filled by stats()
   bool fault_armed_ = false;   // injected allocation failure (set_alloc_fault)
+  bool fault_fired_ = false;   // ...which append has thrown
   std::uint64_t fault_grants_ = 0;
   std::size_t node_limit_ = kMaxNodes;
   bool lane_ = false;          // this arena is a fork lane of another

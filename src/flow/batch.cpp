@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <future>
 #include <optional>
@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "cache/shard.h"
+#include "obs/json.h"
 #include "ptree/range_dp.h"
 #include "runtime/pool.h"
 #include "tree/evaluate.h"
@@ -27,39 +28,11 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-bool trees_identical(const RoutingTree& a, const RoutingTree& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const TreeNode& x = a.node(i);
-    const TreeNode& y = b.node(i);
-    if (x.kind != y.kind || x.at != y.at || x.idx != y.idx ||
-        x.parent != y.parent || x.wire_width != y.wire_width ||
-        x.children != y.children)
-      return false;
-  }
-  return true;
-}
-
-bool evals_identical(const EvalResult& a, const EvalResult& b) {
-  return a.root_load == b.root_load && a.root_req_time == b.root_req_time &&
-         a.driver_delay == b.driver_delay &&
-         a.driver_req_time == b.driver_req_time &&
-         a.buffer_area == b.buffer_area && a.wirelength == b.wirelength &&
-         a.buffer_count == b.buffer_count;
-}
-
 /// How one failed construction attempt is classified.
 NetStatus classify_failure(const std::exception& e) {
   if (dynamic_cast<const DeadlineExceeded*>(&e)) return NetStatus::kDeadline;
   if (dynamic_cast<const BudgetExceeded*>(&e)) return NetStatus::kOverBudget;
   return NetStatus::kFailed;
-}
-
-/// True when an exception is an injected fault (throw site or armed arena),
-/// so the chaos harness can account for every firing in kFaultsInjected.
-bool is_injected(const std::exception& e) {
-  return dynamic_cast<const FaultInjected*>(&e) != nullptr ||
-         std::strstr(e.what(), "injected") != nullptr;
 }
 
 }  // namespace
@@ -145,15 +118,6 @@ SubproblemCache* BatchContext::cache() const { return impl_->cache; }
 
 std::uint64_t BatchContext::runs() const {
   return impl_->runs.load(std::memory_order_relaxed);
-}
-
-std::uint64_t batch_net_seed(std::uint64_t base_seed, std::uint32_t net_id) {
-  // One SplitMix64 scramble of (base, id): distinct, well-separated streams
-  // per net, a pure function of the identifiers.
-  std::uint64_t z = base_seed + 0x9E3779B97F4A7C15ULL * (net_id + 1ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
 }
 
 namespace {
@@ -341,55 +305,6 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
         slot.net_id = job.driver_gate;
         slot.trivial = job.trivial();
 
-        // One guarded construction attempt.  Fresh NetGuard per attempt
-        // (budgets reset across ladder rungs); arena-allocation faults are
-        // armed on the worker arena for exactly the attempt's duration.
-        // Returns true on success; on failure classifies the attempt into
-        // the slot (first failure wins the status/error) and keeps the
-        // original exception for the abort policy.
-        const bool guarded = opts_.guard.enabled() || inject != nullptr;
-        const auto attempt = [&](const std::function<void(NetGuard*)>& body) {
-          NetGuard guard(job.driver_gate, opts_.guard, inject);
-          NetGuard* g = guarded ? &guard : nullptr;
-          if (inject != nullptr && inject->plan().kind == FaultKind::kArenaAlloc &&
-              inject->should_fire(job.driver_gate, FaultSite::kArenaAlloc))
-            arena.set_alloc_fault(inject->plan().arena_fail_after);
-          bool ok = false;
-          try {
-            guard_point(g, FaultSite::kBatchNet);
-            body(g);
-            ok = true;
-          } catch (const std::exception& e) {
-            const NetStatus fail = classify_failure(e);
-            if (fail == NetStatus::kOverBudget) {
-              ++slot.budget_trips;
-              obs_add(sink, Counter::kBudgetTrips);
-            } else if (fail == NetStatus::kDeadline) {
-              obs_add(sink, Counter::kDeadlineTrips);
-            }
-            // FaultInjected throws were already tallied by the guard's
-            // fault_point (flushed below); only the armed-arena failure — a
-            // plain length_error that never passes through a fault site —
-            // needs counting here.
-            if (is_injected(e) &&
-                dynamic_cast<const FaultInjected*>(&e) == nullptr)
-              obs_add(sink, Counter::kFaultsInjected);
-            if (slot.error.empty()) {
-              slot.status = fail;
-              slot.error = e.what();
-              errors[i] = std::current_exception();
-            }
-          }
-          arena.clear_alloc_fault();
-          if (g != nullptr) {
-            obs_add(sink, Counter::kGuardSteps, guard.steps());
-            obs_gauge(sink, Gauge::kGuardPeakNetSteps, guard.steps());
-            // kSlow firings charge the guard without throwing; count them.
-            obs_add(sink, Counter::kFaultsInjected, guard.injected_fired());
-          }
-          return ok;
-        };
-
         // A memo hit rebuilds the net's FlowResult from the stored chosen
         // solution, materialized into the worker arena: the tree, its
         // evaluation and the loop count, bit-identical to the run that
@@ -418,30 +333,7 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
           return true;
         };
 
-        const auto run_configured = [&](NetGuard* g, const FlowConfig* cfg_override,
-                                        FlowKind flow) {
-          if (opts_.custom_flow != nullptr && cfg_override == nullptr) {
-            // Custom constructors carry no FlowConfig, so the guard cannot
-            // reach their inner loops; only the batch.net fault site and the
-            // wall-clock deadline apply.
-            Rng rng(batch_net_seed(opts_.seed, job.driver_gate));
-            slot.result = opts_.custom_flow(job.net, lib_, rng);
-            return;
-          }
-          FlowConfig cfg = cfg_override != nullptr
-                               ? *cfg_override
-                               : (opts_.scaled_config
-                                      ? scaled_flow_config(job.net.fanout())
-                                      : opts_.config);
-          // Worker-local scratch arena: every flow's provenance goes into
-          // it (reset per net), reusing slab capacity from net to net.
-          cfg.scratch_arena = &arena;
-          cfg.obs = sink;
-          cfg.guard = g;
-          // Flow III's per-candidate loops borrow whichever workers other
-          // nets left idle (ThreadPool::parallel_for); results do not
-          // depend on how many do.
-          cfg.pool = &pool;
+        const auto run_configured = [&](FlowConfig& cfg, FlowKind flow) {
           switch (flow) {
             case FlowKind::kFlow1: slot.result = run_flow1(job.net, lib_, cfg); break;
             case FlowKind::kFlow2: slot.result = run_flow2(job.net, lib_, cfg); break;
@@ -455,7 +347,7 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
               // The per-net memo (net_memo_key): first attempts only, with
               // a shared store attached and no injector armed, so ladder
               // rungs and chaos runs always exercise the DP.
-              const bool memo = cfg_override == nullptr && inject == nullptr &&
+              const bool memo = slot.attempts == 1 && inject == nullptr &&
                                 ses.shared() != nullptr;
               CacheKey key{};
               if (memo) {
@@ -476,6 +368,61 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
           }
         };
 
+        // One guarded construction attempt of `flow` under `cfg`.  Fresh
+        // NetGuard per attempt (budgets reset across ladder rungs);
+        // arena-allocation faults are armed on the worker arena for exactly
+        // the attempt's duration.  Returns true on success; on failure
+        // classifies the attempt into the slot (first failure wins the
+        // status/error) and keeps the original exception for the abort
+        // policy.
+        const bool guarded = opts_.guard.enabled() || inject != nullptr;
+        const auto attempt = [&](FlowConfig cfg, FlowKind flow) {
+          NetGuard guard(job.driver_gate, opts_.guard, inject);
+          NetGuard* g = guarded ? &guard : nullptr;
+          if (inject != nullptr && inject->plan().kind == FaultKind::kArenaAlloc &&
+              inject->should_fire(job.driver_gate, FaultSite::kArenaAlloc))
+            arena.set_alloc_fault(inject->plan().arena_fail_after);
+          // Worker-local scratch arena: every flow's provenance goes into
+          // it (reset per net), reusing slab capacity from net to net.
+          cfg.scratch_arena = &arena;
+          cfg.obs = sink;
+          cfg.guard = g;
+          // Flow III's per-candidate loops borrow whichever workers other
+          // nets left idle (ThreadPool::parallel_for); results do not
+          // depend on how many do.
+          cfg.pool = &pool;
+          bool ok = false;
+          try {
+            guard_point(g, FaultSite::kBatchNet);
+            run_configured(cfg, flow);
+            ok = true;
+          } catch (const std::exception& e) {
+            const NetStatus fail = classify_failure(e);
+            if (fail == NetStatus::kOverBudget) {
+              ++slot.budget_trips;
+              obs_add(sink, Counter::kBudgetTrips);
+            } else if (fail == NetStatus::kDeadline) {
+              obs_add(sink, Counter::kDeadlineTrips);
+            }
+            if (slot.error.empty()) {
+              slot.status = fail;
+              slot.error = e.what();
+              errors[i] = std::current_exception();
+            }
+          }
+          // FaultInjected throws were already tallied by the guard's
+          // fault_point (flushed below); the armed-arena failure never
+          // passes through a fault site, so the arena reports it.
+          if (arena.clear_alloc_fault()) obs_add(sink, Counter::kFaultsInjected);
+          if (g != nullptr) {
+            obs_add(sink, Counter::kGuardSteps, guard.steps());
+            obs_gauge(sink, Gauge::kGuardPeakNetSteps, guard.steps());
+            // kSlow firings charge the guard without throwing; count them.
+            obs_add(sink, Counter::kFaultsInjected, guard.injected_fired());
+          }
+          return ok;
+        };
+
         // The [Gi90]-style guaranteed-feasible terminal rung: an unbuffered
         // star needs no DP, no arena and no guard, so it cannot fail — the
         // batch always ends with a legal tree for every net.
@@ -490,9 +437,10 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
           // injector entirely: there is nothing to bound or degrade.
           slot.result.tree = trivial_net_tree(job.net);
           slot.result.eval = evaluate_tree(job.net, slot.result.tree, lib_);
-        } else if (!attempt([&](NetGuard* g) {
-                     run_configured(g, nullptr, opts_.flow);
-                   })) {
+        } else if (const FlowConfig base =
+                       opts_.scaled_config ? scaled_flow_config(job.net.fanout())
+                                           : opts_.config;
+                   !attempt(base, opts_.flow)) {
           switch (opts_.fail_policy) {
             case FailPolicy::kAbort:
               // No fallback; the original exception propagates after every
@@ -508,24 +456,14 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
             case FailPolicy::kDegrade: {
               // Rung 1: same flow, strictly cheaper configuration.
               // Rung 2: tightened Flow I (skipped when the configured flow
-              //         already is Flow I, or for custom constructors).
+              //         already is Flow I).
               // Rung 3: the star tree (cannot fail).
-              bool rescued = false;
-              if (opts_.custom_flow == nullptr) {
-                const FlowConfig base = opts_.scaled_config
-                                            ? scaled_flow_config(job.net.fanout())
-                                            : opts_.config;
-                const FlowConfig tight = tightened_flow_config(base);
+              const FlowConfig tight = tightened_flow_config(base);
+              ++slot.attempts;
+              bool rescued = attempt(tight, opts_.flow);
+              if (!rescued && opts_.flow != FlowKind::kFlow1) {
                 ++slot.attempts;
-                rescued = attempt([&](NetGuard* g) {
-                  run_configured(g, &tight, opts_.flow);
-                });
-                if (!rescued && opts_.flow != FlowKind::kFlow1) {
-                  ++slot.attempts;
-                  rescued = attempt([&](NetGuard* g) {
-                    run_configured(g, &tight, FlowKind::kFlow1);
-                  });
-                }
+                rescued = attempt(tight, FlowKind::kFlow1);
               }
               if (!rescued) {
                 ++slot.attempts;
@@ -755,117 +693,123 @@ std::string BatchStats::to_string() const {
   return buf;
 }
 
+RuntimeInfo BatchStats::runtime_info() const {
+  RuntimeInfo rt;
+  rt.threads = threads_used;
+  rt.steals = steals;
+  rt.wall_ms = wall_ms;
+  rt.worker_tasks = worker_tasks;
+  return rt;
+}
+
+namespace {
+
+void put_u64(std::string& out, std::uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// Doubles go in as IEEE bit patterns: bitwise identity is exactly the
+/// contract the differentials enforce, so two runs that differ only in
+/// -0.0 vs 0.0 or a NaN payload are different results.
+void put_f64(std::string& out, double v) {
+  put_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+// The identity of a result, written once as the byte sequence every
+// comparator compares and batch_result_digest hashes.  A field added to
+// TreeNode, EvalResult or FlowResult that defines a result goes here.
+
+/// A flow result: every TreeNode field of the routing tree, the seven
+/// EvalResult fields and the loop count (no cache counters, no wall time).
+void put_flow_identity(std::string& out, const FlowResult& f) {
+  const RoutingTree& t = f.tree;
+  put_u64(out, t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const TreeNode& tn = t.node(i);
+    put_u64(out, static_cast<std::uint64_t>(tn.kind));
+    put_u64(out, static_cast<std::uint32_t>(tn.at.x));
+    put_u64(out, static_cast<std::uint32_t>(tn.at.y));
+    put_u64(out, static_cast<std::uint32_t>(tn.idx));
+    put_u64(out, tn.parent);
+    put_f64(out, tn.wire_width);
+    put_u64(out, tn.children.size());
+    for (const std::uint32_t c : tn.children) put_u64(out, c);
+  }
+  const EvalResult& e = f.eval;
+  put_f64(out, e.root_load);
+  put_f64(out, e.root_req_time);
+  put_f64(out, e.driver_delay);
+  put_f64(out, e.driver_req_time);
+  put_f64(out, e.buffer_area);
+  put_f64(out, e.wirelength);
+  put_u64(out, e.buffer_count);
+  put_u64(out, f.merlin_loops);
+}
+
+/// A batch result: the net count; per net its id, trivial flag, status,
+/// attempts, budget trips and flow result; then the circuit outcome.
+/// Error strings, cache counters and wall times are not in it.
+std::string batch_identity(const BatchResult& r) {
+  std::string out;
+  put_u64(out, r.nets.size());
+  for (const BatchNetResult& n : r.nets) {
+    put_u64(out, n.net_id);
+    put_u64(out, n.trivial ? 1 : 0);
+    put_u64(out, static_cast<std::uint64_t>(n.status));
+    put_u64(out, n.attempts);
+    put_u64(out, n.budget_trips);
+    put_flow_identity(out, n.result);
+  }
+  put_f64(out, r.circuit.area);
+  put_f64(out, r.circuit.delay_ps);
+  put_u64(out, r.circuit.nets_routed);
+  put_u64(out, r.circuit.buffers_inserted);
+  return out;
+}
+
+}  // namespace
+
 bool flow_results_identical(const FlowResult& a, const FlowResult& b) {
-  return trees_identical(a.tree, b.tree) && evals_identical(a.eval, b.eval) &&
-         a.merlin_loops == b.merlin_loops && a.cache_hits == b.cache_hits &&
+  std::string x, y;
+  put_flow_identity(x, a);
+  put_flow_identity(y, b);
+  return x == y && a.cache_hits == b.cache_hits &&
          a.cache_misses == b.cache_misses;
 }
 
+bool batch_results_equivalent(const BatchResult& a, const BatchResult& b) {
+  // Equal identities imply equal net counts.
+  if (batch_identity(a) != batch_identity(b)) return false;
+  for (std::size_t i = 0; i < a.nets.size(); ++i)
+    if (a.nets[i].error != b.nets[i].error) return false;
+  BatchStatsDet da = a.stats.det, db = b.stats.det;
+  da.cache_hits = db.cache_hits = 0;
+  da.cache_misses = db.cache_misses = 0;
+  return da == db;
+}
+
 bool batch_results_identical(const BatchResult& a, const BatchResult& b) {
-  if (a.nets.size() != b.nets.size()) return false;
+  if (!batch_results_equivalent(a, b)) return false;
   for (std::size_t i = 0; i < a.nets.size(); ++i) {
-    const BatchNetResult& x = a.nets[i];
-    const BatchNetResult& y = b.nets[i];
-    if (x.net_id != y.net_id || x.trivial != y.trivial ||
-        x.status != y.status || x.attempts != y.attempts ||
-        x.budget_trips != y.budget_trips || x.error != y.error ||
-        !flow_results_identical(x.result, y.result))
+    const FlowResult& x = a.nets[i].result;
+    const FlowResult& y = b.nets[i].result;
+    if (x.cache_hits != y.cache_hits || x.cache_misses != y.cache_misses)
       return false;
   }
   // The deterministic substruct carries exactly the comparable fields, so
   // its defaulted operator== is the whole stats comparison; wall times and
   // scheduling facts are structurally excluded.
-  if (!(a.stats.det == b.stats.det)) return false;
-  const CircuitFlowResult &ca = a.circuit, &cb = b.circuit;
-  return ca.area == cb.area && ca.delay_ps == cb.delay_ps &&
-         ca.nets_routed == cb.nets_routed &&
-         ca.buffers_inserted == cb.buffers_inserted;
+  return a.stats.det == b.stats.det;
 }
-
-namespace {
-
-/// FNV-1a, fed field-by-field.  Doubles go in as IEEE bit patterns (bitwise
-/// identity is exactly the contract the differentials enforce; two runs that
-/// differ only in -0.0 vs 0.0 or NaN payload SHOULD digest differently).
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ULL;
-  void bytes(const void* p, std::size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 1099511628211ULL;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-};
-
-}  // namespace
 
 std::uint64_t batch_result_digest(const BatchResult& r) {
-  Fnv1a d;
-  d.u64(r.nets.size());
-  for (const BatchNetResult& n : r.nets) {
-    d.u64(n.net_id);
-    d.u64(n.trivial ? 1 : 0);
-    d.u64(static_cast<std::uint64_t>(n.status));
-    d.u64(n.attempts);
-    d.u64(n.budget_trips);
-    const RoutingTree& t = n.result.tree;
-    d.u64(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const TreeNode& tn = t.node(i);
-      d.u64(static_cast<std::uint64_t>(tn.kind));
-      d.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(tn.at.x)));
-      d.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(tn.at.y)));
-      d.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(tn.idx)));
-      d.u64(tn.parent);
-      d.f64(tn.wire_width);
-      d.u64(tn.children.size());
-      for (const std::uint32_t c : tn.children) d.u64(c);
-    }
-    const EvalResult& e = n.result.eval;
-    d.f64(e.root_load);
-    d.f64(e.root_req_time);
-    d.f64(e.driver_delay);
-    d.f64(e.driver_req_time);
-    d.f64(e.buffer_area);
-    d.f64(e.wirelength);
-    d.u64(e.buffer_count);
-    d.u64(n.result.merlin_loops);
+  // 64-bit FNV-1a over the identity bytes.
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : batch_identity(r)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
   }
-  d.f64(r.circuit.area);
-  d.f64(r.circuit.delay_ps);
-  d.u64(r.circuit.nets_routed);
-  d.u64(r.circuit.buffers_inserted);
-  return d.h;
-}
-
-bool batch_results_equivalent(const BatchResult& a, const BatchResult& b) {
-  if (a.nets.size() != b.nets.size()) return false;
-  for (std::size_t i = 0; i < a.nets.size(); ++i) {
-    const BatchNetResult& x = a.nets[i];
-    const BatchNetResult& y = b.nets[i];
-    if (x.net_id != y.net_id || x.trivial != y.trivial ||
-        x.status != y.status || x.attempts != y.attempts ||
-        x.budget_trips != y.budget_trips || x.error != y.error ||
-        !trees_identical(x.result.tree, y.result.tree) ||
-        !evals_identical(x.result.eval, y.result.eval) ||
-        x.result.merlin_loops != y.result.merlin_loops)
-      return false;
-  }
-  BatchStatsDet da = a.stats.det, db = b.stats.det;
-  da.cache_hits = db.cache_hits = 0;
-  da.cache_misses = db.cache_misses = 0;
-  if (!(da == db)) return false;
-  const CircuitFlowResult &ca = a.circuit, &cb = b.circuit;
-  return ca.area == cb.area && ca.delay_ps == cb.delay_ps &&
-         ca.nets_routed == cb.nets_routed &&
-         ca.buffers_inserted == cb.buffers_inserted;
+  return h;
 }
 
 }  // namespace merlin

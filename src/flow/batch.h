@@ -4,17 +4,15 @@
 // Table 2 of the paper evaluates the flows over whole benchmark circuits —
 // hundreds of independent per-net constructions — which is embarrassingly
 // parallel.  BatchRunner shards a circuit's nets across a work-stealing
-// thread pool (runtime/pool.h), runs any of Flows I/II/III (or a custom
-// per-net constructor) on each, and merges deterministically:
+// thread pool (runtime/pool.h), runs one of the paper's Flows I/II/III on
+// each, and merges deterministically:
 //
 //   * results are keyed by driver-gate id and each job writes its own
 //     pre-allocated slot, so nothing depends on completion order;
 //   * the reduction (areas, stats, STA) is a serial sweep in ascending net
 //     id, so floating-point sums are bit-identical run to run;
-//   * each net gets its own RNG stream seeded from (base seed, net id) —
-//     never from a worker id or a global counter — so any randomized
-//     constructor still produces output independent of thread count and
-//     scheduling;
+//   * no flow draws a random number, so a net's result is a function of
+//     the net and the options alone, never of a worker id or the schedule;
 //   * Flow III's sub-problem caching runs through a per-worker CacheSession
 //     (cleared per net).  When BatchOptions::cache attaches a shared
 //     SubproblemCache, the shared store is read-only during the parallel
@@ -36,12 +34,12 @@
 #include "cache/signature.h"
 #include "flow/circuit.h"
 #include "flow/flows.h"
-#include "net/rng.h"
 #include "runtime/guard.h"
 
 namespace merlin {
 
 class SubproblemCache;  // cache/shard.h
+struct RuntimeInfo;     // obs/json.h
 
 /// Which of the paper's flows the batch runs on every net.
 enum class FlowKind { kFlow1 = 1, kFlow2 = 2, kFlow3 = 3 };
@@ -61,20 +59,10 @@ enum class FlowKind { kFlow1 = 1, kFlow2 = 2, kFlow3 = 3 };
 /// net's key up before running it: a hit rebuilds the net's result from
 /// the stored chosen solution and skips MERLIN; a miss runs the flow and
 /// stages the result for the serial publish.  The memo is bypassed on
-/// degradation-ladder rungs, for custom flows and Flows I/II, and while a
-/// FaultInjector is armed.
+/// degradation-ladder rungs, for Flows I/II, and while a FaultInjector is
+/// armed.
 CacheKey net_memo_key(const Net& net, const BufferLibrary& lib,
                       const FlowConfig& cfg, const GuardConfig& guard);
-
-/// Seed of the RNG stream handed to the constructor of net `net_id`.
-/// Depends only on (base_seed, net_id) — the scheduling-independence anchor.
-std::uint64_t batch_net_seed(std::uint64_t base_seed, std::uint32_t net_id);
-
-/// A per-net constructor with an explicit per-net random stream.  The Rng is
-/// seeded with batch_net_seed(opts.seed, net_id); deterministic constructors
-/// simply ignore it.
-using SeededNetFlow =
-    std::function<FlowResult(const Net&, const BufferLibrary&, Rng&)>;
 
 /// What the batch does when a net's construction fails (throws, trips its
 /// budget, or exhausts its arena).  See docs/ROBUSTNESS.md for the full
@@ -151,17 +139,15 @@ class BatchContext {
 struct BatchOptions {
   std::size_t threads = 1;  ///< worker count; 0 = hardware concurrency
   FlowKind flow = FlowKind::kFlow3;
-  std::uint64_t seed = 0;  ///< base seed for the per-net RNG streams
 
   /// When true (default) each net gets scaled_flow_config(fanout); when
   /// false, `config` is used verbatim for every net.
   bool scaled_config = true;
   FlowConfig config{};
 
-  /// Overrides `flow` when set: the batch runs this constructor instead.
-  SeededNetFlow custom_flow;
-
-  /// `req_compression` of run_circuit_flow, applied during net extraction.
+  /// Spread of the estimated pin required times handed to each net,
+  /// applied by run(Circuit) during net extraction; see
+  /// extract_circuit_nets.
   double req_compression = 1.0;
 
   /// Optional aggregate observability sink.  The runner gives every pool
@@ -275,6 +261,9 @@ struct BatchStats {
 
   /// One-line human-readable summary.
   [[nodiscard]] std::string to_string() const;
+  /// The `runtime` section of the run's stats document (stats_to_json), as
+  /// merlin_cli --stats-json and merlin_d's per-job stats both report it.
+  [[nodiscard]] RuntimeInfo runtime_info() const;
 };
 
 /// Result of a batch run.
@@ -299,7 +288,7 @@ class BatchRunner {
   BatchRunner(const BufferLibrary& lib, BatchOptions opts = {});
 
   /// Runs the configured flow on every driven net of `ckt` and closes with
-  /// the circuit-level STA (the parallel form of run_circuit_flow).
+  /// the circuit-level STA.
   [[nodiscard]] BatchResult run(const Circuit& ckt) const;
 
   /// Runs the configured flow on an explicit net list; net ids are indices.
@@ -313,20 +302,25 @@ class BatchRunner {
   BatchOptions opts_;
 };
 
+// The comparators and the digest read one list of identity fields
+// (batch_identity in batch.cpp; flow_results_identical reads its per-net
+// flow part).  Doubles compare as IEEE bit patterns.
+
 /// True iff two flow results are identical in every scheduling-independent
 /// field: the full routing tree, the evaluation, loop count and cache
 /// counters.  Wall times are excluded by design.
 bool flow_results_identical(const FlowResult& a, const FlowResult& b);
 
-/// flow_results_identical over whole batches (net ids, trivial flags, trees,
-/// evals, `stats.det`, and the circuit-level outcome).
+/// batch_results_equivalent plus the cache counters, per net and in
+/// `stats.det`.
 bool batch_results_identical(const BatchResult& a, const BatchResult& b);
 
-/// batch_results_identical minus the cache counters: trees, evals, statuses
-/// and the circuit outcome must match, but cache hits/misses may differ.
-/// The warm-vs-cold comparisons (tests/test_cache.cpp) need
-/// this form — a warm rerun serves sub-problems from the shared store,
-/// turning misses into hits without changing any structure.
+/// Everything batch_result_digest hashes, plus the error strings and
+/// `stats.det` without its cache counters: trees, evals, statuses and the
+/// circuit outcome must match, but cache hits/misses may differ.  The
+/// warm-vs-cold comparisons (tests/test_cache.cpp) need this form — a warm
+/// rerun serves sub-problems from the shared store, turning misses into
+/// hits without changing any structure.
 bool batch_results_equivalent(const BatchResult& a, const BatchResult& b);
 
 /// 64-bit FNV-1a digest of every scheduling-independent, cache-blind field

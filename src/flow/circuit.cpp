@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "flow/batch.h"
 #include "net/rng.h"
 #include "tree/evaluate.h"
 
@@ -79,6 +78,14 @@ Circuit make_random_circuit(const CircuitSpec& spec, const BufferLibrary& lib) {
   for (std::size_t gi = 0; gi < spec.n_gates; ++gi)
     if (fanout_count[gi] == 0) ckt.gates[gi].is_primary_output = true;
   return ckt;
+}
+
+CircuitSpec circuit_job_spec(std::size_t gates, std::uint64_t seed) {
+  CircuitSpec spec;
+  spec.name = "ckt" + std::to_string(gates);
+  spec.n_gates = gates;
+  spec.seed = seed;
+  return spec;
 }
 
 namespace {
@@ -231,19 +238,6 @@ double circuit_critical_delay(const Circuit& ckt, const BufferLibrary& lib,
           delay_ps, arr[gi] + lib[ckt.gates[gi].cell].delay.at_nominal(kOutputPinLoad));
   }
   return delay_ps;
-}
-
-CircuitFlowResult run_circuit_flow(const Circuit& ckt, const BufferLibrary& lib,
-                                   const NetFlow& flow, double req_compression) {
-  // The serial path is the parallel engine at one thread — a single code
-  // path is what makes the serial-vs-parallel differential tests meaningful.
-  BatchOptions opts;
-  opts.threads = 1;
-  opts.req_compression = req_compression;
-  opts.custom_flow = [&flow](const Net& net, const BufferLibrary& l, Rng&) {
-    return flow(net, l);
-  };
-  return BatchRunner(lib, opts).run(ckt).circuit;
 }
 
 }  // namespace merlin

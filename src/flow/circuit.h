@@ -10,12 +10,11 @@
 //   * a random mapped DAG of library cells with a random legal placement,
 //   * a backward required-time pass that gives every net's sinks the pin
 //     required times a mapped netlist would provide,
-//   * per-net construction by any of the three flows,
+//   * per-net construction by any of the three flows (flow/batch.h),
 //   * a forward arrival-time STA over the realized buffered routing trees,
 //     yielding the circuit-level delay/area that Table 2 reports.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,6 +60,11 @@ struct CircuitSpec {
 /// Generates a deterministic random mapped circuit.
 Circuit make_random_circuit(const CircuitSpec& spec, const BufferLibrary& lib);
 
+/// The spec of the circuit job (gates, seed) that merlin_cli --circuit and
+/// merlin_d both run: name "ckt<gates>", every other field the default.
+/// One definition, so the daemon's results stay digest-equal to the CLI's.
+CircuitSpec circuit_job_spec(std::size_t gates, std::uint64_t seed);
+
 /// Circuit-level result of running one flow on every net.
 struct CircuitFlowResult {
   double area = 0.0;        ///< gate area + inserted buffer area
@@ -69,10 +73,6 @@ struct CircuitFlowResult {
   std::size_t nets_routed = 0;
   std::size_t buffers_inserted = 0;
 };
-
-/// A per-net constructor: given a net (driver, sinks with positions, loads
-/// and required times), produce a buffered routing tree for it.
-using NetFlow = std::function<FlowResult(const Net&, const BufferLibrary&)>;
 
 /// One net of a circuit, extracted into the per-net optimizer's input form.
 /// `driver_gate` is the id of the gate whose output pin drives the net — the
@@ -87,9 +87,16 @@ struct CircuitNet {
 };
 
 /// Extracts every driven net of the circuit (ascending driver-gate id) with
-/// the pin required times a backward estimated-timing pass provides, exactly
-/// as `run_circuit_flow` hands them to its per-net flow.  `req_compression`
-/// as documented there.
+/// the pin required times a backward estimated-timing pass provides, as
+/// BatchRunner::run hands them to the per-net flow.
+///
+/// `req_compression` scales each net's spread of those required times
+/// toward its maximum (1 = use the raw backward-STA estimates, 0 = treat
+/// every sink as equally critical).  Pre-layout estimates are stale by
+/// construction — an optimizer that aggressively sacrifices "non-critical"
+/// sinks can be burned when the realized delays shift the critical path —
+/// so production flows compress them (bench_table2 uses 0.5, through
+/// BatchOptions::req_compression).
 std::vector<CircuitNet> extract_circuit_nets(const Circuit& ckt,
                                              const BufferLibrary& lib,
                                              double req_compression = 1.0);
@@ -111,19 +118,5 @@ RoutingTree star_net_tree(const Net& net);
 /// arrival at the worst primary output (ps).
 double circuit_critical_delay(const Circuit& ckt, const BufferLibrary& lib,
                               const std::vector<std::vector<double>>& realized);
-
-/// Runs `flow` on every multi-sink net of the circuit and evaluates the
-/// whole circuit: backward required times from a common clock target, per-net
-/// construction, forward STA over realized trees.
-///
-/// `req_compression` scales the spread of the estimated pin required times
-/// handed to the per-net optimizer (1 = use the raw backward-STA estimates,
-/// 0 = treat every sink as equally critical).  Pre-layout estimates are
-/// stale by construction — an optimizer that aggressively sacrifices
-/// "non-critical" sinks can be burned when the realized delays shift the
-/// critical path — so production flows compress them; see bench_table2.
-CircuitFlowResult run_circuit_flow(const Circuit& ckt, const BufferLibrary& lib,
-                                   const NetFlow& flow,
-                                   double req_compression = 1.0);
 
 }  // namespace merlin

@@ -43,15 +43,7 @@ ServerCore::ServerCore(ServeOptions opts)
     : opts_(opts),
       lib_(make_standard_library()),
       queue_(opts.queue_capacity) {
-  if (opts_.cache_mb > 0) {
-    // Same sizing rule as merlin_cli --cache-mb: the budget is provenance
-    // nodes, converted from MB.  Sharing this construction is part of the
-    // determinism contract — the daemon and the CLI must build the same
-    // cache to produce the same cold-run results.
-    CacheConfig cc;
-    cc.capacity_nodes = opts_.cache_mb * 1024ull * 1024ull / sizeof(SolNode);
-    cache_.emplace(cc);
-  }
+  if (opts_.cache_mb > 0) cache_.emplace(cache_config_mb(opts_.cache_mb));
   if (snapshot_armed()) {
     // Warm restore before the first job can dispatch.  Any defect in the
     // file — missing, torn, corrupted, wrong version — degrades to a cold
@@ -377,9 +369,6 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
     return out;
   }
   try {
-    // Mirror merlin_cli's circuit mode field for field: same CircuitSpec,
-    // same BatchOptions defaults, same flow enum — any divergence here
-    // breaks the daemon-vs-CLI bit-identity the differential tests enforce.
     BatchOptions bo;
     bo.flow = static_cast<FlowKind>(job.spec.flow);
     bo.obs = &sink;
@@ -400,11 +389,8 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
 
     BatchResult r;
     if (job.spec.kind == JobSpec::Kind::kCircuit) {
-      CircuitSpec cs;
-      cs.name = "ckt" + std::to_string(job.spec.gates);
-      cs.n_gates = job.spec.gates;
-      cs.seed = job.spec.seed;
-      const Circuit ckt = make_random_circuit(cs, lib_);
+      const Circuit ckt = make_random_circuit(
+          circuit_job_spec(job.spec.gates, job.spec.seed), lib_);
       r = runner.run(ckt);
       out.delay_ps = r.circuit.delay_ps;
       out.area = r.circuit.area;
@@ -438,17 +424,13 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
     run_span.name = SpanName::kServeRequest;
     sink.record_span(run_span);
 
-    RuntimeInfo rt;
-    rt.threads = r.stats.threads_used;
-    rt.steals = r.stats.steals;
-    rt.wall_ms = r.stats.wall_ms;
-    rt.worker_tasks = r.stats.worker_tasks;
     RequestInfo req;
     req.id = job.job_id;
     req.source = "serve";
     req.client = job.client;
     req.queue_ms = queue_ms;
-    out.stats_json = stats_to_json(sink, rt, req, serve_info());
+    out.stats_json =
+        stats_to_json(sink, r.stats.runtime_info(), req, serve_info());
     if (opts_.keep_results)
       out.result = std::make_shared<const BatchResult>(std::move(r));
     out.ok = true;

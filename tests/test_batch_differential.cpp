@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "buflib/library.h"
@@ -160,66 +159,6 @@ TEST(BatchDifferential, RepeatedParallelRunsAgree) {
         << "flow " << static_cast<int>(flow)
         << ": two 8-thread runs disagreed";
   }
-}
-
-TEST(BatchDifferential, SerialHelperMatchesBatchEngine) {
-  // run_circuit_flow is the batch engine at one thread; its circuit-level
-  // numbers must match a parallel default-flow run exactly.
-  //
-  // Not meaningful under ambient injection: the serial helper's custom
-  // constructor bypasses the guard checkpoints, so MERLIN_INJECT perturbs
-  // only the batch side of the comparison.  CI's chaos job hits this.
-  if (std::getenv("MERLIN_INJECT") != nullptr)
-    GTEST_SKIP() << "serial helper does not run under the injector";
-  const BufferLibrary lib = make_standard_library();
-  const Circuit ckt = random_circuit(5, lib);
-  const FlowConfig cfg = cheap_cfg();
-  const CircuitFlowResult serial = run_circuit_flow(
-      ckt, lib,
-      [&cfg](const Net& n, const BufferLibrary& l) { return run_flow3(n, l, cfg); });
-
-  BatchOptions opts;
-  opts.threads = 4;
-  opts.flow = FlowKind::kFlow3;
-  opts.scaled_config = false;
-  opts.config = cfg;
-  const BatchResult parallel = BatchRunner(lib, opts).run(ckt);
-  EXPECT_EQ(serial.delay_ps, parallel.circuit.delay_ps);
-  EXPECT_EQ(serial.area, parallel.circuit.area);
-  EXPECT_EQ(serial.nets_routed, parallel.circuit.nets_routed);
-  EXPECT_EQ(serial.buffers_inserted, parallel.circuit.buffers_inserted);
-}
-
-TEST(BatchDifferential, SeededStreamsDependOnlyOnNetId) {
-  // A deliberately randomized constructor: it perturbs its pruning budget
-  // from the per-net stream.  Thread count and scheduling must not leak in.
-  const BufferLibrary lib = make_standard_library();
-  const Circuit ckt = random_circuit(7, lib);
-
-  auto randomized = [](const Net& net, const BufferLibrary& l, Rng& rng) {
-    FlowConfig cfg = cheap_cfg();
-    cfg.candidates.max_candidates =
-        8 + static_cast<std::size_t>(rng.uniform_int(0, 4));
-    cfg.engine_prune.max_solutions =
-        3 + static_cast<std::size_t>(rng.uniform_int(0, 2));
-    return run_flow2(net, l, cfg);
-  };
-
-  auto run_with = [&](std::size_t threads) {
-    BatchOptions opts;
-    opts.threads = threads;
-    opts.seed = 42;
-    opts.custom_flow = randomized;
-    return BatchRunner(lib, opts).run(ckt);
-  };
-  const BatchResult serial = run_with(1);
-  const BatchResult parallel = run_with(8);
-  EXPECT_TRUE(batch_results_identical(serial, parallel));
-
-  // The stream seed is a pure function of (base seed, net id).
-  EXPECT_EQ(batch_net_seed(42, 7), batch_net_seed(42, 7));
-  EXPECT_NE(batch_net_seed(42, 7), batch_net_seed(42, 8));
-  EXPECT_NE(batch_net_seed(42, 7), batch_net_seed(43, 7));
 }
 
 TEST(BatchDifferential, StepBudgetsPreserveBitIdentity) {

@@ -11,6 +11,7 @@
 #include "flow/batch.h"
 #include "flow/circuit.h"
 #include "net/generator.h"
+#include "runtime/faultinject.h"
 
 namespace merlin {
 namespace {
@@ -36,6 +37,16 @@ Circuit small_circuit(const BufferLibrary& lib) {
   spec.n_primary_inputs = 4;
   spec.seed = 9001;
   return make_random_circuit(spec, lib);
+}
+
+// Every construction attempt throws: a rate-1.0 throw fault at the start of
+// each attempt (batch.net), before any flow runs.
+FaultInjector always_throw() {
+  FaultPlan plan;
+  plan.kind = FaultKind::kThrow;
+  plan.rate = 1.0;
+  plan.site = FaultSite::kBatchNet;
+  return FaultInjector(plan);
 }
 
 BatchResult run(const Circuit& ckt, const BufferLibrary& lib, FlowKind flow) {
@@ -129,10 +140,8 @@ TEST(BatchStats, WorkerExceptionsPropagateToTheCallerUnderAbortPolicy) {
   BatchOptions opts;
   opts.threads = 4;
   opts.fail_policy = FailPolicy::kAbort;
-  opts.custom_flow = [](const Net& net, const BufferLibrary&,
-                        Rng&) -> FlowResult {
-    throw std::runtime_error("constructor failed on " + net.name);
-  };
+  const FaultInjector throws = always_throw();
+  opts.inject = &throws;
   EXPECT_THROW(BatchRunner(lib, opts).run(ckt), std::runtime_error);
 }
 
@@ -141,10 +150,8 @@ TEST(BatchStats, DefaultPolicyRescuesThrowingConstructorsWithStarTrees) {
   const Circuit ckt = small_circuit(lib);
   BatchOptions opts;
   opts.threads = 4;
-  opts.custom_flow = [](const Net& net, const BufferLibrary&,
-                        Rng&) -> FlowResult {
-    throw std::runtime_error("constructor failed on " + net.name);
-  };
+  const FaultInjector throws = always_throw();
+  opts.inject = &throws;
   const BatchResult r = BatchRunner(lib, opts).run(ckt);
   EXPECT_EQ(r.stats.det.nets_ok + r.stats.det.nets_degraded,
             r.stats.det.net_count);

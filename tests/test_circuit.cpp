@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "buflib/library.h"
+#include "flow/batch.h"
 #include "flow/circuit.h"
-#include "tree/evaluate.h"
 
 namespace merlin {
 namespace {
@@ -19,16 +22,32 @@ CircuitSpec small_spec(std::uint64_t seed = 1) {
   return spec;
 }
 
-// A cheap stand-in flow: star routing, no buffers.  Keeps circuit tests fast
-// and independent of the optimizers.
-FlowResult star_flow(const Net& net, const BufferLibrary& lib) {
-  FlowResult r;
-  r.tree.add_node(NodeKind::kSource, net.source, -1, 0);
-  for (std::size_t i = 0; i < net.fanout(); ++i)
-    r.tree.add_node(NodeKind::kSink, net.sinks[i].pos,
-                    static_cast<std::int32_t>(i), 0);
-  r.eval = evaluate_tree(net, r.tree, lib);
-  return r;
+// A cheap stand-in for the optimizers: a throw fault at every net's first
+// fault site, under the skip policy, leaves each multi-sink net with the
+// unbuffered star (source wired straight to every sink).  Keeps circuit
+// tests fast and independent of the optimizers.
+CircuitFlowResult run_star(const Circuit& ckt, const BufferLibrary& lib) {
+  FaultPlan plan;
+  plan.kind = FaultKind::kThrow;
+  plan.rate = 1.0;
+  plan.site = FaultSite::kBatchNet;
+  const FaultInjector inject(plan);
+  BatchOptions opts;
+  opts.fail_policy = FailPolicy::kSkip;
+  opts.inject = &inject;
+  return BatchRunner(lib, opts).run(ckt).circuit;
+}
+
+// Small Flow II budgets: these tests check the harness, not route quality.
+BatchOptions cheap_flow2() {
+  BatchOptions opts;
+  opts.flow = FlowKind::kFlow2;
+  opts.scaled_config = false;
+  opts.config.candidates.policy = CandidatePolicy::kReducedHanan;
+  opts.config.candidates.budget_factor = 1.0;
+  opts.config.candidates.max_candidates = 10;
+  opts.config.engine_prune.max_solutions = 4;
+  return opts;
 }
 
 TEST(Circuit, GeneratorIsDeterministic) {
@@ -94,7 +113,7 @@ TEST(Circuit, GateAreaSumsCells) {
 TEST(CircuitFlow, StaProducesPositiveDelay) {
   const BufferLibrary lib = make_standard_library();
   const Circuit ckt = make_random_circuit(small_spec(), lib);
-  const CircuitFlowResult r = run_circuit_flow(ckt, lib, star_flow);
+  const CircuitFlowResult r = run_star(ckt, lib);
   EXPECT_GT(r.delay_ps, 0.0);
   EXPECT_GT(r.area, ckt.gate_area(lib) - 1e-9);  // >= gate area
   EXPECT_GT(r.nets_routed, 0u);
@@ -103,40 +122,76 @@ TEST(CircuitFlow, StaProducesPositiveDelay) {
 TEST(CircuitFlow, DeterministicAcrossRuns) {
   const BufferLibrary lib = make_standard_library();
   const Circuit ckt = make_random_circuit(small_spec(11), lib);
-  const CircuitFlowResult a = run_circuit_flow(ckt, lib, star_flow);
-  const CircuitFlowResult b = run_circuit_flow(ckt, lib, star_flow);
+  const CircuitFlowResult a = run_star(ckt, lib);
+  const CircuitFlowResult b = run_star(ckt, lib);
   EXPECT_DOUBLE_EQ(a.delay_ps, b.delay_ps);
   EXPECT_DOUBLE_EQ(a.area, b.area);
 }
 
 TEST(CircuitFlow, BufferedFlowReducesCircuitDelay) {
-  // Inserting buffers on multi-sink nets (simple van-Ginneken-ish star with
-  // a single mid buffer when load is heavy) must not slow the circuit down
+  // Inserting buffers on multi-sink nets must not slow the circuit down
   // dramatically; here we just verify the harness reacts to the flow choice.
   const BufferLibrary lib = make_standard_library();
   CircuitSpec spec = small_spec(13);
   spec.n_gates = 60;
   const Circuit ckt = make_random_circuit(spec, lib);
 
-  auto buffered_star = [&](const Net& net, const BufferLibrary& l) {
-    FlowResult r;
-    r.tree.add_node(NodeKind::kSource, net.source, -1, 0);
-    const std::size_t strongest = l.size() - 1;
-    const auto buf = r.tree.add_node(NodeKind::kBuffer, net.source,
-                                     static_cast<std::int32_t>(strongest), 0);
-    for (std::size_t i = 0; i < net.fanout(); ++i)
-      r.tree.add_node(NodeKind::kSink, net.sinks[i].pos,
-                      static_cast<std::int32_t>(i), buf);
-    r.eval = evaluate_tree(net, r.tree, l);
-    return r;
-  };
-
-  const CircuitFlowResult plain = run_circuit_flow(ckt, lib, star_flow);
-  const CircuitFlowResult buf = run_circuit_flow(ckt, lib, buffered_star);
+  const CircuitFlowResult plain = run_star(ckt, lib);
+  const CircuitFlowResult buf = BatchRunner(lib, cheap_flow2()).run(ckt).circuit;
   EXPECT_GT(buf.buffers_inserted, 0u);
   EXPECT_GT(buf.area, plain.area);
   // Both are valid implementations of the same circuit.
   EXPECT_GT(buf.delay_ps, 0.0);
+}
+
+TEST(CircuitFlow, ReqCompressionReachesTheBatch) {
+  const BufferLibrary lib = make_standard_library();
+  const Circuit ckt = make_random_circuit(small_spec(17), lib);
+
+  // Compression halves each net's required-time spread toward its maximum.
+  const std::vector<CircuitNet> raw = extract_circuit_nets(ckt, lib);
+  const std::vector<CircuitNet> half = extract_circuit_nets(ckt, lib, 0.5);
+  ASSERT_EQ(raw.size(), half.size());
+  std::size_t spread_nets = 0;
+  for (std::size_t n = 0; n < raw.size(); ++n) {
+    const std::vector<Sink>& rs = raw[n].net.sinks;
+    const std::vector<Sink>& hs = half[n].net.sinks;
+    ASSERT_EQ(raw[n].driver_gate, half[n].driver_gate);
+    ASSERT_EQ(rs.size(), hs.size());
+    double max_req = rs[0].req_time;
+    for (const Sink& s : rs) max_req = std::max(max_req, s.req_time);
+    bool spread = false;
+    for (std::size_t k = 0; k < rs.size(); ++k) {
+      EXPECT_DOUBLE_EQ(hs[k].req_time,
+                       max_req - (max_req - rs[k].req_time) * 0.5)
+          << "net " << raw[n].driver_gate << " sink " << k;
+      EXPECT_EQ(hs[k].pos, rs[k].pos);
+      spread = spread || rs[k].req_time != max_req;
+    }
+    if (spread) ++spread_nets;
+  }
+  ASSERT_GT(spread_nets, 0u) << "no net has a required-time spread to halve";
+
+  // BatchOptions::req_compression reaches the extraction: the compressed
+  // run differs from the raw one and equals a run of the extracted nets.
+  // The explicit never-firing injector keeps MERLIN_INJECT out, since it
+  // decides by net id and run_nets numbers nets by index.
+  const FaultInjector never(FaultPlan{});
+  BatchOptions opts = cheap_flow2();
+  opts.inject = &never;
+  const BatchResult plain = BatchRunner(lib, opts).run(ckt);
+  opts.req_compression = 0.5;
+  const BatchResult compressed = BatchRunner(lib, opts).run(ckt);
+  EXPECT_NE(batch_result_digest(compressed), batch_result_digest(plain));
+
+  std::vector<Net> nets;
+  for (const CircuitNet& cn : half) nets.push_back(cn.net);
+  const BatchResult extracted = BatchRunner(lib, opts).run_nets(nets);
+  ASSERT_EQ(extracted.nets.size(), compressed.nets.size());
+  for (std::size_t n = 0; n < nets.size(); ++n)
+    EXPECT_TRUE(flow_results_identical(extracted.nets[n].result,
+                                       compressed.nets[n].result))
+        << "net " << compressed.nets[n].net_id;
 }
 
 TEST(Circuit, RejectsDegenerateSpecs) {

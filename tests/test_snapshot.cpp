@@ -13,7 +13,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -23,6 +25,7 @@
 #include "cache/shard.h"
 #include "cache/snapshot.h"
 #include "cache/store.h"
+#include "format_corpus.h"
 
 namespace merlin {
 namespace {
@@ -363,6 +366,76 @@ TEST(CacheSnapshotAtomicity, UnwritablePathFailsWithoutTouchingTheCache) {
       save_cache_snapshot(cache, "/no/such/dir/cache.snap", nullptr, &err));
   EXPECT_FALSE(err.empty());
   EXPECT_EQ(cache.entry_count(), 2u);  // the source cache is untouched
+}
+
+// -- the section checksum ---------------------------------------------------
+
+/// The sections of an MSNP image, as (payload, stored CRC) pairs.
+std::vector<std::pair<std::string, std::uint32_t>> sections(
+    const std::string& file) {
+  const auto le = [&](std::size_t at, int n) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < n; ++i)
+      v |= std::uint64_t{static_cast<unsigned char>(file[at + i])} << (8 * i);
+    return v;
+  };
+  std::vector<std::pair<std::string, std::uint32_t>> out;
+  for (std::size_t at = 8; at + 16 <= file.size();) {
+    const std::uint64_t len = le(at + 4, 8);
+    const auto crc = static_cast<std::uint32_t>(le(at + 12, 4));
+    out.emplace_back(file.substr(at + 16, len), crc);
+    at += 16 + len;
+  }
+  return out;
+}
+
+TEST(CacheSnapshotCrc, SaveAndLoadAgreeWithTheBitwiseCrc32) {
+  SnapDir snap;
+  // Save: every section's stored CRC is the bitwise CRC-32 of its payload,
+  // for an empty store (0-, 8- and 32-byte payloads) and for one whose
+  // shard section passes 1 MiB (256-byte entries).
+  for (const std::uint64_t count : {0u, 4200u}) {
+    SubproblemCache cache(big_config());
+    populate(cache, count);
+    ASSERT_TRUE(save_cache_snapshot(cache, snap.path));
+    const auto secs = sections(read_file(snap.path));
+    ASSERT_EQ(secs.size(), 3u);
+    EXPECT_GE(secs[1].first.size(), count * 256);
+    for (const auto& [payload, crc] : secs)
+      EXPECT_EQ(crc, corpus::crc32(payload)) << payload.size() << " bytes";
+  }
+
+  // Load: a section of an unknown tag is refused only after its CRC
+  // passed, so the detail tells which check refused it.  With the bitwise
+  // CRC it is the tag; with one bit of the CRC flipped, the CRC.
+  std::string bytes(std::size_t{1} << 20, '\0');
+  std::uint64_t x = 0x243F6A8885A308D3ull;
+  for (char& c : bytes) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(x >> 56);
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(bytes.size());
+  for (const std::size_t n : lengths) {
+    const std::string_view payload(bytes.data(), n);
+    for (const std::uint32_t flip : {0u, 1u}) {
+      std::string file;
+      corpus::put_le(file, kSnapshotMagic, 4);
+      corpus::put_le(file, kSnapshotVersion, 4);
+      corpus::put_le(file, 7, 4);  // no such section tag
+      corpus::put_le(file, n, 8);
+      corpus::put_le(file, corpus::crc32(payload) ^ flip, 4);
+      file.append(payload);
+      write_file(snap.path, file);
+      SubproblemCache dst(big_config());
+      const SnapshotLoadResult lr = load_cache_snapshot(dst, snap.path);
+      EXPECT_EQ(lr.status, SnapshotLoadStatus::kCorrupt);
+      EXPECT_EQ(lr.detail,
+                flip != 0 ? "section CRC mismatch" : "unknown section tag")
+          << n << " bytes";
+    }
+  }
 }
 
 }  // namespace

@@ -231,11 +231,8 @@ int main(int argc, char** argv) {
     try {
       probe_writable(stats_json_path);
       probe_writable(trace_out_path);
-      CircuitSpec spec;
-      spec.name = "ckt" + std::to_string(circuit_gates);
-      spec.n_gates = circuit_gates;
-      spec.seed = circuit_seed;
-      const Circuit ckt = make_random_circuit(spec, lib);
+      const Circuit ckt =
+          make_random_circuit(circuit_job_spec(circuit_gates, circuit_seed), lib);
 
       ObsSink sink;
       BatchOptions opts;
@@ -263,9 +260,7 @@ int main(int argc, char** argv) {
       }
       // Shared cross-net sub-problem cache (src/cache/).  Budgeted in
       // provenance nodes; results are bit-identical with it on or off.
-      CacheConfig cc;
-      cc.capacity_nodes = cache_mb * 1024ull * 1024ull / sizeof(SolNode);
-      SubproblemCache cache(cc);
+      SubproblemCache cache(cache_config_mb(cache_mb));
       opts.cache = &cache;
       // One live stderr line, rewritten in place as nets retire.  The
       // callback runs on pool workers; the mutex serializes the ticker and
@@ -305,12 +300,8 @@ int main(int argc, char** argv) {
                     cache_env_off() ? " (detached: MERLIN_CACHE=off)" : "");
       }
       if (!stats_json_path.empty()) {
-        RuntimeInfo rt;
-        rt.threads = r.stats.threads_used;
-        rt.steals = r.stats.steals;
-        rt.wall_ms = r.stats.wall_ms;
-        rt.worker_tasks = r.stats.worker_tasks;
-        write_stats_file(stats_json_path, stats_to_json(sink, rt));
+        write_stats_file(stats_json_path,
+                         stats_to_json(sink, r.stats.runtime_info()));
         std::printf("wrote %s\n", stats_json_path.c_str());
       }
       if (!trace_out_path.empty()) {
