@@ -4,8 +4,10 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "cache/shard.h"
+#include "core/gamma.h"
 #include "core/grouping.h"
 #include "curve/fork.h"
 #include "ptree/range_dp.h"
@@ -15,57 +17,6 @@ namespace merlin {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Gamma table storage.
-//
-// For every sub-group (l, e, r) and candidate location p two curve families
-// exist conceptually:
-//   anchor A(l,e,r,p): structures rooted exactly at p (buffer options at p
-//                      already applied);
-//   child  X(l,e,r,p): the group as seen *from* p when used inside a parent
-//                      layer — the pruned union over anchors pc of A(...,pc)
-//                      extended by a wire pc -> p.
-// Parent layers only ever consume X; the final extraction only needs A of
-// the full group (l == n).  So the long-lived table stores X for l < n and
-// A for l == n, keeping memory at one curve set per (l,e,r,p).
-// ---------------------------------------------------------------------------
-class GammaTable {
- public:
-  GammaTable(std::size_t n, std::size_t k) : n_(n), k_(k), cells_(n * 4 * n * k) {}
-
-  SolutionCurve& at(std::size_t l, Chi e, std::size_t r, std::size_t p) {
-    return cells_[index(l, e, r, p)];
-  }
-  [[nodiscard]] const SolutionCurve& at(std::size_t l, Chi e, std::size_t r,
-                                        std::size_t p) const {
-    return cells_[index(l, e, r, p)];
-  }
-  /// The k curves of one (l, e, r) state, contiguous over p.  Layers consume
-  /// child states through this view instead of copying k curves per variant.
-  [[nodiscard]] std::span<const SolutionCurve> row(std::size_t l, Chi e,
-                                                   std::size_t r) const {
-    return {&cells_[index(l, e, r, 0)], k_};
-  }
-
- private:
-  [[nodiscard]] std::size_t index(std::size_t l, Chi e, std::size_t r,
-                                  std::size_t p) const {
-    assert(l >= 1 && l <= n_ && r < n_ && p < k_);
-    return (((l - 1) * 4 + static_cast<std::size_t>(e)) * n_ + r) * k_ + p;
-  }
-
- public:
-  [[nodiscard]] std::size_t total_solutions() const {
-    std::size_t total = 0;
-    for (const SolutionCurve& c : cells_) total += c.size();
-    return total;
-  }
-
- private:
-  std::size_t n_, k_;
-  std::vector<SolutionCurve> cells_;
-};
-
 // One element of a layer's terminal sequence: either a direct sink or one of
 // the layer's inner sub-groups (one in the classic Ca_Tree, up to two in the
 // relaxed structure).
@@ -74,7 +25,7 @@ struct Terminal {
   std::uint8_t child_slot = 0;  ///< which inner group, when is_child
   /// Identity of the terminal's base curves within one construction: the
   /// original sink index for a direct sink, n + the Gamma state index of
-  /// (l, e, r) for a child (see child_terminal_id).  RangeMemo keys on it.
+  /// (l, e, r) for a child (see child_terminal_id).  The run table keys on it.
   std::uint32_t id = 0;
   std::size_t pos = 0;      ///< order position (kNoPos for the child/displaced)
 };
@@ -86,90 +37,24 @@ std::uint32_t child_terminal_id(const GroupSpan& g, std::size_t n) {
 
 inline constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
-// The *PTREE range memo: Lemma 7's sub-problem sharing one level below the
-// Gamma groups.  Within one construction a range (i, j) of a layer's terminal
-// sequence yields curves that depend only on its ordered terminal identities:
-// child rows are final before any parent layer reads them, sink base curves
-// are fixed, and the kernel's tie-break sequence numbers restart per batch
-// op.  So every layer call that meets an already computed run of terminals
-// (another child choice, a within-layer swap variant, another parent group)
-// copies its k curves instead of recomputing them — metric-identical, with
-// the same tie-breaks, and sharing the first computation's provenance
-// sub-DAGs in the arena.  Storage is flat: keys in one id pool, curves in one
-// solution pool with k offsets per entry, and an open-addressed index.
-class RangeMemo {
- public:
-  static constexpr std::uint32_t kMissing = static_cast<std::uint32_t>(-1);
+// One (L, E, R) group that layer L computes (a cache hit is not planned):
+// its cache key and its layer calls, in call order, as calls[begin, end).
+struct GroupPlan {
+  GroupSpan span;
+  CacheKey key{};
+  std::size_t begin = 0, end = 0;
+};
 
-  explicit RangeMemo(std::size_t k) : k_(k), offs_(1, 0) {}
-
-  /// Entry holding the run `ids`, or kMissing.
-  [[nodiscard]] std::uint32_t find(std::span<const std::uint32_t> ids) const {
-    if (slots_.empty()) return kMissing;
-    const std::uint64_t h = hash(ids);
-    for (std::size_t s = h & (slots_.size() - 1);; s = (s + 1) & (slots_.size() - 1)) {
-      if (slots_[s] == 0) return kMissing;
-      const Entry& e = entries_[slots_[s] - 1];
-      if (e.hash == h && e.key_len == ids.size() &&
-          std::equal(ids.begin(), ids.end(), key_pool_.begin() + e.key_off))
-        return slots_[s] - 1;
-    }
-  }
-
-  /// Curve p of entry `e`.
-  [[nodiscard]] std::span<const Solution> curve(std::uint32_t e, std::size_t p) const {
-    const std::size_t at = e * k_ + p;
-    return {sol_pool_.data() + offs_[at], offs_[at + 1] - offs_[at]};
-  }
-
-  /// Stores `curves` (one per candidate) as the run `ids`, which must be
-  /// absent.
-  void insert(std::span<const std::uint32_t> ids,
-              std::span<const SolutionCurve> curves) {
-    if (2 * (entries_.size() + 1) > slots_.size()) grow();
-    entries_.push_back(Entry{hash(ids), static_cast<std::uint32_t>(key_pool_.size()),
-                             static_cast<std::uint32_t>(ids.size())});
-    key_pool_.insert(key_pool_.end(), ids.begin(), ids.end());
-    for (const SolutionCurve& c : curves) {
-      sol_pool_.insert(sol_pool_.end(), c.begin(), c.end());
-      offs_.push_back(sol_pool_.size());
-    }
-    place(static_cast<std::uint32_t>(entries_.size() - 1));
-  }
-
- private:
-  struct Entry {
-    std::uint64_t hash;
-    std::uint32_t key_off, key_len;
-  };
-
-  static std::uint64_t hash(std::span<const std::uint32_t> ids) {
-    std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ ids.size();
-    for (const std::uint32_t id : ids) {
-      h ^= id;
-      h *= 0xBF58476D1CE4E5B9ULL;
-      h ^= h >> 29;
-    }
-    return h;
-  }
-
-  void place(std::uint32_t idx) {
-    std::size_t s = entries_[idx].hash & (slots_.size() - 1);
-    while (slots_[s] != 0) s = (s + 1) & (slots_.size() - 1);
-    slots_[s] = idx + 1;
-  }
-
-  void grow() {
-    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
-    for (std::uint32_t i = 0; i < entries_.size(); ++i) place(i);
-  }
-
-  std::size_t k_;
-  std::vector<std::size_t> offs_;     ///< entry e, curve p: [e*k+p, e*k+p+1)
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> key_pool_;
-  std::vector<Solution> sol_pool_;
-  std::vector<std::uint32_t> slots_;  ///< entry index + 1; 0 = empty
+// What the serial plan pass of one layer leaves for its fork phases.
+// Reused from layer to layer, so curve capacity warms up once.
+struct LayerPlan {
+  std::vector<GroupPlan> groups;
+  std::vector<RangeDp::Entry> calls;  ///< each call's whole-sequence run
+  std::vector<std::vector<RangeDp::Entry>> levels;  ///< new runs, by length
+  std::vector<SolutionCurve> acc;     ///< anchors A(L,E,R,p), group-major
+  std::vector<SolutionCurve> x;       ///< child curves X(L,E,R,p), ditto
+  std::vector<std::uint64_t> entering;  ///< points entering acc's last prune
+  std::vector<const SolutionCurve*> srcs;  ///< &acc[i]: the child phase input
 };
 
 struct Workspace {
@@ -184,14 +69,16 @@ struct Workspace {
   std::size_t n = 0;
   GammaTable gamma;
   std::size_t layer_calls = 0;
-  // Per-layer-call state, reused across the whole construction so curve and
-  // table capacity warms up once (see RangeDp::prepare).  Within-layer wire
-  // extensions start only from each candidate's extension_neighbors nearest.
+  /// Every sink wired from every candidate (sink-major, unpruned): built
+  /// once per construction, read by the length-1 groups and, pruned, as
+  /// the run table's sink terminals.
+  std::vector<SolutionCurve> sink_base;
+  // The construction's run table: within-layer wire extensions start only
+  // from each candidate's extension_neighbors nearest.
   RangeDp dp;
-  std::vector<SolutionCurve> routed_scratch;  // layer_ptree output, one per p
-  std::vector<std::uint32_t> ids_scratch;  // layer_ptree's terminal ids
-  RangeMemo ranges;
-  CandidateFork fork;  // root options and child curves, per candidate
+  LayerPlan plan;
+  std::vector<std::uint32_t> ids;  // one layer call's terminal ids
+  CandidateFork fork;  // root options and child curves, per (group, p)
 
   Workspace(const Net& net_, const BufferLibrary& lib_, const BubbleConfig& cfg_,
             const Order& order_, SolutionArena& arena_, CandidateSet cands)
@@ -200,108 +87,151 @@ struct Workspace {
         n(net_.fanout()), gamma(net_.fanout(), pts.size()),
         dp(arena_, pts, extension_sources(pts, cfg_.extension_neighbors),
            net_.wire, cfg_.wire_widths, cfg_.inner_prune, cfg_.pool),
-        ranges(pts.size()), fork(arena_, cfg_.pool) {}
+        fork(arena_, cfg_.pool) {}
+
+  /// Phase boundary: the arena soft cap and the deadline.
+  void boundary() const {
+    guard_phase(cfg.guard, static_cast<std::uint32_t>(
+                               std::min<std::size_t>(arena.size(), kNullSol)));
+  }
 };
 
-// The *PTREE layer DP (paper section 3.2.3): finds non-inferior rectilinear
-// routings rooted at every candidate location over the ordered terminals,
-// where one terminal may be an already-built sub-group represented by its
-// child curves X (one curve per root location, viewed in place in the Gamma
-// table).  Fills `routed` with the full-range curve per candidate location.
-// The ranges run ptree_route's range DP (ptree/range_dp.h); ranges of
-// two or more terminals go through the construction's RangeMemo first.
-void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
-                 std::span<const std::span<const SolutionCurve>> children,
-                 std::vector<SolutionCurve>& routed) {
+// Plans one *PTREE layer call (paper section 3.2.3) over the ordered
+// terminals `seq`, where a terminal may be an already-built sub-group
+// represented by its child curves X (one Gamma row, read in place).  Charges
+// the call to the guard and interns every terminal run of two or more
+// terminals into the run table: a run already there (from an earlier layer,
+// or from an earlier call of this layer) is a reuse hit, a new one joins its
+// length's level, solved after the plan.  Records the call's
+// whole-sequence run, whose curves are the routings rooted at every
+// candidate location.
+void plan_layer_call(Workspace& ws, const std::vector<Terminal>& seq,
+                     std::span<const std::span<const SolutionCurve>> children) {
   const std::size_t w = seq.size();
-  const std::size_t k = ws.k;
-  RangeDp& dp = ws.dp;
-  dp.prepare(w);
   ++ws.layer_calls;
   // One DP step per layer call, weighted by its (terminals x candidates)
   // state count — the dominant cost unit of the whole construction.
-  guard_step(ws.cfg.guard, w * k);
+  guard_step(ws.cfg.guard, w * ws.k);
   guard_point(ws.cfg.guard, FaultSite::kBubbleLayer);
 
+  RangeDp& dp = ws.dp;
+  std::vector<std::uint32_t>& ids = ws.ids;
+  ids.resize(w);
+  RangeDp::Entry whole = RangeDp::kMissing;
   for (std::size_t t = 0; t < w; ++t) {
-    if (seq[t].is_child) {
-      const auto& child_at = children[seq[t].child_slot];
-      for (std::size_t p = 0; p < k; ++p) dp.at(t, t, p) = child_at[p];
-    } else {
-      dp.set_sink(t, ws.net.sinks[seq[t].id], static_cast<std::int32_t>(seq[t].id));
+    ids[t] = seq[t].id;
+    whole = dp.find(std::span(ids).subspan(t, 1));
+    if (whole == RangeDp::kMissing) {  // sinks are added up front
+      assert(seq[t].is_child);
+      whole = dp.add_view(ids[t], children[seq[t].child_slot]);
     }
   }
-
-  std::vector<std::uint32_t>& ids = ws.ids_scratch;
-  ids.resize(w);
-  for (std::size_t t = 0; t < w; ++t) ids[t] = seq[t].id;
+  std::vector<std::vector<RangeDp::Entry>>& levels = ws.plan.levels;
+  if (levels.size() <= w) levels.resize(w + 1);
   for (std::size_t len = 2; len <= w; ++len) {
     for (std::size_t i = 0; i + len <= w; ++i) {
-      const std::size_t j = i + len - 1;
       const std::span<const std::uint32_t> run(ids.data() + i, len);
-      const std::span<SolutionCurve> cells = dp.row(i, j);
-      if (const std::uint32_t hit = ws.ranges.find(run); hit != RangeMemo::kMissing) {
+      whole = dp.find(run);
+      if (whole != RangeDp::kMissing) {
         obs_add(ws.cfg.obs, Counter::kRangeReuseHits);
-        for (std::size_t p = 0; p < k; ++p)
-          for (const Solution& s : ws.ranges.curve(hit, p)) cells[p].push(s);
         continue;
       }
       obs_add(ws.cfg.obs, Counter::kRangeReuseMisses);
-      dp.solve(i, j);
-      ws.ranges.insert(run, cells);
+      whole = dp.add_run(run);
+      levels[len].push_back(whole);
     }
   }
-
-  routed.resize(k);
-  for (std::size_t p = 0; p < k; ++p) {
-    routed[p].clear();
-    for (const Solution& s : dp.at(0, w - 1, p)) routed[p].push(s);
-  }
+  ws.plan.calls.push_back(whole);
 }
 
-// Converts anchor curves (one per candidate) into child curves X: at each
-// destination p, the pruned union over anchors pc of "A at pc + wire pc->p".
-std::vector<SolutionCurve> anchors_to_child(Workspace& ws,
-                                            const std::vector<SolutionCurve>& anchor) {
-  std::vector<SolutionCurve> x(ws.k);
-  std::vector<const SolutionCurve*> srcs(ws.k);
-  for (std::size_t pc = 0; pc < ws.k; ++pc) srcs[pc] = &anchor[pc];
+// The child phase: for every planned group g and destination p, the pruned
+// union over anchors pc of "A(g, pc) + wire pc->p" into x[g*k + p].
+void child_phase(Workspace& ws) {
+  LayerPlan& plan = ws.plan;
+  const std::size_t k = ws.k;
+  const std::size_t items = plan.groups.size() * k;
+  if (plan.x.size() < items) plan.x.resize(items);
+  plan.srcs.resize(items);
+  for (std::size_t i = 0; i < items; ++i) plan.srcs[i] = &plan.acc[i];
   // Child curves are long-lived inputs to later layers; give them the
   // (richer) group budget rather than the transient inner one.
   ws.fork.run(
-      ws.k, ws.cfg.group_prune.obs,
-      [&](std::size_t p, SolutionArena& lane, ObsSink* lane_obs) {
+      items, ws.cfg.group_prune.obs,
+      [&](std::size_t item, SolutionArena& lane, ObsSink* lane_obs) {
         PruneConfig pc = ws.cfg.group_prune;
         pc.obs = lane_obs;
-        push_extended_options(lane, srcs, ws.pts, ws.pts[p], ws.net.wire, pc,
-                              x[p], ws.cfg.wire_widths);
+        const std::span<const SolutionCurve* const> srcs(
+            &plan.srcs[item - item % k], k);
+        plan.x[item].clear();
+        push_extended_options(lane, srcs, ws.pts, ws.pts[item % k], ws.net.wire,
+                              pc, plan.x[item], ws.cfg.wire_widths);
       },
-      [&](std::size_t p) -> SolutionCurve& { return x[p]; });
-  return x;
+      [&](std::size_t item) -> SolutionCurve& { return plan.x[item]; });
+  ws.boundary();
 }
 
-// Applies root options at every candidate: buffered variants always, the
-// unbuffered originals when the configuration (or the top level) allows.
-void apply_root_options(Workspace& ws, const std::vector<SolutionCurve>& routed,
-                        bool keep_unbuffered, std::vector<SolutionCurve>& into) {
+// Writes the planned groups' curves into Gamma (and, below the top layer,
+// into the cache), serially in (E, R) order: A for the whole net, X else.
+void write_layer(Workspace& ws, std::size_t L, CacheSession* cache) {
+  LayerPlan& plan = ws.plan;
+  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    const GroupSpan& G = plan.groups[g].span;
+    std::vector<SolutionCurve>& from = L == ws.n ? plan.acc : plan.x;
+    const std::span<SolutionCurve> curves(&from[g * ws.k], ws.k);
+    if (cache != nullptr && L < ws.n)
+      cache->insert(plan.groups[g].key, curves, ws.arena);
+    for (std::size_t p = 0; p < ws.k; ++p)
+      ws.gamma.at(L, G.e, G.right, p) = std::move(curves[p]);
+  }
+}
+
+// The root-options phase: item (g, p) pours every layer call of group g,
+// in call order, into the anchor accumulation A(g, p) — the buffered
+// variants always, the unbuffered originals when `keep_unbuffered` — and
+// prunes it once at the end with the group budget.  Then records each
+// group's layer statistics in (E, R) order.
+void root_phase(Workspace& ws, std::size_t L, bool keep_unbuffered) {
+  LayerPlan& plan = ws.plan;
+  const std::size_t k = ws.k;
+  const std::size_t items = plan.groups.size() * k;
+  if (plan.acc.size() < items) plan.acc.resize(items);
+  plan.entering.resize(items);
   ws.fork.run(
-      ws.k, ws.cfg.obs,
-      [&](std::size_t p, SolutionArena& lane, ObsSink* lane_obs) {
-        if (routed[p].empty()) return;
-        if (keep_unbuffered)
-          for (const Solution& s : routed[p]) into[p].push(s);
-        push_buffered_options(lane, routed[p], ws.pts[p], ws.lib, into[p],
-                              ws.cfg.buffer_stride, lane_obs);
-        // Amortized pruning keeps accumulation cells from ballooning while
-        // many (l, e, r) child choices pour into the same (L, E, R) group.
-        if (into[p].size() >
-            4 * std::max<std::size_t>(ws.cfg.group_prune.max_solutions, 8)) {
-          PruneConfig pc = ws.cfg.group_prune;
-          pc.obs = lane_obs;
-          into[p].prune(pc);
+      items, ws.cfg.obs,
+      [&](std::size_t item, SolutionArena& lane, ObsSink* lane_obs) {
+        const GroupPlan& g = plan.groups[item / k];
+        const std::size_t p = item % k;
+        PruneConfig pc = ws.cfg.group_prune;
+        pc.obs = lane_obs;
+        SolutionCurve& into = plan.acc[item];
+        into.clear();
+        for (std::size_t c = g.begin; c < g.end; ++c) {
+          const SolutionCurve& routed = ws.dp.curves(plan.calls[c])[p];
+          if (routed.empty()) continue;
+          if (keep_unbuffered)
+            for (const Solution& s : routed) into.push(s);
+          push_buffered_options(lane, routed, ws.pts[p], ws.lib, into,
+                                ws.cfg.buffer_stride, lane_obs);
+          // Amortized pruning keeps accumulation cells from ballooning while
+          // many (l, e, r) child choices pour into the same (L, E, R) group.
+          if (into.size() >
+              4 * std::max<std::size_t>(ws.cfg.group_prune.max_solutions, 8))
+            into.prune(pc);
         }
+        plan.entering[item] = into.size();
+        into.prune(pc);
       },
-      [&](std::size_t p) -> SolutionCurve& { return into[p]; });
+      [&](std::size_t item) -> SolutionCurve& { return plan.acc[item]; });
+  ws.boundary();
+  if (ws.cfg.obs == nullptr) return;
+  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    std::uint64_t entering = 0, kept = 0;
+    for (std::size_t i = g * k; i < (g + 1) * k; ++i) {
+      entering += plan.entering[i];
+      kept += plan.acc[i].size();
+    }
+    obs_layer(ws.cfg.obs, L, entering, entering - kept, kept);
+  }
 }
 
 // Builds the layer terminal sequence for parent `Omega` using the inner
@@ -441,6 +371,7 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
   if (cfg.alpha < 2) throw std::invalid_argument("bubble_construct: alpha must be >= 2");
 
   Workspace ws(net, lib, cfg, order, arena, route_candidates(net, cfg.candidates));
+  const std::size_t k = ws.k;
 
   // Context signature for cache keys (cache/signature.h): mixed once per
   // run (mix_bubble_context); per-group keys fork from this digest.
@@ -461,39 +392,63 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
     return cs;
   };
 
+  // Every sink's direct-wire options at every candidate, once.  The run
+  // table's sink terminals are their inner-pruned copies.
+  ws.sink_base.resize(n * k);
+  for (std::uint32_t sid = 0; sid < n; ++sid) {
+    const std::span<SolutionCurve> base(&ws.sink_base[sid * k], k);
+    for (std::size_t p = 0; p < k; ++p)
+      push_sink_options(arena, net.sinks[sid], static_cast<std::int32_t>(sid),
+                        ws.pts[p], net.wire, cfg.wire_widths, base[p]);
+    if (n > 1) ws.dp.add_terminal(sid, base);
+  }
+
   // INITIALIZATION (Figure 9 lines 1-4): length-1 groups.  Single-sink
   // structures may always carry a buffer (they are leaves, not internal
   // nodes, so allow_unbuffered_groups does not apply).
-  for (Chi e : chis(1)) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const GroupSpan span{1, e, r};
-      if (!span.valid(n)) continue;
-      const std::uint32_t sid = order[span.member_positions().front()];
-      std::vector<SolutionCurve> anchor(ws.k);
-      for (std::size_t p = 0; p < ws.k; ++p) {
-        SolutionCurve base;
-        push_sink_options(ws.arena, net.sinks[sid], static_cast<std::int32_t>(sid),
-                          ws.pts[p], net.wire, cfg.wire_widths, base);
-        for (const Solution& sol : base) anchor[p].push(sol);
-        push_buffered_options(ws.arena, base, ws.pts[p], lib, anchor[p],
-                              cfg.buffer_stride, cfg.obs);
-        anchor[p].prune(cfg.group_prune);
-      }
-      if (n == 1) {
-        for (std::size_t p = 0; p < ws.k; ++p)
-          ws.gamma.at(1, e, r, p) = std::move(anchor[p]);
-      } else {
-        auto x = anchors_to_child(ws, anchor);
-        for (std::size_t p = 0; p < ws.k; ++p)
-          ws.gamma.at(1, e, r, p) = std::move(x[p]);
-      }
-    }
-  }
+  LayerPlan& plan = ws.plan;
+  ws.gamma.open_layer(1);
+  plan.groups.clear();
+  for (Chi e : chis(1))
+    for (std::size_t r = 0; r < n; ++r)
+      if (const GroupSpan span{1, e, r}; span.valid(n))
+        plan.groups.push_back(GroupPlan{span});
+  plan.acc.resize(std::max(plan.acc.size(), plan.groups.size() * k));
+  ws.fork.run(
+      plan.groups.size() * k, cfg.obs,
+      [&](std::size_t item, SolutionArena& lane, ObsSink* lane_obs) {
+        const std::size_t p = item % k;
+        const std::uint32_t sid =
+            order[plan.groups[item / k].span.member_positions().front()];
+        const SolutionCurve& base = ws.sink_base[sid * k + p];
+        SolutionCurve& anchor = plan.acc[item];
+        anchor.clear();
+        for (const Solution& sol : base) anchor.push(sol);
+        push_buffered_options(lane, base, ws.pts[p], lib, anchor,
+                              cfg.buffer_stride, lane_obs);
+        PruneConfig pc = cfg.group_prune;
+        pc.obs = lane_obs;
+        anchor.prune(pc);
+      },
+      [&](std::size_t item) -> SolutionCurve& { return plan.acc[item]; });
+  ws.boundary();
+  if (n > 1) child_phase(ws);
+  write_layer(ws, 1, nullptr);
+  ws.gamma.close_layer();
 
   // CONSTRUCTION (Figure 9 lines 5-20): groups by increasing sink count.
+  // Each layer is planned serially, in the order the groups, their child
+  // choices and swap variants are enumerated, then solved in fork phases
+  // over the whole layer: the new runs level by level, every group's root
+  // options, every group's child curves.  Each phase's items read only
+  // curves finished before the phase and write only their own cell.
   std::vector<Terminal> seq;
   for (std::size_t L = 2; L <= n; ++L) {
     TraceSpan layer_span(cfg.obs, SpanName::kBubbleLayer, L);
+    ws.gamma.open_layer(L);
+    plan.groups.clear();
+    plan.calls.clear();
+    for (std::vector<RangeDp::Entry>& level : plan.levels) level.clear();
     for (Chi E : chis(L)) {
       for (std::size_t R = 0; R < n; ++R) {
         const GroupSpan Omega{L, E, R};
@@ -535,14 +490,14 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
             obs_add(cfg.obs, Counter::kGammaCacheHits);
             if (shared_hit) obs_add(cfg.obs, Counter::kCacheSharedHits);
             std::vector<SolutionCurve> mat = materialize_entry(*hit, ws.arena);
-            for (std::size_t p = 0; p < ws.k; ++p)
+            for (std::size_t p = 0; p < k; ++p)
               ws.gamma.at(L, E, R, p) = std::move(mat[p]);
             continue;
           }
           obs_add(cfg.obs, Counter::kGammaCacheMisses);
         }
 
-        std::vector<SolutionCurve> acc(ws.k);  // anchor accumulation A(L,E,R,.)
+        GroupPlan group{Omega, cache_key, plan.calls.size()};
         const std::size_t l_min = (L - 1 >= cfg.alpha) ? L - cfg.alpha + 1 : 1;
         for (std::size_t l = l_min; l <= L - 1; ++l) {
           for (Chi e : chis(l)) {
@@ -571,11 +526,7 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
               } else {
                 variants.push_back(seq);
               }
-              for (const auto& var : variants) {
-                layer_ptree(ws, var, children, ws.routed_scratch);
-                apply_root_options(ws, ws.routed_scratch,
-                                   cfg.allow_unbuffered_groups || L == n, acc);
-              }
+              for (const auto& var : variants) plan_layer_call(ws, var, children);
             }
           }
         }
@@ -602,15 +553,12 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
                       const std::span<const SolutionCurve> children[2] = {
                           ws.gamma.row(l1, e1, r1), ws.gamma.row(l2, e2, r2)};
                       bool any1 = false, any2 = false;
-                      for (std::size_t p = 0; p < ws.k; ++p) {
+                      for (std::size_t p = 0; p < k; ++p) {
                         any1 = any1 || !children[0][p].empty();
                         any2 = any2 || !children[1][p].empty();
                       }
                       if (!any1 || !any2) continue;
-                      layer_ptree(ws, seq, children, ws.routed_scratch);
-                      apply_root_options(ws, ws.routed_scratch,
-                                         cfg.allow_unbuffered_groups || L == n,
-                                         acc);
+                      plan_layer_call(ws, seq, children);
                     }
                   }
                 }
@@ -618,34 +566,27 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
             }
           }
         }
-
-        if (cfg.obs != nullptr) {
-          std::uint64_t entering = 0;
-          for (std::size_t p = 0; p < ws.k; ++p) entering += acc[p].size();
-          for (std::size_t p = 0; p < ws.k; ++p) acc[p].prune(cfg.group_prune);
-          std::uint64_t kept = 0;
-          for (std::size_t p = 0; p < ws.k; ++p) kept += acc[p].size();
-          obs_layer(cfg.obs, L, entering, entering - kept, kept);
-        } else {
-          for (std::size_t p = 0; p < ws.k; ++p) acc[p].prune(cfg.group_prune);
-        }
-        if (L == n) {
-          for (std::size_t p = 0; p < ws.k; ++p)
-            ws.gamma.at(L, E, R, p) = std::move(acc[p]);
-        } else {
-          auto x = anchors_to_child(ws, acc);
-          if (cache != nullptr) cache->insert(cache_key, x, ws.arena);
-          for (std::size_t p = 0; p < ws.k; ++p)
-            ws.gamma.at(L, E, R, p) = std::move(x[p]);
-        }
+        group.end = plan.calls.size();
+        plan.groups.push_back(group);
       }
     }
+
+    for (const std::vector<RangeDp::Entry>& level : plan.levels) {
+      if (level.empty()) continue;
+      ws.dp.solve(level);
+      ws.boundary();
+    }
+    root_phase(ws, L, cfg.allow_unbuffered_groups || L == n);
+    if (L < n) child_phase(ws);
+    write_layer(ws, L, cache);
+    ws.gamma.close_layer();
   }
 
   // EXTRACTION (Figure 9 lines 21-23).
   BubbleResult res;
   res.layer_calls = ws.layer_calls;
-  const SolutionCurve& final_curve = ws.gamma.at(n, Chi::kChi0, n - 1, ws.source_p);
+  const SolutionCurve& final_curve =
+      std::as_const(ws.gamma).at(n, Chi::kChi0, n - 1, ws.source_p);
   if (final_curve.empty())
     throw std::logic_error("bubble_construct: empty final curve");
   res.root_curve = final_curve;

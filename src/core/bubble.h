@@ -110,19 +110,21 @@ struct BubbleConfig {
   ObsSink* obs = nullptr;
 
   /// Optional per-net execution guard (runtime/guard.h): charged per *P_Tree
-  /// layer call (weighted by group width) and per (l, e, r) group state, with
-  /// the arena live-node count checked at group boundaries.  Budget trips
-  /// raise BudgetExceeded out of bubble_construct.  Null = unguarded.
+  /// layer call (weighted by group width) in plan order, with the arena
+  /// live-node count checked at group boundaries and, with the deadline, at
+  /// every phase boundary.  Budget trips raise BudgetExceeded out of
+  /// bubble_construct.  Null = unguarded.
   NetGuard* guard = nullptr;
 
-  /// Optional executor for the construction's per-candidate loops (the
-  /// *PTREE range merges and extensions, the buffered root options, the
+  /// Optional executor for the construction's layer phases (each layer's
+  /// new *PTREE runs, length by length, its buffered root options and its
   /// child-curve extensions): each runs as a fork (curve/fork.h) on the
   /// pool's idle workers.  Results, counters and arena contents are
   /// identical with and without it.  The batch engine passes its own pool,
-  /// so a net's search borrows the workers other nets left idle.  The range
-  /// memo, cache staging, guard steps and fault sites stay on the calling
-  /// thread.  Null = every loop runs on the calling thread.
+  /// so a net's search borrows the workers other nets left idle.  The layer
+  /// plan (run interning, cache lookups, guard steps, fault sites) and the
+  /// cache and Gamma writes stay on the calling thread.  Null = every phase
+  /// runs on the calling thread.
   ThreadPool* pool = nullptr;
 };
 

@@ -66,7 +66,14 @@ SolNodeId SolutionArena::splice(SolutionArena& lane) {
 }
 
 void SolutionArena::close_fork() noexcept {
-  for (SolutionArena& lane : lanes_) lane.staged_.clear();
+  // Lanes keep their staging capacity for the next fork, except a buffer
+  // past kLaneRetainNodes: a wide phase's heavy items give theirs back
+  // rather than hold them while the arena grows.
+  for (SolutionArena& lane : lanes_) {
+    lane.staged_.clear();
+    if (lane.staged_.capacity() > kLaneRetainNodes)
+      std::vector<SolNode>().swap(lane.staged_);
+  }
   fork_open_ = false;
 }
 

@@ -129,7 +129,10 @@ class SolutionArena {
   SolNodeId splice(SolutionArena& lane);
 
   /// Closes the fork and empties every lane (also after a failed splice).
+  /// A lane keeps its staging capacity for the next fork up to
+  /// kLaneRetainNodes nodes.
   void close_fork() noexcept;
+  static constexpr std::size_t kLaneRetainNodes = 128;
 
   // -- access ----------------------------------------------------------------
 

@@ -4,19 +4,21 @@
 // The DP engines' innermost loops are "for every candidate location p, build
 // p's curve from curves that are already final" (paper Fig. 9; the *PTREE
 // merges and extensions, the buffered root options, the child-curve
-// extensions).  The items are independent, so a phase may run them on the
-// batch pool's idle workers (ThreadPool::parallel_for) — provided nothing
-// about the result depends on which thread ran what.  The fork guarantees
-// that with three rules:
+// extensions).  BUBBLE_CONSTRUCT runs them layer-wide: one phase's items are
+// (run, p) or (group, p) pairs over every run or group of a layer.  The
+// items are independent, so a phase may run them on the batch pool's idle
+// workers (ThreadPool::parallel_for) — provided nothing about the result
+// depends on which thread ran what.  The fork guarantees that with three
+// rules:
 //
-//   * provenance: item p allocates only into its own arena lane
+//   * provenance: item i allocates only into its own arena lane
 //     (SolutionArena::open_fork), and the lanes are spliced in item order,
 //     so the arena ends up node-for-node as a serial loop would leave it;
-//   * observability: item p records only into its own lane sink, and only
+//   * observability: item i records only into its own lane sink, and only
 //     counters and gauges (no spans); the lane sinks are folded into the
 //     phase's sink in item order;
-//   * state: item p writes only its own output curve (and scratch indexed by
-//     p) and reads only curves no item of the phase writes.
+//   * state: item i writes only its own output curve (and scratch indexed by
+//     i, or thread-local) and reads only curves no item of the phase writes.
 //
 // The fork always runs on lanes, with or without a pool — one code path, and
 // a fault injected into the arena trips at the splice whatever the thread
@@ -44,9 +46,13 @@ class CandidateFork {
   /// lane p into the arena, rebasing the lane handles of `out(p)` (the one
   /// curve item p wrote).  `lane_obs` is null when `obs` is.  An exception
   /// from an item, or from a splice (an injected arena fault, the handle
-  /// limit), propagates after the fork is closed.
+  /// limit), propagates after the fork is closed.  Each call with items
+  /// counts one fork_phases and n fork_items into `obs`; n == 0 is no phase.
   template <typename Body, typename Out>
   void run(std::size_t n, ObsSink* obs, Body&& body, Out&& out) {
+    if (n == 0) return;
+    obs_add(obs, Counter::kForkPhases);
+    obs_add(obs, Counter::kForkItems, n);
     if (obs != nullptr && lane_obs_.size() < n) lane_obs_.resize(n);
     const std::span<SolutionArena> lanes = arena_.open_fork(n);
     Closer closer{*this, n, obs != nullptr};

@@ -287,6 +287,7 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
     std::vector<std::exception_ptr> errors(jobs.size());
     std::atomic<std::size_t> completed{0};
 
+    const std::vector<std::uint64_t> cpu_before = pool.worker_cpu_ns();
     std::vector<std::future<void>> done;
     done.reserve(jobs.size());
     CacheReadPhase read_phase(shared_cache);
@@ -552,6 +553,11 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
     out.stats.threads_used = pool.size();
     out.stats.steals = pool.steal_count();
     out.stats.worker_tasks = pool.executed_counts();
+    const std::vector<std::uint64_t> cpu_after = pool.worker_cpu_ns();
+    for (std::size_t w = 0; w < cpu_after.size(); ++w)
+      out.stats.worker_cpu_ms.push_back(
+          static_cast<double>(cpu_after[w] - std::min(cpu_before[w], cpu_after[w])) /
+          1e6);
 
     // Publish staged cache writes serially in ascending net id — the same
     // deterministic-merge pattern as the stats reduction below, so the
@@ -699,6 +705,7 @@ RuntimeInfo BatchStats::runtime_info() const {
   rt.steals = steals;
   rt.wall_ms = wall_ms;
   rt.worker_tasks = worker_tasks;
+  rt.worker_cpu_ms = worker_cpu_ms;
   return rt;
 }
 

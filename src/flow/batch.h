@@ -253,6 +253,9 @@ struct BatchStats {
   std::size_t threads_used = 1;
   std::size_t steals = 0;  ///< pool tasks executed off a foreign queue
   std::vector<std::uint64_t> worker_tasks;  ///< tasks executed per worker
+  /// CPU time each pool worker thread spent in this batch: its tasks, the
+  /// forks it helped, and its spinning (ThreadPool::worker_cpu_ns deltas).
+  std::vector<double> worker_cpu_ms;
 
   double wall_ms = 0.0;          ///< end-to-end batch wall time
   double total_net_ms = 0.0;     ///< sum of per-net job wall times

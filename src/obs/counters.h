@@ -56,6 +56,12 @@ enum class Counter : std::uint16_t {
   kArenaNodesCompacted,  ///< nodes reclaimed by mark_compact
   kArenaCompactions,     ///< mark_compact calls
 
+  // Fork grain (curve/fork.h): how many per-candidate phases the engines
+  // ran and how many items they held.  Deterministic — a fork runs on lanes
+  // with or without a pool.
+  kForkPhases,           ///< CandidateFork::run calls
+  kForkItems,            ///< items over all of them (the sum of their n)
+
   // Engine invocations and their work.
   kLayerCalls,           ///< *PTREE layer-DP calls (BubbleResult::layer_calls)
   kBubbleRuns,           ///< BUBBLE_CONSTRUCT invocations (Figure 9)
@@ -137,6 +143,8 @@ inline constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCoun
     case Counter::kArenaNodesAllocated: return "arena_nodes_allocated";
     case Counter::kArenaNodesCompacted: return "arena_nodes_compacted";
     case Counter::kArenaCompactions: return "arena_compactions";
+    case Counter::kForkPhases: return "fork_phases";
+    case Counter::kForkItems: return "fork_items";
     case Counter::kLayerCalls: return "layer_calls";
     case Counter::kBubbleRuns: return "bubble_runs";
     case Counter::kMerlinIterations: return "merlin_iterations";

@@ -283,6 +283,10 @@ std::string stats_to_json(const ObsSink& sink, const RuntimeInfo& rt,
   w.begin_arr();
   for (std::uint64_t t : rt.worker_tasks) w.num(t);
   w.end_arr();
+  w.key("worker_cpu_ms");
+  w.begin_arr();
+  for (const double ms : rt.worker_cpu_ms) w.num(ms);
+  w.end_arr();
   // Span rollups live here — not in their own top-level section — because
   // their totals are wall times: scheduling facts, never diffable.  They
   // come from the sink's rollup, so they are complete whether or not the

@@ -30,6 +30,7 @@ struct RuntimeInfo {
   std::uint64_t steals = 0;
   double wall_ms = 0.0;
   std::vector<std::uint64_t> worker_tasks;  ///< tasks executed per worker
+  std::vector<double> worker_cpu_ms;       ///< CPU time per worker thread
 };
 
 /// Identity of the request a stats document describes (the v4 `request`

@@ -28,20 +28,31 @@ PTreeResult ptree_route(const Net& net, const Order& order,
   const std::size_t k = cands.pts.size();
   RangeDp dp(arena, cands.pts, extension_sources(cands.pts, 0), net.wire,
              cfg.wire_widths, cfg.prune);
-  dp.prepare(n);
-  for (std::size_t i = 0; i < n; ++i)
-    dp.set_sink(i, net.sinks[order[i]], static_cast<std::int32_t>(order[i]));
+  // Terminal t of the one sequence is sink order[t]; its id is the sink index.
+  const std::vector<std::uint32_t> ids(order.begin(), order.end());
+  std::vector<SolutionCurve> base(k);
+  for (const std::uint32_t sid : ids) {
+    for (std::size_t p = 0; p < k; ++p) {
+      base[p].clear();
+      push_sink_options(arena, net.sinks[sid], static_cast<std::int32_t>(sid),
+                        cands.pts[p], net.wire, cfg.wire_widths, base[p]);
+    }
+    dp.add_terminal(sid, base);
+  }
+  std::vector<RangeDp::Entry> level;
   for (std::size_t len = 2; len <= n; ++len) {
+    level.clear();
     for (std::size_t i = 0; i + len <= n; ++i) {
       // One DP step per (i, j) range, weighted by the candidate count the
       // range sweeps — the unit the step budget is calibrated against.
       guard_step(cfg.guard, k);
-      dp.solve(i, i + len - 1);
+      level.push_back(dp.add_run(std::span(ids).subspan(i, len)));
     }
+    dp.solve(level);
   }
 
   PTreeResult result;
-  result.root_curve = dp.at(0, n - 1, cands.source_p);
+  result.root_curve = dp.curves(dp.find(ids))[cands.source_p];
   // Pick the solution with the best required time at the driver input.
   const Solution* best = nullptr;
   double best_q = 0.0;

@@ -18,7 +18,8 @@
 //     docs/ROBUSTNESS.md).  Off by default.
 //
 // Checks are cooperative and cheap: engines call guard_step()/guard_arena()
-// at loop boundaries (null guard = no-op), and a trip raises a typed
+// at loop boundaries, and guard_phase() between the fork phases of a
+// planned layer (null guard = no-op), and a trip raises a typed
 // GuardError that the batch worker catches and converts into a NetStatus.
 // The guard is also the engine-side carrier for fault injection: the same
 // checkpoints double as named fault sites (runtime/faultinject.h), so the
@@ -145,6 +146,16 @@ class NetGuard {
       throw BudgetExceeded(net_id_, live_nodes, cfg_.arena_node_cap, true);
   }
 
+  /// A phase boundary of a forked engine (BUBBLE_CONSTRUCT's layer phases):
+  /// the arena cap as arena_check, and the deadline polled at once — a
+  /// phase charges no steps, and its work follows the steps its plan
+  /// charged.
+  void phase_check(std::uint32_t live_nodes) {
+    arena_check(live_nodes);
+    if (deadline_at_ && std::chrono::steady_clock::now() > *deadline_at_)
+      throw DeadlineExceeded(net_id_, cfg_.deadline_ms);
+  }
+
   /// Synthetic step charge used by `slow` fault injection: identical
   /// bookkeeping to step(), so an injected slowdown trips the same
   /// BudgetExceeded a genuinely pathological net would.
@@ -189,6 +200,9 @@ inline void guard_step(NetGuard* g, std::uint64_t n = 1) {
 }
 inline void guard_arena(NetGuard* g, std::uint32_t live_nodes) {
   if (g) g->arena_check(live_nodes);
+}
+inline void guard_phase(NetGuard* g, std::uint32_t live_nodes) {
+  if (g) g->phase_check(live_nodes);
 }
 inline void guard_point(NetGuard* g, FaultSite site) {
   if (g) g->fault_point(site);

@@ -1,7 +1,10 @@
 #include "runtime/pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -171,6 +174,20 @@ std::vector<std::uint64_t> ThreadPool::executed_counts() const {
   return executed_;
 }
 
+std::vector<std::uint64_t> ThreadPool::worker_cpu_ns() const {
+  std::vector<std::uint64_t> ns(workers_.size(), 0);
+  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
+    clockid_t clock;
+    timespec ts;
+    if (pthread_getcpuclockid(
+            const_cast<std::thread&>(workers_[wi]).native_handle(), &clock) == 0 &&
+        clock_gettime(clock, &ts) == 0)
+      ns[wi] = static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+               static_cast<std::uint64_t>(ts.tv_nsec);
+  }
+  return ns;
+}
+
 void ThreadPool::set_observer(PoolObserver obs) {
   std::lock_guard<std::mutex> lk(mu_);
   if (in_flight_ != 0)
@@ -206,9 +223,10 @@ bool ThreadPool::pop_task(std::size_t wi, std::packaged_task<void()>& out,
 
 void ThreadPool::run_fork(std::size_t n, ForkFn fn, void* ctx) {
   // Plain loop: nothing to split, nobody to split it with, or already inside
-  // an item.  The idle counts are a hint read without the lock — a worker
-  // that goes idle a moment later simply misses this fork.
-  if (n < 2 || workers_.size() < 2 || tl_in_fork || idle_workers() == 0) {
+  // an item.  Otherwise the fork is listed even when no worker is idle now:
+  // a wide fork outlives the tasks around it, and a worker that goes idle
+  // while it runs joins it.
+  if (n < 2 || workers_.size() < 2 || tl_in_fork) {
     const InForkScope scope;  // an item's own forks stay inline here too
     for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
     return;

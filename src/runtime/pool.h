@@ -98,6 +98,12 @@ class ThreadPool {
   /// of any stats export, never in differential comparisons.
   [[nodiscard]] std::vector<std::uint64_t> executed_counts() const;
 
+  /// Each worker thread's CPU time so far (CLOCK_THREAD_CPUTIME_ID through
+  /// pthread_getcpuclockid), in nanoseconds; 0 where the clock cannot be
+  /// read.  Like executed_counts a scheduling fact: callers report deltas
+  /// over a batch in the non-deterministic `runtime` section.
+  [[nodiscard]] std::vector<std::uint64_t> worker_cpu_ns() const;
+
   /// Workers idle right now (parked or spinning for work): the ones a
   /// parallel_for would ask to help.  A scheduling hint, stale at once.
   [[nodiscard]] std::size_t idle_workers() const {
@@ -107,8 +113,9 @@ class ThreadPool {
 
   /// Fork-join over items [0, n): calls `body(i)` exactly once per item and
   /// returns when every item has run.  The caller claims items from an
-  /// atomic counter in ascending order; only workers that are idle (parked
-  /// or spinning) are asked to help, and the caller waits only for items
+  /// atomic counter in ascending order; the fork stays listed while it has
+  /// unclaimed items, so workers that are idle, or go idle while it runs,
+  /// join it (queued tasks first), and the caller waits only for items
   /// already claimed, so a fork can never deadlock on a busy pool — with no
   /// idle worker the caller simply finishes alone.  It is a plain loop on a
   /// one-worker pool, for n < 2, and when called from inside an item (a

@@ -274,6 +274,7 @@ TEST(Json, ExportRoundTripsThroughTheParser) {
   rt.steals = 2;
   rt.wall_ms = 12.5;
   rt.worker_tasks = {3, 2, 2, 2};
+  rt.worker_cpu_ms = {7.5, 1.25, 0.0, 3.0};
 
   const std::string json = stats_to_json(sink, rt);
   const JsonValue doc = json_parse(json);
@@ -301,6 +302,10 @@ TEST(Json, ExportRoundTripsThroughTheParser) {
   EXPECT_EQ(doc.at("latency_us").at("count").number, 2.0);
   EXPECT_EQ(doc.at("runtime").at("threads").number, 4.0);
   ASSERT_EQ(doc.at("runtime").at("worker_tasks").array.size(), 4u);
+  const JsonValue& cpu = doc.at("runtime").at("worker_cpu_ms");
+  ASSERT_EQ(cpu.array.size(), 4u);
+  EXPECT_EQ(cpu.array[0].number, 7.5);
+  EXPECT_EQ(cpu.array[1].number, 1.25);
 
   const JsonValue& layers = doc.at("layers");
   ASSERT_EQ(layers.array.size(), 1u);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ctime>
+
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -329,7 +331,31 @@ TEST(ThreadPool, ForkHelpersLeaveTheTaskAccountingAlone) {
                               r.stats.worker_tasks.end(), std::uint64_t{0}),
               nets)
         << threads;
+    EXPECT_EQ(r.stats.worker_cpu_ms.size(), threads);
   }
+}
+
+TEST(ThreadPool, WorkerCpuTimeCountsTheTasksItRan) {
+  ThreadPool pool(2);
+  const std::vector<std::uint64_t> before = pool.worker_cpu_ns();
+  ASSERT_EQ(before.size(), 2u);
+  // One task burns 20 ms of its own thread's CPU time.
+  pool.submit([] {
+    timespec start, now;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &start);
+    do {
+      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+    } while ((now.tv_sec - start.tv_sec) * 1'000'000'000L +
+                 (now.tv_nsec - start.tv_nsec) <
+             20'000'000L);
+  }).get();
+  const std::vector<std::uint64_t> after = pool.worker_cpu_ns();
+  std::uint64_t delta = 0;
+  for (std::size_t w = 0; w < 2; ++w) {
+    EXPECT_GE(after[w], before[w]);
+    delta += after[w] - before[w];
+  }
+  EXPECT_GE(delta, 20'000'000u);
 }
 
 }  // namespace

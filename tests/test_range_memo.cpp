@@ -1,13 +1,16 @@
 // Exactness pins for the *PTREE range DP and BUBBLE_CONSTRUCT's
-// within-construction range memo: every terminal run's curves are computed
-// once per construction and shared by every layer call that meets the same
-// run again (Lemma 7's sub-problem sharing, one level below the Gamma
-// groups).  Reuse must be invisible in the results, so the fingerprints and
-// digests below were recorded with the memo absent and must never move.  The
-// work counts show that the memo actually fires.  ptree_route runs the same
-// range DP as the layers (ptree/range_dp.h); its root curves and the
-// Flow I/II circuit digests are pinned here too, recorded before the two
-// callers shared one implementation.
+// construction-wide run table (ptree/range_dp.h): every terminal run is
+// interned once per construction, in the order the layer calls meet it, and
+// solved once, level by level, before any layer reads it; every later layer
+// call that meets the same run reads its curves (Lemma 7's sub-problem
+// sharing, one level below the Gamma groups).  Reuse must be invisible in
+// the results, so the fingerprints and digests below were recorded with no
+// reuse at all and must never move.  The reuse counts and layer calls were
+// recorded from the per-call range memo the run table replaced: interning
+// before solving loses no reuse.  ptree_route solves its one sequence
+// through the same table; its root curves and the Flow I/II circuit digests
+// are pinned here too, recorded before the two callers shared one
+// implementation.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,7 @@
 #include "buflib/library.h"
 #include "cache/shard.h"
 #include "core/bubble.h"
+#include "core/gamma.h"
 #include "flow/batch.h"
 #include "flow/circuit.h"
 #include "net/generator.h"
@@ -26,6 +30,7 @@
 #include "obs/sink.h"
 #include "order/tsp.h"
 #include "ptree/ptree.h"
+#include "ptree/range_dp.h"
 
 namespace merlin {
 namespace {
@@ -94,15 +99,18 @@ struct MemoCase {
   bool relaxed;    ///< max_internal_children = 2
   bool widths;     ///< wire_widths {1, 2}
   bool quantized;  ///< quantized inner_prune
-  std::uint64_t fingerprint;       ///< recorded without the memo
-  std::uint64_t extend_candidates;  ///< recorded without the memo
+  std::uint64_t fingerprint;       ///< recorded without reuse
+  std::uint64_t extend_candidates;  ///< recorded without reuse
+  std::uint64_t reuse_hits;         ///< recorded from the per-call memo
+  std::uint64_t reuse_misses;       ///< ditto
+  std::uint64_t layer_calls;        ///< ditto
 };
 
 const MemoCase kCases[] = {
-    {"relaxed", 7, 3, true, false, false, 0x4f6d0aa37c324f6bULL, 1958668},
-    {"widths", 7, 5, false, true, false, 0xb0fd1c714b3ef95aULL, 1409499},
-    {"quantized", 8, 9, false, false, true, 0x0eb98291ef98bffbULL, 1166999},
-    {"all", 7, 11, true, true, true, 0xeb7921e670c006c3ULL, 4109351},
+    {"relaxed", 7, 3, true, false, false, 0x4f6d0aa37c324f6bULL, 1958668, 1926, 1576, 1318},
+    {"widths", 7, 5, false, true, false, 0xb0fd1c714b3ef95aULL, 1409499, 691, 594, 579},
+    {"quantized", 8, 9, false, false, true, 0x0eb98291ef98bffbULL, 1166999, 1009, 841, 822},
+    {"all", 7, 11, true, true, true, 0xeb7921e670c006c3ULL, 4109351, 1926, 1576, 1318},
 };
 
 BubbleConfig case_cfg(const MemoCase& c) {
@@ -131,8 +139,9 @@ TEST(RangeMemo, RootCurvesMatchTheUnmemoizedConstruction) {
     EXPECT_EQ(fingerprint(r), c.fingerprint);
     const std::uint64_t extend = sink.counters.get(Counter::kExtendCandidates);
     EXPECT_LT(extend, c.extend_candidates);
-    EXPECT_GT(sink.counters.get(Counter::kRangeReuseHits), 0u);
-    EXPECT_GT(sink.counters.get(Counter::kRangeReuseMisses), 0u);
+    EXPECT_EQ(sink.counters.get(Counter::kRangeReuseHits), c.reuse_hits);
+    EXPECT_EQ(sink.counters.get(Counter::kRangeReuseMisses), c.reuse_misses);
+    EXPECT_EQ(sink.counters.get(Counter::kLayerCalls), c.layer_calls);
   }
 }
 
@@ -179,7 +188,8 @@ TEST(RangeMemo, PTreeRootCurvesMatchTheUnsharedDp) {
 /// default 64 MB shared cache (detached under MERLIN_CACHE=off, which must
 /// not change the digest either).
 std::uint64_t cli_circuit_digest(FlowKind flow, std::size_t gates,
-                                 std::uint64_t seed, std::size_t threads) {
+                                 std::uint64_t seed, std::size_t threads,
+                                 ObsSink* obs = nullptr) {
   const BufferLibrary lib = make_standard_library();
   CircuitSpec cs;
   cs.name = "ckt" + std::to_string(gates);
@@ -193,6 +203,7 @@ std::uint64_t cli_circuit_digest(FlowKind flow, std::size_t gates,
   opts.flow = flow;
   opts.threads = threads;
   opts.cache = &cache;
+  opts.obs = obs;
   return batch_result_digest(BatchRunner(lib, opts).run(ckt));
 }
 
@@ -214,8 +225,15 @@ class RangeMemoCircuit
 
 TEST_P(RangeMemoCircuit, DigestMatchesTheUnmemoizedRun) {
   const auto& [pin, threads] = GetParam();
-  EXPECT_EQ(cli_circuit_digest(pin.flow, pin.gates, pin.seed, threads),
+  ObsSink sink;
+  EXPECT_EQ(cli_circuit_digest(pin.flow, pin.gates, pin.seed, threads, &sink),
             pin.digest);
+  if (pin.flow == FlowKind::kFlow3 && pin.gates == 30 && pin.seed == 7) {
+    // The per-call memo's reuse counts, which the run table keeps.
+    EXPECT_EQ(sink.counters.get(Counter::kRangeReuseHits), 9821u);
+    EXPECT_EQ(sink.counters.get(Counter::kRangeReuseMisses), 4011u);
+    EXPECT_EQ(sink.counters.get(Counter::kLayerCalls), 3710u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -309,6 +327,58 @@ TEST(RangeMemo, SingleNetBatchIsIdenticalAtEveryThreadCount) {
     EXPECT_EQ(single_net_batch(net, threads, false).digest, serial.digest);
   }
 }
+
+#ifndef NDEBUG
+// A two-sink run table over two candidates, its one run of length 2 added.
+struct TinyTable {
+  SolutionArena arena;
+  std::vector<Point> pts{{0, 0}, {40, 0}};
+  WireModel wire;
+  PruneConfig prune;
+  RangeDp dp{arena, pts, extension_sources(pts, 0), wire, {}, prune};
+  RangeDp::Entry run = 0;
+
+  TinyTable() {
+    for (std::uint32_t sid = 0; sid < 2; ++sid) {
+      const Sink s{Point{static_cast<std::int32_t>(10 + 20 * sid), 5}, 2.0, 100.0};
+      std::vector<SolutionCurve> base(pts.size());
+      for (std::size_t p = 0; p < pts.size(); ++p)
+        push_sink_options(arena, s, static_cast<std::int32_t>(sid), pts[p], wire,
+                          {}, base[p]);
+      dp.add_terminal(sid, base);
+    }
+    const std::uint32_t ids[] = {0, 1};
+    run = dp.add_run(ids);
+  }
+};
+
+// The layer phase rules: a run's cells are written only by the solve that
+// finishes it and read only after; while layer L is open, Gamma rows of
+// earlier layers are read-only.  Live in Debug and sanitizer builds.
+TEST(LayerPhaseDeathTest, FinishedRunsAndEarlierLayersAreReadOnly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TinyTable t;
+        t.dp.solve(std::span(&t.run, 1));
+        t.dp.solve(std::span(&t.run, 1));  // the finished length again
+      },
+      "write to a finished run");
+  EXPECT_DEATH(
+      {
+        TinyTable t;
+        (void)t.dp.curves(t.run);  // before its level is solved
+      },
+      "read of an unfinished run");
+  EXPECT_DEATH(
+      {
+        GammaTable gamma(3, 2);
+        gamma.open_layer(3);
+        gamma.at(2, Chi::kChi0, 1, 0).clear();
+      },
+      "earlier layer");
+}
+#endif
 
 }  // namespace
 }  // namespace merlin
