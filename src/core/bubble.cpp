@@ -213,10 +213,13 @@ void root_phase(Workspace& ws, std::size_t L, bool keep_unbuffered) {
           push_buffered_options(lane, routed, ws.pts[p], ws.lib, into,
                                 ws.cfg.buffer_stride, lane_obs);
           // Amortized pruning keeps accumulation cells from ballooning while
-          // many (l, e, r) child choices pour into the same (L, E, R) group.
+          // many (l, e, r) child choices pour into the same (L, E, R) group,
+          // and the lane drops the buffer nodes of the points it discarded.
           if (into.size() >
-              4 * std::max<std::size_t>(ws.cfg.group_prune.max_solutions, 8))
+              4 * std::max<std::size_t>(ws.cfg.group_prune.max_solutions, 8)) {
             into.prune(pc);
+            into.trim_lane(lane);
+          }
         }
         plan.entering[item] = into.size();
         into.prune(pc);

@@ -27,6 +27,29 @@ SolNodeId SolutionArena::stage(const SolNode& n) {
   return static_cast<SolNodeId>(staged_.size() - 1) | kLaneTag;
 }
 
+void SolutionArena::keep_referenced(std::span<Solution> sols) {
+  assert(lane_ && "SolutionArena: keep_referenced on a non-lane arena");
+  const std::size_t m = staged_.size();
+  // Staging index -> new index; kNullSol marks a node nothing references.
+  thread_local std::vector<SolNodeId> to;
+  to.assign(m, kNullSol);
+  for (const Solution& s : sols) {
+    if (!is_lane_handle(s.node)) continue;
+    assert((s.node & ~kLaneTag) < m &&
+           "SolutionArena: lane handle past the lane's staged nodes");
+    to[s.node & ~kLaneTag] = 0;
+  }
+  SolNodeId next = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (to[i] == kNullSol) continue;
+    to[i] = next;
+    staged_[next++] = staged_[i];
+  }
+  staged_.resize(next);
+  for (Solution& s : sols)
+    if (is_lane_handle(s.node)) s.node = to[s.node & ~kLaneTag] | kLaneTag;
+}
+
 SolNodeId SolutionArena::append(const SolNode& n) {
   if (size_ >= node_limit_)
     throw std::length_error("SolutionArena: node count exceeds the handle space");

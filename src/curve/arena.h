@@ -29,13 +29,15 @@
 //     threads each allocates into its own staging *lane*, never into the
 //     arena.  Lane handles carry kLaneTag; after the phase the owner splices
 //     the lanes back in item order and rebases each item's tagged handles
-//     (SolutionCurve::rebase_lane).  A lane node may only reference nodes
-//     already in the arena, so lane i's nodes land exactly where a serial
-//     loop over items 0..n-1 would have allocated them: the node sequence,
-//     every handle, the fault-injection grant count and the handle limit
-//     are those of the serial run.  While a fork is open the arena itself
-//     is read-only — a direct allocation or a mark_compact asserts in Debug
-//     and sanitizer builds.
+//     (SolutionCurve::rebase_lane).  Before the splice each lane drops the
+//     nodes its item's output curve does not reference (keep_referenced),
+//     so the arena receives only provenance a kept point can reach.  A
+//     lane node may only reference nodes already in the arena, so lane i's
+//     kept nodes land exactly where a serial loop over items 0..n-1 would
+//     have put them: the node sequence, every handle, the fault-injection
+//     grant count and the handle limit do not depend on the thread count.
+//     While a fork is open the arena itself is read-only — a direct
+//     allocation or a mark_compact asserts in Debug and sanitizer builds.
 
 #include <cassert>
 #include <cstddef>
@@ -121,6 +123,15 @@ class SolutionArena {
   /// std::logic_error when a node's child is a lane handle.  Forks do not
   /// nest.
   std::span<SolutionArena> open_fork(std::size_t n);
+
+  /// Lane only: drops every staged node that no solution of `sols`
+  /// references, keeps the rest in staging order (a node referenced twice
+  /// is kept once) and rewrites the lane handles in `sols` to the kept
+  /// nodes' new positions; arena handles and kNullSol pass through.  A lane
+  /// node never references another lane node (make_* throws), so no kept
+  /// node needs rewriting.  Asserts, in Debug and sanitizer builds, that
+  /// this is a lane and that every lane handle in `sols` is below staged().
+  void keep_referenced(std::span<Solution> sols);
 
   /// Appends `lane` (one of the open fork's lanes) to this arena in staging
   /// order and returns the id its first node received.  Splice the lanes in

@@ -85,6 +85,11 @@ class SolutionCurve {
   /// it received when its lane was spliced with first id `base`.
   void rebase_lane(SolNodeId base);
 
+  /// Drops from fork lane `lane` every staged node this curve does not
+  /// reference and renumbers the curve's lane handles to match
+  /// (SolutionArena::keep_referenced).
+  void trim_lane(SolutionArena& lane) { lane.keep_referenced(sols_); }
+
   /// The solution with the largest required time, or nullptr if empty.
   [[nodiscard]] const Solution* best_req_time() const;
 

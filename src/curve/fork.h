@@ -12,8 +12,10 @@
 // rules:
 //
 //   * provenance: item i allocates only into its own arena lane
-//     (SolutionArena::open_fork), and the lanes are spliced in item order,
-//     so the arena ends up node-for-node as a serial loop would leave it;
+//     (SolutionArena::open_fork); when its body returns, the lane drops
+//     every node the item's output curve does not reference, and the lanes
+//     are spliced in item order, so the arena ends up node-for-node as a
+//     serial loop would leave it and holds only provenance of kept points;
 //   * observability: item i records only into its own lane sink, and only
 //     counters and gauges (no spans); the lane sinks are folded into the
 //     phase's sink in item order;
@@ -41,13 +43,14 @@ class CandidateFork {
   CandidateFork(SolutionArena& arena, ThreadPool* pool)
       : arena_(arena), pool_(pool) {}
 
-  /// Runs `body(p, lane, lane_obs)` for every item p in [0, n), then, in
-  /// item order, folds lane p's counters and gauges into `obs` and splices
-  /// lane p into the arena, rebasing the lane handles of `out(p)` (the one
-  /// curve item p wrote).  `lane_obs` is null when `obs` is.  An exception
-  /// from an item, or from a splice (an injected arena fault, the handle
-  /// limit), propagates after the fork is closed.  Each call with items
-  /// counts one fork_phases and n fork_items into `obs`; n == 0 is no phase.
+  /// Runs `body(p, lane, lane_obs)` for every item p in [0, n) and trims
+  /// lane p to the nodes `out(p)` (the one curve item p wrote) references;
+  /// then, in item order, folds lane p's counters and gauges into `obs` and
+  /// splices lane p into the arena, rebasing the lane handles of `out(p)`.
+  /// `lane_obs` is null when `obs` is.  An exception from an item, or from
+  /// a splice (an injected arena fault, the handle limit), propagates after
+  /// the fork is closed.  Each call with items counts one fork_phases and n
+  /// fork_items into `obs`; n == 0 is no phase.
   template <typename Body, typename Out>
   void run(std::size_t n, ObsSink* obs, Body&& body, Out&& out) {
     if (n == 0) return;
@@ -58,6 +61,7 @@ class CandidateFork {
     Closer closer{*this, n, obs != nullptr};
     const auto item = [&](std::size_t p) {
       body(p, lanes[p], obs != nullptr ? &lane_obs_[p] : nullptr);
+      out(p).trim_lane(lanes[p]);
     };
     if (pool_ != nullptr) {
       pool_->parallel_for(n, item);

@@ -5,20 +5,24 @@
 // Every DP inner loop in this library funnels through the same shape of
 // work: generate candidate (req_time, load, area) tuples from one or more
 // source curves, keep the non-inferior subset, and only then materialize
-// provenance for the survivors.  The original implementation materialized
-// *all* candidates, sorted them, and ran a quadratic-in-the-worst-case
-// post-hoc prune.  This kernel restructures that in the spirit of Li–Shi's
-// O(bn^2) buffer-insertion algorithm (PAPERS.md): candidates are generated
-// in per-bucket streams (one bucket per buffer type, per merge partner, per
-// wire width), most dominated candidates are rejected by an O(1) range
-// comparison against their bucket's running frontier before they are ever
-// stored, and the surviving per-bucket lists — kept sorted by the canonical
-// curve order — are merged into that order and scanned by a single
-// dominance sweep whose survivor store is a struct-of-arrays
-// (`FrontierSoA`), so the inner dominance test is a branch-light loop over
-// contiguous double lanes (SSE2 when built with MERLIN_SIMD=ON on an SSE2
-// target, scalar otherwise; both paths compare with identical IEEE
-// semantics, so results are bit-identical either way).
+// provenance for the survivors.  A batch op's survivors may still lose to
+// a later prune of the cell they were poured into (a group's root options,
+// a run's extend-and-prune); inside a fork (curve/fork.h) their nodes are
+// staged in a lane, and the lane drops them before the splice, so the
+// arena receives provenance only for points a cell keeps.  The original
+// implementation materialized *all* candidates, sorted them, and ran a
+// quadratic-in-the-worst-case post-hoc prune.  This kernel restructures
+// that in the spirit of Li–Shi's O(bn^2) buffer-insertion algorithm
+// (PAPERS.md): candidates are generated in per-bucket streams (one bucket
+// per buffer type, per merge partner, per wire width), most dominated
+// candidates are rejected by an O(1) range comparison against their
+// bucket's running frontier before they are ever stored, and the surviving
+// per-bucket lists — kept sorted by the canonical curve order — are merged
+// into that order and scanned by a single dominance sweep whose survivor
+// store is a struct-of-arrays (`FrontierSoA`), so the inner dominance test
+// is a branch-light loop over contiguous double lanes (SSE2 when built with
+// MERLIN_SIMD=ON on an SSE2 target, scalar otherwise; both paths compare
+// with identical IEEE semantics, so results are bit-identical either way).
 //
 // The sweeps are small — a typical one takes a few dozen candidates in a
 // handful of buckets — so the kernel is built for low fixed cost rather

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace merlin {
 
@@ -56,20 +57,17 @@ namespace {
 // Curve buffers recycled from table to table on one thread: a table takes
 // its cells and staging curves from here and hands them back, emptied, when
 // it dies, so the constructions a worker runs one after another reuse one
-// set of buffers instead of allocating every cell anew.  Cells and staging
-// curves are kept apart: a staging curve holds a cell's candidates before
-// the prune, so its buffer is several times a cell's.
-struct SpareCurves {
-  std::vector<SolutionCurve> cells, stage;
-};
-SpareCurves& spare_curves() {
-  thread_local SpareCurves spare;
+// set of buffers instead of allocating every cell anew.  Both hold pruned
+// curves (a staging curve receives only a cell's survivors), so one list
+// serves both, and solve_chunk's swaps keep every buffer near a cell's size.
+std::vector<SolutionCurve>& spare_curves() {
+  thread_local std::vector<SolutionCurve> spare;
   return spare;
 }
 
-// Grows `curves` to `n` curves, taking buffers from `spare` first.
-void take_spare(std::vector<SolutionCurve>& curves, std::size_t n,
-                std::vector<SolutionCurve>& spare) {
+// Grows `curves` to `n` curves, taking spare buffers first.
+void take_spare(std::vector<SolutionCurve>& curves, std::size_t n) {
+  std::vector<SolutionCurve>& spare = spare_curves();
   while (curves.size() < n) {
     if (spare.empty()) {
       curves.emplace_back();
@@ -80,8 +78,8 @@ void take_spare(std::vector<SolutionCurve>& curves, std::size_t n,
   }
 }
 
-void give_spare(std::vector<SolutionCurve>& curves,
-                std::vector<SolutionCurve>& spare) {
+void give_spare(std::vector<SolutionCurve>& curves) {
+  std::vector<SolutionCurve>& spare = spare_curves();
   for (SolutionCurve& c : curves) {
     c.clear();
     spare.push_back(std::move(c));
@@ -102,8 +100,8 @@ RangeDp::RangeDp(SolutionArena& arena, std::span<const Point> pts,
 }
 
 RangeDp::~RangeDp() {
-  give_spare(cells_, spare_curves().cells);
-  give_spare(stage_, spare_curves().stage);
+  give_spare(cells_);
+  give_spare(stage_);
 }
 
 std::uint64_t RangeDp::hash(std::span<const std::uint32_t> ids) {
@@ -147,7 +145,7 @@ RangeDp::Entry RangeDp::add(std::span<const std::uint32_t> ids, bool owned) {
   r.cell_off = static_cast<std::uint32_t>(cells_.size());
   recs_.push_back(r);
   key_pool_.insert(key_pool_.end(), ids.begin(), ids.end());
-  if (owned) take_spare(cells_, cells_.size() + k_, spare_curves().cells);
+  if (owned) take_spare(cells_, cells_.size() + k_);
   if (2 * recs_.size() > slots_.size()) {
     slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
     for (Entry i = 0; i < recs_.size(); ++i) place(i);
@@ -224,7 +222,7 @@ void RangeDp::solve_chunk(std::span<const Entry> runs) {
       [&](std::size_t item) -> SolutionCurve& {
         return cell(runs[item / k_], item % k_);
       });
-  take_spare(stage_, n, spare_curves().stage);
+  take_spare(stage_, n);
   fork_.run(
       n, prune_.obs,
       [&](std::size_t item, SolutionArena& lane, ObsSink* lane_obs) {
@@ -233,22 +231,26 @@ void RangeDp::solve_chunk(std::span<const Entry> runs) {
         PruneConfig pc = prune_;
         pc.obs = lane_obs;
         thread_local std::vector<const SolutionCurve*> srcs;
-        thread_local SolutionCurve ext;
+        // The merged cell and its extensions, pruned in thread scratch, so
+        // the staging curve's buffer holds only the survivors.
+        thread_local SolutionCurve cands;
         const SolutionCurve* row = &cells_[recs_[e].cell_off];
         srcs.clear();
         for (const std::uint32_t q : sources_[p]) srcs.push_back(row + q);
-        ext.clear();
-        push_extended_options(lane, srcs, src_pts_[p], pts_[p], wire_, pc, ext,
-                              widths_);
+        cands.clear();
+        for (const Solution& s : row[p]) cands.push(s);
+        push_extended_options(lane, srcs, src_pts_[p], pts_[p], wire_, pc,
+                              cands, widths_);
+        cands.prune(pc);
         SolutionCurve& stage = stage_[item];
         stage.clear();
-        for (const Solution& s : row[p]) stage.push(s);
-        for (const Solution& s : ext) stage.push(s);
-        stage.prune(pc);
+        for (const Solution& s : cands) stage.push(s);
       },
       [&](std::size_t item) -> SolutionCurve& { return stage_[item]; });
+  // Swap, not copy: the cell's merge result is dead, and stage_[item] is
+  // cleared before its next use.
   for (std::size_t item = 0; item < n; ++item)
-    cell(runs[item / k_], item % k_) = stage_[item];
+    std::swap(cell(runs[item / k_], item % k_), stage_[item]);
   for (const Entry e : runs) recs_[e].finished = true;
 }
 

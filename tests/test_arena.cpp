@@ -3,9 +3,10 @@
 // survives, Lemma-7 sharing preserved through the remap), the heap traffic
 // of an arena-backed BUBBLE_CONSTRUCT (a global operator-new hook), fork
 // lanes (spliced lanes equal serial allocation, node for node, fault grant
-// for fault grant; the lane rules and the halved handle space), and the
-// push-order permutation property of Pareto pruning (the survivor *set* of
-// prune() is independent of insertion order).
+// for fault grant; the lane rules and the halved handle space), lane trims
+// (a lane keeps only the nodes a curve references, in staging order), and
+// the push-order permutation property of Pareto pruning (the survivor *set*
+// of prune() is independent of insertion order).
 
 #include <gtest/gtest.h>
 
@@ -232,11 +233,11 @@ TEST(Arena, BubbleConstructHeapTrafficStaysInItsBand) {
   // provenance in slabs, not one heap block per node.  With slab capacity
   // already reserved by a warm-up construction (how batch workers hold
   // their arenas), one construction on the seed-5 nets below makes about
-  // 7.5k (6 sinks) and 54k (12 sinks) heap allocations, while its SolNode
-  // count runs to 83k and 931k (88k and 983k before sink curves were built
-  // once per construction).  The allocation counts are deterministic
-  // per build; the +-25% band absorbs standard-library and sanitizer
-  // differences.  SolNode counts are exact.
+  // 6.4k (6 sinks) and 40k (12 sinks) heap allocations, while its SolNode
+  // count runs to 16k and 191k: only the provenance of kept points, since
+  // fork lanes drop the nodes their items' last prunes discarded.  The
+  // allocation counts are deterministic per build; the +-25% band absorbs
+  // standard-library and sanitizer differences.  SolNode counts are exact.
   struct Expect {
     std::size_t n_sinks;
     unsigned long long heap_allocs;
@@ -244,7 +245,7 @@ TEST(Arena, BubbleConstructHeapTrafficStaysInItsBand) {
   };
   const BufferLibrary lib = make_standard_library();
   SolutionArena arena;
-  for (const Expect e : {Expect{6, 7545, 83089}, Expect{12, 54000, 931272}}) {
+  for (const Expect e : {Expect{6, 6400, 16442}, Expect{12, 40000, 191315}}) {
     NetSpec spec;
     spec.n_sinks = e.n_sinks;
     spec.seed = 5;
@@ -309,6 +310,8 @@ TEST(ArenaLanes, ForkedBubbleConstructLeavesTheSerialNodeSequence) {
   // the layers moved to wide phases over one run table with sink curves
   // built once per construction (fewer sink nodes and one-point prunes, a
   // new node order); the merge/extend/buffer counts and every result held.
+  // Node count and fingerprint moved again, and no counter did, when lanes
+  // began to drop the nodes no kept point references.
   const BufferLibrary lib = make_standard_library();
   NetSpec spec;
   spec.n_sinks = 6;
@@ -330,8 +333,8 @@ TEST(ArenaLanes, ForkedBubbleConstructLeavesTheSerialNodeSequence) {
     cfg.obs = &sink;
     SolutionArena arena;
     (void)bubble_construct(net, lib, tsp_order(net), cfg, nullptr, &arena);
-    EXPECT_EQ(arena.size(), 83089u);
-    EXPECT_EQ(arena_fingerprint(arena), 0xb8151594f135ca32ULL);
+    EXPECT_EQ(arena.size(), 16442u);
+    EXPECT_EQ(arena_fingerprint(arena), 0xb39c1e90b97a8d1eULL);
     const Counters& c = sink.counters;
     EXPECT_EQ(c.get(Counter::kCurvePointsPushed), 334467u);
     EXPECT_EQ(c.get(Counter::kCurvePointsPruned), 227630u);
@@ -526,6 +529,138 @@ TEST(ArenaLanes, TheTagBitHalvesTheHandleSpace) {
   EXPECT_THROW((void)lanes[0].make_sink({0, 0}, 0), std::length_error);
   lane_limited.close_fork();
 }
+
+// A curve over `nodes`, one solution per handle, with distinct metrics.
+SolutionCurve curve_over(std::span<const SolNodeId> nodes) {
+  SolutionCurve c;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    Solution s;
+    s.req_time = static_cast<double>(i);
+    s.node = nodes[i];
+    c.push(s);
+  }
+  return c;
+}
+
+TEST(LaneTrim, KeepsTheReferencedNodesOnceInStagingOrder) {
+  SolutionArena arena;
+  std::vector<SolNodeId> base;
+  seed_base(arena, base);
+  const std::span<SolutionArena> lanes = arena.open_fork(1);
+  SolutionArena& lane = lanes[0];
+  std::vector<SolNodeId> staged;
+  for (std::int32_t i = 0; i < 6; ++i)
+    staged.push_back(
+        lane.make_wire({i, 7}, base[static_cast<std::size_t>(i) % 5]));
+  // Lane nodes 4 (twice) and 1, out of order, beside an arena handle and a
+  // null one.
+  const std::vector<SolNodeId> held = {staged[4], base[2], staged[1], kNullSol,
+                                       staged[4]};
+  SolutionCurve c = curve_over(held);
+  c.trim_lane(lane);
+  EXPECT_EQ(lane.staged(), 2u);
+  // Staging order decides the new positions: node 1 first, then node 4.
+  EXPECT_EQ(c[0].node, 1u | SolutionArena::kLaneTag);
+  EXPECT_EQ(c[1].node, base[2]);
+  EXPECT_EQ(c[2].node, 0u | SolutionArena::kLaneTag);
+  EXPECT_EQ(c[3].node, kNullSol);
+  EXPECT_EQ(c[4].node, 1u | SolutionArena::kLaneTag);
+  for (std::size_t i = 0; i < c.size(); ++i)
+    EXPECT_EQ(c[i].req_time, static_cast<double>(i));  // metrics untouched
+
+  // The splice appends exactly the kept nodes; the rebase maps them.
+  const SolNodeId first = arena.splice(lane);
+  c.rebase_lane(first);
+  arena.close_fork();
+  EXPECT_EQ(first, base.size());
+  ASSERT_EQ(arena.size(), base.size() + 2);
+  EXPECT_EQ(arena.stats().nodes_allocated, base.size() + 2);
+  EXPECT_EQ(c[0].node, first + 1);
+  EXPECT_EQ(c[2].node, first);
+  EXPECT_EQ(c[4].node, first + 1);
+  EXPECT_EQ(arena[first].at, (Point{1, 7}));
+  EXPECT_EQ(arena[first].a, base[1]);
+  EXPECT_EQ(arena[first + 1].at, (Point{4, 7}));
+  EXPECT_EQ(arena[first + 1].a, base[4]);
+}
+
+TEST(LaneTrim, AnUnreferencedLaneEmptiesAndFurtherStagingContinuesAfterIt) {
+  SolutionArena arena;
+  const SolNodeId sink = arena.make_sink({0, 0}, 0);
+  const std::span<SolutionArena> lanes = arena.open_fork(1);
+  SolutionArena& lane = lanes[0];
+  for (std::int32_t i = 1; i <= 3; ++i) (void)lane.make_wire({i, 0}, sink);
+  SolutionCurve c = curve_over(std::vector<SolNodeId>{sink, kNullSol});
+  c.trim_lane(lane);
+  EXPECT_EQ(lane.staged(), 0u);
+  EXPECT_EQ(c[0].node, sink);
+  EXPECT_EQ(c[1].node, kNullSol);
+  // Trimmed mid-item, a lane keeps staging after its kept nodes.
+  const SolNodeId kept = lane.make_wire({5, 0}, sink);
+  (void)lane.make_wire({6, 0}, sink);  // dropped below
+  const SolNodeId also = lane.make_wire({7, 0}, sink);
+  EXPECT_EQ(kept, 0u | SolutionArena::kLaneTag);
+  c = curve_over(std::vector<SolNodeId>{also, kept});
+  c.trim_lane(lane);
+  EXPECT_EQ(c[0].node, 1u | SolutionArena::kLaneTag);
+  EXPECT_EQ(c[1].node, 0u | SolutionArena::kLaneTag);
+  c.rebase_lane(arena.splice(lane));
+  arena.close_fork();
+  EXPECT_EQ(arena[c[0].node].at, (Point{7, 0}));
+  EXPECT_EQ(arena[c[1].node].at, (Point{5, 0}));
+}
+
+TEST(LaneTrim, AnArmedAllocFaultChargesOnlyKeptNodes) {
+  for (const std::uint64_t grants : {1u, 2u}) {
+    SCOPED_TRACE(grants);
+    SolutionArena arena;
+    const SolNodeId sink = arena.make_sink({0, 0}, 0);
+    arena.set_alloc_fault(grants);
+    const std::span<SolutionArena> lanes = arena.open_fork(1);
+    std::vector<SolNodeId> staged;
+    for (std::int32_t i = 1; i <= 5; ++i)
+      staged.push_back(lanes[0].make_wire({i, 0}, sink));
+    SolutionCurve c = curve_over(std::vector<SolNodeId>{staged[0], staged[3]});
+    c.trim_lane(lanes[0]);
+    // Five nodes were staged, two are kept: two grants suffice, one trips
+    // at the second kept node.
+    if (grants >= 2) {
+      EXPECT_NO_THROW(c.rebase_lane(arena.splice(lanes[0])));
+      EXPECT_FALSE(arena.clear_alloc_fault());
+    } else {
+      EXPECT_THROW((void)arena.splice(lanes[0]), std::length_error);
+      EXPECT_TRUE(arena.clear_alloc_fault());
+    }
+    arena.close_fork();
+    EXPECT_EQ(arena.size(), 1 + grants);
+    EXPECT_EQ(arena.stats().nodes_allocated, 1 + grants);
+  }
+}
+
+#ifndef NDEBUG
+TEST(LaneTrimDeathTest, ANonLaneArenaOrAHandlePastTheStagedNodesAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SolutionArena arena;
+        const SolNodeId sink = arena.make_sink({0, 0}, 0);
+        SolutionCurve c = curve_over(std::vector<SolNodeId>{sink});
+        c.trim_lane(arena);
+      },
+      "non-lane arena");
+  EXPECT_DEATH(
+      {
+        SolutionArena arena;
+        const SolNodeId sink = arena.make_sink({0, 0}, 0);
+        const std::span<SolutionArena> lanes = arena.open_fork(1);
+        const SolNodeId staged = lanes[0].make_wire({1, 0}, sink);
+        SolutionCurve c =
+            curve_over(std::vector<SolNodeId>{staged, staged + 1});
+        c.trim_lane(lanes[0]);
+      },
+      "past the lane's staged nodes");
+}
+#endif
 
 #ifndef NDEBUG
 TEST(ArenaPhaseDeathTest, DirectAllocationOrCompactionDuringAForkAsserts) {
